@@ -37,10 +37,17 @@ def _parse_matrix(text: str, n: int | None = None, m: int | None = None) -> np.n
         rows, cols, data = n, m, obj
     else:
         raise ValueError("matrix JSON must be an object or a list")
-    if len(data) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
-    flat = np.array([complex(re, im) for re, im in data])
-    return flat.reshape(rows, cols)
+    try:
+        if len(data) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
+        flat = np.array([complex(re, im) for re, im in data])
+        mat = flat.reshape(rows, cols)
+    except TypeError as exc:
+        # wrongly typed JSON values (strings, nulls, nested lists) are bad input
+        raise ValueError(f"malformed matrix JSON: {exc}") from exc
+    if mat.size == 0:
+        raise ValueError(f"matrix must have at least one row and one column, got {mat.shape}")
+    return mat
 
 
 def _matrix_json(a: np.ndarray) -> dict:
@@ -191,7 +198,9 @@ def _cmd_verify(args) -> int:
     config = verify.SuiteConfig(seed=args.seed, trials=args.trials,
                                 n=args.n, m=args.m)
     report = verify.run_suite(config)
-    print(report.to_text(include_timing=not args.no_timing))
+    # with the JSON report on stdout, the text report goes to stderr
+    text_out = sys.stderr if args.json == "-" else sys.stdout
+    print(report.to_text(include_timing=not args.no_timing), file=text_out)
     if args.json is not None:
         payload = verify.report_json(report, include_timing=not args.no_timing)
         if args.json == "-":

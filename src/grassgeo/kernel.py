@@ -29,9 +29,11 @@ class SvdResult:
         return (self.u * self.s) @ self.v.conj().T
 
 
-def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
+def as_complex_matrix(a, name: str = "matrix", stacked: bool = False) -> np.ndarray:
+    """The input as a finite complex128 matrix, or as a stack (..., n, m) of
+    them when stacked is set; raises ValueError otherwise."""
     arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim != 2:
+    if arr.ndim != 2 and not (stacked and arr.ndim > 2):
         raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr.view(np.float64))):
         raise ValueError(f"{name} contains non-finite entries")
@@ -39,13 +41,14 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def svd(a) -> SvdResult:
-    """Thin singular value decomposition of a complex matrix."""
-    arr = as_complex_matrix(a)
+    """Thin singular value decomposition of a complex matrix, or of each
+    matrix of a stack (..., n, m) at once; the factors keep the stack axes."""
+    arr = as_complex_matrix(a, stacked=True)
     try:
         u, s, vh = np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
-    return SvdResult(u=u, s=s, v=vh.conj().T)
+    return SvdResult(u=u, s=s, v=vh.conj().swapaxes(-1, -2))
 
 
 def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
@@ -90,20 +93,20 @@ def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x, step: float = 1e-4) ->
     """Central-difference Jacobian of a real vector map at x.
 
     J[i, j] = d f_i / d x_j with symmetric differences of half-width step.
+    f is called once, on the (2d, d) stack of stencil points: row j is
+    x + step e_j and row d + j is x - step e_j.  It must return one value
+    row per point.
     """
     x0 = np.asarray(x, dtype=float).ravel()
     if step <= 0:
         raise ValueError("step must be positive")
-    f0 = np.asarray(f(x0), dtype=float).ravel()
-    jac = np.empty((f0.size, x0.size))
-    for j in range(x0.size):
-        xp = x0.copy()
-        xp[j] += step
-        xm = x0.copy()
-        xm[j] -= step
-        jac[:, j] = (np.asarray(f(xp), dtype=float).ravel()
-                     - np.asarray(f(xm), dtype=float).ravel()) / (2.0 * step)
-    return jac
+    d = x0.size
+    points = np.tile(x0, (2 * d, 1))
+    diag = np.arange(d)
+    points[diag, diag] += step
+    points[d + diag, diag] -= step
+    values = np.asarray(f(points), dtype=float).reshape(2 * d, -1)
+    return ((values[:d] - values[d:]) / (2.0 * step)).T
 
 
 def rank_tol(a, tol: float = 1e-9) -> int:

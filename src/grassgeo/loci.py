@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernel
 from .errors import ChartEscapeError, ConsistencyError
-from .manifold import (AngleSpectrum, ChartPoint, Plane, TangentCoord, base_plane, exp0,
+from .manifold import (AngleSpectrum, ChartPoint, Plane, TangentCoord, _exp0_stack, base_plane,
                        geodesic_group, plucker, plucker_pairing, stationary_angles_svd,
                        cos_cayley_planes, tan_pole_distance)
 
@@ -177,7 +177,8 @@ def cut_locus_test(plane: Plane, angle_tol: float = ANGLE_TOL,
     by_angle = spectrum.max_angle >= np.pi / 2 - angle_tol
 
     pa, pb = plucker(plane), plucker(origin)
-    pairing = abs(plucker_pairing(pa, pb)) / (pa.norm() * pb.norm())
+    # numpy's abs overflows to inf where the builtin raises OverflowError
+    pairing = float(np.abs(plucker_pairing(pa, pb))) / (pa.norm() * pb.norm())
     by_pairing = pairing <= pairing_tol
 
     if by_angle != by_pairing:
@@ -264,17 +265,21 @@ def tangent_conjugate_params(direction: CartanDirection, n: int, m: int,
     Single families (1 <= p <= r):
         lam pi / (2 h_p) with multiplicity 1, and, when n != m,
         lam pi / h_p with multiplicity 2 |m - n|.
-    Vanishing denominators contribute nothing.
+    A direction shorter than min(n, m) is padded with zeros to that length:
+    the implicit zero entries pair with the given ones.  Vanishing
+    denominators contribute nothing.
     """
     if lambda_max < 1:
         raise ValueError("lambda_max must be at least 1")
-    if direction.r > min(n, m):
-        raise ValueError(f"direction has {direction.r} entries but rank is {min(n, m)}")
-    h = direction.h
+    r = min(n, m)
+    if direction.r > r:
+        raise ValueError(f"direction has {direction.r} entries but rank is {r}")
+    h = np.zeros(r)
+    h[:direction.r] = direction.h
     out: list[ConjugateParam] = []
     for lam in range(1, lambda_max + 1):
-        for p in range(direction.r):
-            for q in range(p + 1, direction.r):
+        for p in range(r):
+            for q in range(p + 1, r):
                 for fam, den in (("t1plus", h[p] + h[q]), ("t1minus", h[p] - h[q])):
                     if abs(den) >= DENOM_TOL:
                         out.append(ConjugateParam(family=fam, p=p + 1, q=q + 1, lam=lam,
@@ -333,11 +338,13 @@ def conjugate_test_jacobian(tangent: TangentCoord, t: float, tol: float = 1e-3,
         if svals.size and float(np.min(tan_pole_distance(svals))) < 10.0 * step:
             raise ChartEscapeError(
                 "evaluation point too close to a tan pole for finite differences")
-    shape = tangent.shape
+    n, m = tangent.shape
 
     def chart_map(x: np.ndarray) -> np.ndarray:
-        coord = TangentCoord(b=kernel.complexmat(x, shape), signature=tangent.signature)
-        return kernel.realvec(exp0(coord).z)
+        # rows of interleaved (re, im) coordinates are (k, n, m) complex stacks
+        b = np.ascontiguousarray(x).view(np.complex128).reshape(-1, n, m)
+        z = _exp0_stack(b, tangent.signature)
+        return z.reshape(len(x), -1).view(np.float64)
 
     jac = kernel.fd_jacobian(chart_map, kernel.realvec(bt), step=step)
     svs = np.linalg.svd(jac, compute_uv=False)
@@ -349,11 +356,13 @@ def conjugate_test_jacobian(tangent: TangentCoord, t: float, tol: float = 1e-3,
 
 @dataclass(slots=True)
 class ConjugateClass:
-    """Angle-based classification of a conjugate point candidate."""
+    """Angle-based classification of a conjugate point candidate, with the
+    geodesic plane at the probed time and its angles against the origin."""
 
     label: str
     angles: AngleSpectrum
     jacobian_ratio: float
+    plane: Plane
 
 
 def classify_conjugate(tangent: TangentCoord, t: float, angle_tol: float = ANGLE_TOL,
@@ -364,7 +373,8 @@ def classify_conjugate(tangent: TangentCoord, t: float, angle_tol: float = ANGLE
     essential angle; an interior coincidence ("interior") has two of the top
     min(n, m) angles equal.  Boundary takes precedence.  The Jacobian ratio
     at the same point is attached when the chart map can be differentiated
-    there, else nan.
+    there, else nan.  The group-form plane the angles were read from is
+    returned with them, so callers need not recompute it.
     """
     n, m = tangent.shape
     r = min(n, m)
@@ -384,4 +394,4 @@ def classify_conjugate(tangent: TangentCoord, t: float, angle_tol: float = ANGLE
         ratio = conjugate_test_jacobian(tangent, t, tol=jac_tol).ratio
     except ChartEscapeError:
         ratio = float("nan")
-    return ConjugateClass(label=label, angles=spectrum, jacobian_ratio=ratio)
+    return ConjugateClass(label=label, angles=spectrum, jacobian_ratio=ratio, plane=plane)

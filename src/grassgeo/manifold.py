@@ -36,6 +36,15 @@ def _check_signature(signature: str) -> str:
     return signature
 
 
+def _check_ball(z: np.ndarray) -> None:
+    """DomainError unless every singular value of z, or of every matrix of a
+    stack z, lies below 1: the noncompact chart's bounded domain."""
+    smax = float(np.max(np.linalg.svd(z, compute_uv=False))) if z.size else 0.0
+    if smax >= 1.0:
+        raise DomainError(
+            f"noncompact chart requires all singular values below 1, got {smax:.6f}")
+
+
 @dataclass(slots=True)
 class ChartPoint:
     """Chart coordinate Z of a plane with row basis (1_n | Z)."""
@@ -47,10 +56,7 @@ class ChartPoint:
         self.z = kernel.as_complex_matrix(self.z, "z")
         _check_signature(self.signature)
         if self.signature == "noncompact":
-            smax = float(np.linalg.svd(self.z, compute_uv=False)[0]) if self.z.size else 0.0
-            if smax >= 1.0:
-                raise DomainError(
-                    f"noncompact chart requires all singular values below 1, got {smax:.6f}")
+            _check_ball(self.z)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -254,18 +260,33 @@ def exp0(tangent: TangentCoord) -> ChartPoint:
     Z = B ta(sqrt(B*B)) / sqrt(B*B) evaluated through the SVD of B, with
     ta = tan (compact) or tanh (noncompact).  Compact input whose singular
     values sit within 1e-9 of a tan pole raises ChartEscapeError: the
-    geodesic is passing through the polar divisor, outside the chart.
+    geodesic is passing through the polar divisor, outside the chart.  This
+    is _exp0_stack on a stack of one; ChartPoint checks the noncompact domain.
     """
-    res = kernel.svd(tangent.b)
-    if tangent.signature == "compact":
-        dmin = tan_pole_distance(res.s)
-        if res.s.size and float(np.min(dmin)) < POLE_TOL:
+    z = _exp0_stack(tangent.b[None], tangent.signature, check_domain=False)[0]
+    return ChartPoint(z=z, signature=tangent.signature)
+
+
+def _exp0_stack(b: np.ndarray, signature: Signature, check_domain: bool = True) -> np.ndarray:
+    """exp0 of each matrix of a (k, n, m) stack of tangents, as a (k, n, m)
+    stack of chart coordinates, with one stacked SVD.
+
+    Every member gets the checks of exp0: finite entries, ChartEscapeError
+    within 1e-9 of a tan pole (compact), and, unless check_domain is off,
+    DomainError for an image with a singular value at 1 or above (noncompact).
+    """
+    res = kernel.svd(b)
+    if signature == "compact":
+        if res.s.size and float(np.min(tan_pole_distance(res.s))) < POLE_TOL:
             raise ChartEscapeError(
                 "geodesic meets the polar divisor (tan pole); use geodesic_group")
         vals = np.tan(res.s)
     else:
         vals = np.tanh(res.s)
-    return ChartPoint(z=(res.u * vals) @ res.v.conj().T, signature=tangent.signature)
+    z = (res.u * vals[..., None, :]) @ res.v.conj().swapaxes(-1, -2)
+    if signature == "noncompact" and check_domain:
+        _check_ball(z)
+    return z
 
 
 def log0(point: ChartPoint) -> TangentCoord:

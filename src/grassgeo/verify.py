@@ -519,8 +519,15 @@ def scan_conjugate(direction: loci.CartanDirection, t_range: tuple[float, float]
     rows = []
     for t in grid:
         t = float(t)
-        plane = manifold.geodesic_group(tc, t)
-        spectrum = manifold.stationary_angles_svd(plane, origin)
+        pole = (signature == "compact"
+                and float(np.min(manifold.tan_pole_distance(t * direction.h))) < 1e-3)
+        if pole:
+            verdict = None
+            plane = manifold.geodesic_group(tc, t)
+            spectrum = manifold.stationary_angles_svd(plane, origin)
+        else:
+            verdict = loci.classify_conjugate(tc, t)
+            plane, spectrum = verdict.plane, verdict.angles
         row = {
             "t": t,
             "family": "", "p": "", "q": "", "lambda": "",
@@ -528,23 +535,15 @@ def scan_conjugate(direction: loci.CartanDirection, t_range: tuple[float, float]
             "max_angle": spectrum.max_angle,
             "second_angle": float(spectrum.angles[1]) if spectrum.angles.size > 1 else "",
             "overlap_abs": manifold.cos_cayley_planes(plane, origin),
-            "class": "",
+            "class": "pole" if verdict is None else verdict.label,
         }
         near = [par for par in params if abs(par.t - t) <= half_step]
         if near:
             par = min(near, key=lambda c: abs(c.t - t))
             row["family"], row["p"], row["lambda"] = par.family, par.p, par.lam
             row["q"] = par.q if par.q is not None else ""
-
-        pole = (signature == "compact"
-                and float(np.min(manifold.tan_pole_distance(t * direction.h))) < 1e-3)
-        if pole:
-            row["class"] = "pole"
-        else:
-            verdict = loci.classify_conjugate(tc, t)
-            row["class"] = verdict.label
-            if np.isfinite(verdict.jacobian_ratio):
-                row["min_jac_sv"] = verdict.jacobian_ratio
+        if verdict is not None and np.isfinite(verdict.jacobian_ratio):
+            row["min_jac_sv"] = verdict.jacobian_ratio
         rows.append(row)
     return rows
 

@@ -155,10 +155,148 @@ def test_conj_scan_writes_csv(tmp_path, capsys):
 
 
 def test_verify_subcommand_exit_and_stability(capsys):
-    code, out1, _ = _run(capsys, "verify", "--seed", "42", "--trials", "3",
-                         "--no-timing", "--json", "-")
+    # with --json -, stdout carries the JSON report and stderr the text report
+    code, out1, err1 = _run(capsys, "verify", "--seed", "42", "--trials", "3",
+                            "--no-timing", "--json", "-")
     assert code == 0
-    assert "all properties passed" in out1
+    assert "all properties passed" in err1
     code, out2, _ = _run(capsys, "verify", "--seed", "42", "--trials", "3",
                          "--no-timing", "--json", "-")
     assert out1 == out2
+
+
+def test_verify_json_to_stdout_is_parseable(capsys):
+    code, out, err = _run(capsys, "verify", "--seed", "42", "--trials", "5",
+                          "--no-timing", "--json", "-")
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert "all properties passed" in err
+
+
+def test_wrongly_typed_matrix_entries_are_bad_input(capsys):
+    code, _, err = _run(capsys, "log", '{"rows":1,"cols":1,"data":[["a",0]]}')
+    assert code == 2 and "bad input" in err
+    # an empty matrix has no angles to report
+    code, _, err = _run(capsys, "angles", "[]", "[]", "--n", "0", "--m", "2")
+    assert code == 2 and "bad input" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_minor_pairing_is_a_geometric_error(capsys):
+    # the minor pairing of this plane overflows; the routes then disagree
+    # instead of the builtin abs raising OverflowError
+    plane = [[1.5, 1.5], [1.5, -0.7], [1e300, 0.0], [1e300, -0.7], [0.3, 0.0], [1.5, 0.0]]
+    code, _, err = _run(capsys, "cut-test", json.dumps({"rows": 2, "cols": 3, "data": plane}))
+    assert code == 3 and "disagree" in err
+
+
+# ------------------------------------------------------ exit-code contract
+
+_EXTREME = (-0.0, 1e-300, 19.5, 1e300, float("inf"), float("nan"), -1.5, np.pi / 2)
+_BAD_ENTRIES = ("a", None, [1.0], [1.0, 2.0, 3.0], 1.0, True, {}, [[0.0, 1.0]], ["1", "2"])
+_BAD_TEXT = ("not json", "", "{", "[", "3", '"x"', "null", "NaN", "@/nonexistent/m.json",
+             '{"rows": 1}', '{"rows": 1, "cols": 1}', '{"rows": "1", "cols": 1, "data": []}',
+             '{"rows": 1.0, "cols": 1.0, "data": [[0.5, 0]]}',
+             '{"rows": [1], "cols": 1, "data": [[0.5, 0]]}', "[[0.1, 0.2]]", "[]")
+_BAD_WORDS = ("", "a", "-1", "1e400", "nan", "0,0", "0.3,0.8", "0.8,,0.6", "2,1", "1,2,3,4,5")
+
+
+def _matrix(rng, rows, cols, scale=0.5) -> str:
+    data = (scale * rng.standard_normal((rows * cols, 2))).tolist()
+    return json.dumps({"rows": rows, "cols": cols, "data": data})
+
+
+def _bad_matrix(rng, rows, cols) -> str:
+    fault = rng.integers(4)
+    if fault == 0:
+        return str(rng.choice(_BAD_TEXT))
+    obj = json.loads(_matrix(rng, rows, cols))
+    if fault == 1:
+        obj["data"][int(rng.integers(rows * cols))] = _BAD_ENTRIES[
+            int(rng.integers(len(_BAD_ENTRIES)))]
+    elif fault == 2:
+        obj["rows"], obj["cols"] = (int(v) for v in rng.integers(-1, 4, size=2))
+    else:
+        obj["data"][int(rng.integers(rows * cols))][int(rng.integers(2))] = float(
+            rng.choice(_EXTREME)) * float(rng.choice([1.0, 1e10]))
+    return json.dumps(obj)
+
+
+def _fuzz_argv(rng, tmp_path) -> list[str]:
+    """A valid command line of a random subcommand, then one to three of its
+    values replaced by malformed or extreme ones; each value carries its kind
+    so that the fault fits it.  Values go in as --option=value so that ones
+    such as -inf do not read as flags."""
+    n, m = (int(v) for v in rng.integers(1, 4, size=2))
+    r = min(n, m)
+    h = ",".join(repr(float(v)) for v in np.sort(rng.uniform(0.1, 1.5, int(rng.integers(1, r + 1))))[::-1])
+    cmd = str(rng.choice(["angles", "overlap", "dist", "exp", "log", "geodesic", "plucker",
+                          "cut-test", "schubert", "conj-params", "conj-scan", "verify"]))
+    # (option or None for a positional, kind, value)
+    parts = [(None, "fixed", cmd)]
+    if cmd in ("angles", "overlap", "dist", "exp", "log", "geodesic", "plucker"):
+        parts += [(None, "matrix", (n, m))] * (2 if cmd in ("angles", "overlap") else 1)
+        if cmd in ("exp", "geodesic"):
+            parts.append(("--t", "float", repr(float(rng.uniform(0.1, 3.0)))))
+        if rng.random() < 0.3:
+            parts.append(("--signature", "fixed", "noncompact"))
+    elif cmd == "cut-test":
+        parts.append((None, "matrix", (n, n + m)))
+    elif cmd == "schubert":
+        symbol = ",".join(str(v) for v in np.sort(rng.integers(0, m + 1, n)))
+        parts += [("--symbol", "word", symbol), ("--m", "int", str(m)),
+                  ("--flag", "fixed", str(rng.choice(["standard", "perp", "chart"])))]
+        if rng.random() < 0.5:
+            parts += [("--sample", "flag", None), ("--seed", "int", str(int(rng.integers(5))))]
+        else:
+            parts.append((None, "matrix", (n, n + m)))
+    elif cmd in ("conj-params", "conj-scan"):
+        parts += [("--h", "word", h), ("--n", "int", str(n)), ("--m", "int", str(m)),
+                  ("--lambda-max", "int", str(int(rng.integers(1, 3))))]
+        if cmd == "conj-scan":
+            parts += [("--t0", "float", "0.5"), ("--t1", "float", "3.0"),
+                      ("--steps", "int", str(int(rng.integers(2, 6)))),
+                      ("--out", "fixed", str(tmp_path / "scan.csv"))]
+            if rng.random() < 0.3:
+                parts.append(("--signature", "fixed", "noncompact"))
+    else:
+        parts += [("--seed", "int", str(int(rng.integers(5)))), ("--trials", "int", "1"),
+                  ("--n", "int", str(n)), ("--m", "int", str(m)), ("--no-timing", "flag", None)]
+
+    faulty = [i for i, (_, kind, _) in enumerate(parts) if kind in ("matrix", "float", "int", "word")]
+    hits = set(rng.choice(faulty, size=min(len(faulty), int(rng.integers(0, 4))), replace=False))
+    argv = []
+    for i, (opt, kind, value) in enumerate(parts):
+        if kind == "matrix":
+            value = _bad_matrix(rng, *value) if i in hits else _matrix(rng, *value)
+        elif i in hits:
+            value = {"float": lambda: repr(float(rng.choice(_EXTREME)) * float(rng.choice([1.0, -3.0]))),
+                     "int": lambda: str(int(rng.integers(-1, 2))),
+                     "word": lambda: str(rng.choice(_BAD_WORDS))}[kind]()
+        if opt is None:
+            argv.append(value)
+        else:
+            argv.append(opt if value is None else f"{opt}={value}")
+    return argv
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_exit_code_contract_under_malformed_input(tmp_path, capsys):
+    # seeded generation over malformed JSON, shapes and numbers: every
+    # subcommand exits 0, 2 or 3 (1 is reserved for a failed verify) and
+    # never lets an exception escape
+    rng = np.random.default_rng(20261017)
+    seen = set()
+    for _ in range(400):
+        argv = _fuzz_argv(rng, tmp_path)
+        code, _, err = _run(capsys, *argv)
+        allowed = {0, 1, 2, 3} if argv[0] == "verify" else {0, 2, 3}
+        assert code in allowed, (argv, code, err)
+        assert "Traceback" not in err
+        seen.add((argv[0], code))
+    # every subcommand got through to a result and was refused bad input
+    commands = {cmd for cmd, _ in seen}
+    assert len(commands) == 12
+    assert {cmd for cmd, code in seen if code == 0} == commands
+    assert {cmd for cmd, code in seen if code == 2} == commands

@@ -77,8 +77,8 @@ def test_as_complex_matrix_validation():
 
 def test_fd_jacobian_of_tan_chart_at_zero_is_identity():
     def chart(x):
-        b = kernel.complexmat(x, (2, 2))
-        return kernel.realvec(kernel.matrix_phi(b, np.tan))
+        return np.stack([kernel.realvec(kernel.matrix_phi(kernel.complexmat(row, (2, 2)), np.tan))
+                         for row in x])
 
     jac = kernel.fd_jacobian(chart, np.zeros(8), step=1e-5)
     assert np.linalg.norm(jac - np.eye(8)) < 1e-6
@@ -86,8 +86,42 @@ def test_fd_jacobian_of_tan_chart_at_zero_is_identity():
 
 def test_fd_jacobian_linear_map_is_exact():
     a = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    jac = kernel.fd_jacobian(lambda x: a @ x, np.array([0.3, -0.7]))
+    jac = kernel.fd_jacobian(lambda x: x @ a.T, np.array([0.3, -0.7]))
     assert np.linalg.norm(jac - a) < 1e-9
+
+
+def test_fd_jacobian_evaluates_the_stencil_in_one_call():
+    x0 = np.array([0.3, -0.7, 1.1])
+    step = 1e-3
+    calls = []
+
+    def f(x):
+        calls.append(x.copy())
+        return np.sin(x)
+
+    jac = kernel.fd_jacobian(f, x0, step=step)
+    assert len(calls) == 1
+    points = calls[0]
+    assert points.shape == (6, 3)
+    assert np.array_equal(points[:3], x0 + step * np.eye(3))
+    assert np.array_equal(points[3:], x0 - step * np.eye(3))
+    assert np.allclose(jac, np.diag(np.cos(x0)), atol=1e-6)
+    with pytest.raises(ValueError):
+        kernel.fd_jacobian(f, x0, step=0.0)
+
+
+def test_svd_of_a_stack_matches_each_member():
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((5, 3, 4)) + 1j * rng.standard_normal((5, 3, 4))
+    res = kernel.svd(a)
+    assert res.u.shape == (5, 3, 3) and res.s.shape == (5, 3) and res.v.shape == (5, 4, 3)
+    for k in range(5):
+        one = kernel.svd(a[k])
+        assert np.array_equal(res.s[k], one.s)
+        assert np.array_equal(res.u[k], one.u) and np.array_equal(res.v[k], one.v)
+    a[3, 1, 2] = np.nan
+    with pytest.raises(ValueError):
+        kernel.svd(a)
 
 
 def test_rank_tol_counts_dominant_directions():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from grassgeo import loci, manifold as mf
-from grassgeo.errors import ChartEscapeError, ConsistencyError
+from grassgeo import kernel, loci, manifold as mf
+from grassgeo.errors import ChartEscapeError, ConsistencyError, DomainError
 
 
 def _cut_plane(rng, n, m):
@@ -228,6 +228,84 @@ def test_noncompact_jacobian_never_collapses():
         assert loci.conjugate_test_jacobian(tc, t).ratio > 1e-1
 
 
+def _pointwise_jacobian_svs(tangent, t):
+    """Singular values of the central-difference Jacobian of the chart map
+    at t B, one exp0 call per stencil point, at the probe's default step."""
+    bt = t * tangent.b
+    step = 1e-5 * max(1.0, float(np.linalg.norm(bt)))
+    x0 = kernel.realvec(bt)
+
+    def chart(x):
+        coord = mf.TangentCoord(kernel.complexmat(x, bt.shape), tangent.signature)
+        return kernel.realvec(mf.exp0(coord).z)
+
+    jac = np.empty((x0.size, x0.size))
+    for j in range(x0.size):
+        xp, xm = x0.copy(), x0.copy()
+        xp[j] += step
+        xm[j] -= step
+        jac[:, j] = (chart(xp) - chart(xm)) / (2.0 * step)
+    return np.linalg.svd(jac, compute_uv=False)
+
+
+@pytest.mark.parametrize("signature", ["compact", "noncompact"])
+@pytest.mark.parametrize("shape, h", [((2, 2), (0.8, 0.6)),
+                                      ((3, 5), (0.9, 0.7, 0.3)),
+                                      ((4, 6), (1.0, 0.7, 0.4, 0.2))])
+def test_stacked_probe_equals_pointwise_stencil(shape, h, signature):
+    tc = loci.cartan_to_tangent(loci.CartanDirection(np.array(h)), *shape, signature)
+    for t in (0.4, 1.3):
+        probe = loci.conjugate_test_jacobian(tc, t)
+        svs = _pointwise_jacobian_svs(tc, t)
+        assert probe.min_sv == svs[-1]
+        assert probe.max_sv == svs[0]
+        assert probe.ratio == svs[-1] / svs[0]
+
+
+def test_stacked_probe_equals_pointwise_stencil_off_diagonal():
+    rng = np.random.default_rng(46)
+    b = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    tc = mf.TangentCoord(b / np.linalg.norm(b))
+    probe = loci.conjugate_test_jacobian(tc, 1.1)
+    svs = _pointwise_jacobian_svs(tc, 1.1)
+    assert (probe.min_sv, probe.max_sv, probe.ratio) == (svs[-1], svs[0], svs[-1] / svs[0])
+
+
+def test_exp0_stack_refuses_a_member_at_a_tan_pole():
+    b = np.zeros((3, 2, 2), dtype=complex)
+    b[:, 0, 0] = [0.3, np.pi / 2 + 0.5 * mf.POLE_TOL, 0.7]
+    with pytest.raises(ChartEscapeError):
+        mf._exp0_stack(b, "compact")
+    b[1, 0, 0] = 0.5
+    assert mf._exp0_stack(b, "compact").shape == (3, 2, 2)
+
+
+def test_exp0_stack_refuses_a_noncompact_member_outside_the_ball():
+    b = np.zeros((3, 2, 3), dtype=complex)
+    b[:, 1, 1] = [0.3, 19.5, 1.2]
+    assert np.tanh(19.5) == 1.0
+    with pytest.raises(DomainError):
+        mf._exp0_stack(b, "noncompact")
+    b[1, 1, 1] = 5.0
+    assert mf._exp0_stack(b, "noncompact").shape == (3, 2, 3)
+
+
+@pytest.mark.parametrize("h, shape, nullity", [((0.8,), (2, 2), 5),
+                                               ((0.8, 0.0), (2, 2), 5),
+                                               ((0.8,), (2, 3), 7)])
+def test_short_direction_multiplicity_matches_jacobian_nullity(h, shape, nullity):
+    # implicit zero entries pair with the given ones: e_1 +/- e_2 radii at pi/0.8
+    direction = loci.CartanDirection(np.array(h))
+    t = np.pi / 0.8
+    predicted = sum(c.multiplicity
+                    for c in loci.tangent_conjugate_params(direction, *shape)
+                    if abs(c.t - t) <= 1e-9 * t)
+    svs = _pointwise_jacobian_svs(loci.cartan_to_tangent(direction, *shape), t)
+    measured = int(np.count_nonzero(svs < 1e-6 * svs[0]))
+    assert measured == nullity
+    assert predicted == measured
+
+
 # -------------------------------------------------------------- classifier
 
 def test_classify_interior_at_pair_radius():
@@ -235,6 +313,7 @@ def test_classify_interior_at_pair_radius():
     tc = loci.cartan_to_tangent(d, 2, 2)
     verdict = loci.classify_conjugate(tc, np.pi / 1.4)
     assert verdict.label == "interior"
+    assert np.array_equal(verdict.plane.basis, mf.geodesic_group(tc, np.pi / 1.4).basis)
     top = verdict.angles.angles[:2]
     assert top[0] == pytest.approx(top[1], abs=1e-9)
     assert top[0] == pytest.approx(np.pi * 0.6 / 1.4, abs=1e-9)
