@@ -3,7 +3,7 @@ Grassmannians and their noncompact duals."""
 
 from .errors import (ChartEscapeError, ConsistencyError, DomainError, GeometryError,
                      NotInChartError, NumericalFailure)
-from .kernel import SvdResult, fd_jacobian, herm_eig, matrix_phi, svd
+from .kernel import SvdResult, fd_jacobian, herm_eig, svd
 from .manifold import (AngleSpectrum, ChartPoint, Plane, PluckerVector, TangentCoord,
                        base_plane, cayley_distance, chart_to_plane, cos_cayley,
                        cos_cayley_planes, exp0, geodesic_chart, geodesic_distance0,
@@ -34,9 +34,8 @@ __all__ = [
     "cut_locus_symbol", "cut_locus_test", "cut_time", "exp0", "fd_jacobian",
     "flag_order", "geodesic_chart", "geodesic_distance0", "geodesic_group",
     "geodesic_residual", "haar_random_chart", "haar_random_plane", "hat_basis",
-    "herm_eig", "jumps", "log0", "matrix_phi", "overlap", "plane_to_chart",
-    "plucker", "plucker_pairing", "run_suite", "scan_conjugate",
-    "schubert_generic_sample", "schubert_membership", "stationary_angles_svd",
-    "stationary_angles_w", "svd", "tan_pole_distance", "tangent_conjugate_params",
-    "v_pl_symbol", "write_scan_csv",
+    "herm_eig", "jumps", "log0", "overlap", "plane_to_chart", "plucker",
+    "plucker_pairing", "run_suite", "scan_conjugate", "schubert_generic_sample",
+    "schubert_membership", "stationary_angles_svd", "stationary_angles_w", "svd",
+    "tan_pole_distance", "tangent_conjugate_params", "v_pl_symbol", "write_scan_csv",
 ]

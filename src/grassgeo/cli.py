@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 failed verification, 2 bad input, 3 geometric error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -217,6 +218,7 @@ def _add_shape_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--signature", choices=("compact", "noncompact"), default="compact")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(prog="grassgeo", description=__doc__,
                                    formatter_class=argparse.RawDescriptionHelpFormatter)

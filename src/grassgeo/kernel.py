@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NumericalFailure
+from .errors import NumericalFailure
 
 HERMITIAN_RTOL = 1e-10
 
@@ -25,8 +25,11 @@ class SvdResult:
     s: np.ndarray
     v: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.s) @ self.v.conj().T
+    def apply(self, vals: np.ndarray) -> np.ndarray:
+        """u @ diag(vals) @ v* over the stack axes: the spectral extension of
+        a scalar function to the matrix, given its values at the singular
+        values s."""
+        return (self.u * vals[..., None, :]) @ self.v.conj().swapaxes(-1, -2)
 
 
 def as_complex_matrix(a, name: str = "matrix", stacked: bool = False) -> np.ndarray:
@@ -68,25 +71,6 @@ def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
     return vals[::-1].copy(), vecs[:, ::-1].copy()
-
-
-def matrix_phi(b, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply a scalar function to the singular values of b.
-
-    For b = u @ diag(s) @ v* returns u @ diag(f(s)) @ v*, the standard
-    spectral extension of f to rectangular matrices; the removable 0/0 at
-    vanishing singular values is resolved by evaluating f at 0 directly.
-    Non-finite f(s) values (poles of f inside the spectrum) raise DomainError.
-    """
-    res = svd(b)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        vals = np.asarray(f(res.s), dtype=float)
-    if vals.shape != res.s.shape:
-        raise ValueError("f must map the singular value vector elementwise")
-    if not np.all(np.isfinite(vals)):
-        bad = res.s[~np.isfinite(vals)]
-        raise DomainError(f"scalar function is singular at singular value(s) {bad}")
-    return (res.u * vals) @ res.v.conj().T
 
 
 def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x, step: float = 1e-4) -> np.ndarray:

@@ -3,7 +3,11 @@
 The cut locus of the origin plane O in the compact space is the set of planes
 with a stationary angle of pi/2, equivalently the planes whose overlap with O
 vanishes.  Membership is decided twice, by the angle spectrum and by the
-normalized minor pairing, and the two answers must agree.
+normalized Gram pairing |det A[:, :n]| / sqrt(det A A*) of a row basis A with
+O, which is the overlap of the plane's coherent state with |0>; the two
+answers must agree.  By Cauchy-Binet that pairing equals the normalized
+pairing of the Pluecker vectors; the verify suite's cauchy-binet-pairing
+property checks the identity with the explicit minor enumeration.
 
 Conjugate points along a geodesic with Cartan direction h (the singular
 values of the velocity) occur at an explicit list of radii built from sums,
@@ -20,8 +24,8 @@ import numpy as np
 from . import kernel
 from .errors import ChartEscapeError, ConsistencyError
 from .manifold import (AngleSpectrum, ChartPoint, Plane, TangentCoord, _exp0_stack, base_plane,
-                       geodesic_group, plucker, plucker_pairing, stationary_angles_svd,
-                       cos_cayley_planes, tan_pole_distance)
+                       geodesic_group, stationary_angles_svd, cos_cayley_planes,
+                       tan_pole_distance)
 
 ANGLE_TOL = 1e-6
 PAIRING_TOL = 1e-8
@@ -161,25 +165,24 @@ class LocusVerdict:
     pairing_abs: float
 
 
-def cut_locus_test(plane: Plane, angle_tol: float = ANGLE_TOL,
-                   pairing_tol: float = PAIRING_TOL) -> LocusVerdict:
+def cut_locus_test(plane: Plane, angle_tol: float = ANGLE_TOL) -> LocusVerdict:
     """Decide whether a plane lies in the cut locus of the origin.
 
     Route one reads the largest stationary angle against the origin plane;
-    route two reads the minor pairing with the origin, normalized by the
-    coordinate norms.  The plane is in the locus when the angle reaches pi/2,
-    equivalently when the pairing vanishes.  Disagreement between the routes
-    raises ConsistencyError rather than picking a side.
+    route two reads the normalized Gram pairing with the origin,
+    |det A[:, :n]| / sqrt(det A A*) for a row basis A: the coherent-state
+    overlap with |0>, and by Cauchy-Binet the normalized Pluecker pairing.
+    The plane is in the locus when the angle reaches pi/2, equivalently when
+    the pairing vanishes.  Disagreement between the routes raises
+    ConsistencyError rather than picking a side.
     """
     n, big_n = plane.basis.shape
     origin = base_plane(n, big_n - n)
     spectrum = stationary_angles_svd(plane, origin)
     by_angle = spectrum.max_angle >= np.pi / 2 - angle_tol
 
-    pa, pb = plucker(plane), plucker(origin)
-    # numpy's abs overflows to inf where the builtin raises OverflowError
-    pairing = float(np.abs(plucker_pairing(pa, pb))) / (pa.norm() * pb.norm())
-    by_pairing = pairing <= pairing_tol
+    pairing = cos_cayley_planes(plane, origin)
+    by_pairing = pairing <= PAIRING_TOL
 
     if by_angle != by_pairing:
         raise ConsistencyError(
@@ -216,12 +219,6 @@ class CartanDirection:
     @property
     def r(self) -> int:
         return self.h.size
-
-    def unit(self) -> "CartanDirection":
-        norm = float(np.linalg.norm(self.h))
-        if norm < DENOM_TOL:
-            raise ValueError("cannot normalize a zero direction")
-        return CartanDirection(self.h / norm)
 
 
 def cartan_to_tangent(direction: CartanDirection, n: int, m: int,
@@ -317,8 +314,7 @@ class JacobianProbe:
     indeterminate: bool
 
 
-def conjugate_test_jacobian(tangent: TangentCoord, t: float, tol: float = 1e-3,
-                            step: float | None = None) -> JacobianProbe:
+def conjugate_test_jacobian(tangent: TangentCoord, t: float, tol: float = 1e-3) -> JacobianProbe:
     """Probe for a conjugate point at time t by differentiating the chart
     exponential.
 
@@ -331,8 +327,7 @@ def conjugate_test_jacobian(tangent: TangentCoord, t: float, tol: float = 1e-3,
     tan pole than the difference stencil can resolve raises ChartEscapeError.
     """
     bt = t * tangent.b
-    if step is None:
-        step = 1e-5 * max(1.0, float(np.linalg.norm(bt)))
+    step = 1e-5 * max(1.0, float(np.linalg.norm(bt)))
     if tangent.signature == "compact":
         svals = np.linalg.svd(bt, compute_uv=False)
         if svals.size and float(np.min(tan_pole_distance(svals))) < 10.0 * step:
@@ -365,8 +360,8 @@ class ConjugateClass:
     plane: Plane
 
 
-def classify_conjugate(tangent: TangentCoord, t: float, angle_tol: float = ANGLE_TOL,
-                       jac_tol: float = 1e-3) -> ConjugateClass:
+def classify_conjugate(tangent: TangentCoord, t: float,
+                       angle_tol: float = ANGLE_TOL) -> ConjugateClass:
     """Classify the geodesic point at time t by its stationary angles.
 
     A boundary point ("wong") has an angle at pi/2 or a vanishing smallest
@@ -391,7 +386,7 @@ def classify_conjugate(tangent: TangentCoord, t: float, angle_tol: float = ANGLE
     else:
         label = "none"
     try:
-        ratio = conjugate_test_jacobian(tangent, t, tol=jac_tol).ratio
+        ratio = conjugate_test_jacobian(tangent, t).ratio
     except ChartEscapeError:
         ratio = float("nan")
     return ConjugateClass(label=label, angles=spectrum, jacobian_ratio=ratio, plane=plane)

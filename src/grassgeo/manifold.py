@@ -132,9 +132,6 @@ class PluckerVector:
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=np.complex128)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
 
 def base_plane(n: int, m: int) -> Plane:
     """The origin plane O spanned by the first n coordinate vectors."""
@@ -151,12 +148,11 @@ def chart_to_plane(point: ChartPoint) -> Plane:
     return Plane(hat_basis(point))
 
 
-def plane_to_chart(plane: Plane, signature: Signature = "compact",
-                   tol: float = RANK_TOL) -> ChartPoint:
+def plane_to_chart(plane: Plane, signature: Signature = "compact") -> ChartPoint:
     """Chart coordinate of a plane, when the leading n x n block is invertible."""
     n = plane.n
     lead = plane.basis[:, :n]
-    if kernel.rank_tol(lead, tol) != n:
+    if kernel.rank_tol(lead, RANK_TOL) != n:
         raise NotInChartError("leading block is singular; plane lies outside the chart")
     z = np.linalg.solve(lead, plane.basis[:, n:])
     return ChartPoint(z=z, signature=signature)
@@ -229,12 +225,14 @@ def stationary_angles_w(zp: ChartPoint, z: ChartPoint) -> AngleSpectrum:
     inv_sqrt_ap = _inv_sqrt_gram(np.eye(n) + zp.z @ zp.z.conj().T)
     g = inv_sqrt_a @ big_m @ inv_sqrt_ap
     cos2 = np.clip(np.linalg.svd(g, compute_uv=False) ** 2, 0.0, 1.0)
+    # two n-planes in C^(n+m) meet in at least n - m dimensions
+    cos2[:max(0, n - z.shape[1])] = 1.0
     return AngleSpectrum(np.arccos(np.sqrt(cos2)))
 
 
 def _inv_sqrt_gram(a: np.ndarray) -> np.ndarray:
     vals, vecs = kernel.herm_eig(a)
-    return (vecs / np.sqrt(vals)) @ vecs.conj().T
+    return kernel.SvdResult(vecs, vals, vecs).apply(1.0 / np.sqrt(vals))
 
 
 def stationary_angles_svd(p: Plane, q: Plane) -> AngleSpectrum:
@@ -245,6 +243,8 @@ def stationary_angles_svd(p: Plane, q: Plane) -> AngleSpectrum:
     q1, _ = np.linalg.qr(p.basis.T)
     q2, _ = np.linalg.qr(q.basis.T)
     cos = np.clip(np.linalg.svd(q1.conj().T @ q2, compute_uv=False), 0.0, 1.0)
+    # two n-planes in C^N meet in at least 2n - N dimensions
+    cos[:max(0, 2 * p.n - p.big_n)] = 1.0
     return AngleSpectrum(np.arccos(cos))
 
 
@@ -283,7 +283,7 @@ def _exp0_stack(b: np.ndarray, signature: Signature, check_domain: bool = True) 
         vals = np.tan(res.s)
     else:
         vals = np.tanh(res.s)
-    z = (res.u * vals[..., None, :]) @ res.v.conj().swapaxes(-1, -2)
+    z = res.apply(vals)
     if signature == "noncompact" and check_domain:
         _check_ball(z)
     return z
@@ -298,7 +298,7 @@ def log0(point: ChartPoint) -> TangentCoord:
         if res.s.size and float(res.s[0]) >= 1.0:
             raise DomainError("noncompact log needs all singular values below 1")
         vals = np.arctanh(res.s)
-    return TangentCoord(b=(res.u * vals) @ res.v.conj().T, signature=point.signature)
+    return TangentCoord(b=res.apply(vals), signature=point.signature)
 
 
 def geodesic_chart(tangent: TangentCoord, t: float) -> ChartPoint:
@@ -310,9 +310,12 @@ def geodesic_group(tangent: TangentCoord, t: float) -> Plane:
     """Geodesic through the origin as a plane, via the one-parameter subgroup.
 
     The first n rows of the subgroup element give the basis
-    (co(t sqrt(BB*)) | B si(t sqrt(B*B))/sqrt(B*B)); co/si are the circular
-    pair for the compact space and the hyperbolic pair for its dual.  Defined
-    for every t, including parameters where the chart form has a pole.
+    (co(t sqrt(BB*)) | B si(t sqrt(B*B))/sqrt(B*B)) with the circular pair
+    co/si = cos/sin.  Defined for every t, including parameters where the
+    chart form has a pole.  For the noncompact dual, co = 1 and si = tanh:
+    the hyperbolic basis (cosh | sinh) with its rows rescaled by sech, which
+    spans the same plane because the dual never leaves the chart.  Unscaled,
+    the rows grow apart like e^(t h) until they are numerically dependent.
     """
     n, m = tangent.shape
     res = kernel.svd(tangent.b)
@@ -320,11 +323,11 @@ def geodesic_group(tangent: TangentCoord, t: float) -> Plane:
     if tangent.signature == "compact":
         co, si = np.cos(ts), np.sin(ts)
     else:
-        co, si = np.cosh(ts), np.sinh(ts)
+        co, si = 1.0, np.tanh(ts)
     # cos(t sqrt(BB*)) = 1_n + U (co - 1) U*: the orthogonal complement of the
     # column space of B carries co(0) = 1
     left = np.eye(n, dtype=complex) + (res.u * (co - 1.0)) @ res.u.conj().T
-    right = (res.u * si) @ res.v.conj().T
+    right = res.apply(si)
     return Plane(np.hstack([left, right]))
 
 
@@ -379,17 +382,16 @@ def haar_random_plane(n: int, m: int, seed=None) -> Plane:
     return Plane(q.T.copy())
 
 
-def haar_random_chart(n: int, m: int, seed=None, signature: Signature = "compact",
-                      max_tries: int = 64) -> ChartPoint:
+def haar_random_chart(n: int, m: int, seed=None, signature: Signature = "compact") -> ChartPoint:
     """Chart coordinate of a random plane, resampling until it lies in the
     chart (and, for the noncompact signature, inside the bounded domain)."""
     rng = _rng(seed)
-    for _ in range(max_tries):
+    for _ in range(64):
         try:
             return plane_to_chart(haar_random_plane(n, m, rng), signature=signature)
         except (NotInChartError, DomainError):
             continue
-    raise NumericalFailure(f"no chart sample found in {max_tries} tries")
+    raise NumericalFailure("no chart sample found in 64 tries")
 
 
 def geodesic_distance0(point: ChartPoint) -> float:

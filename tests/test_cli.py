@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from grassgeo import cli
+from grassgeo import cli, manifold as mf
 
 
 def _run(capsys, *argv):
@@ -184,11 +184,29 @@ def test_wrongly_typed_matrix_entries_are_bad_input(capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_minor_pairing_is_a_geometric_error(capsys):
-    # the minor pairing of this plane overflows; the routes then disagree
-    # instead of the builtin abs raising OverflowError
+    # the Gram determinants of this plane overflow, so the pairing route reads
+    # nan; the routes then disagree and the CLI reports a geometric error
     plane = [[1.5, 1.5], [1.5, -0.7], [1e300, 0.0], [1e300, -0.7], [0.3, 0.0], [1.5, 0.0]]
     code, _, err = _run(capsys, "cut-test", json.dumps({"rows": 2, "cols": 3, "data": plane}))
     assert code == 3 and "disagree" in err
+
+
+def test_noncompact_group_geodesic_far_out_stays_a_plane(capsys):
+    # the unscaled (cosh | sinh) rows grew apart by e^22 at t = 30 and failed
+    # the plane's rank test; the rescaled (1 | tanh) rows do not
+    b = '{"rows":2,"cols":2,"data":[[1.0,0.3],[0.5,0],[0.2,0.1],[0.9,0]]}'
+    code, out, _ = _run(capsys, "geodesic", b, "--t", "30", "--route", "group",
+                        "--signature", "noncompact")
+    assert code == 0
+    # tanh(30 h_1) rounds to 1, so exp0 refuses 30 B as off the ball; the same
+    # chart formula is evaluated with the domain check off
+    z = mf._exp0_stack(30.0 * cli._parse_matrix(b)[None], "noncompact", check_domain=False)[0]
+    chart = np.linalg.qr(mf.hat_basis(mf.ChartPoint(z)).T)[0]
+    group = np.linalg.qr(cli._parse_matrix(out).T)[0]
+    # the largest stationary angle from its sine, which arccos of the
+    # cosines cannot resolve below ~1e-8
+    sin_max = np.linalg.norm(group - chart @ (chart.conj().T @ group), 2)
+    assert np.arcsin(sin_max) < 1e-12
 
 
 # ------------------------------------------------------ exit-code contract

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from grassgeo import kernel
-from grassgeo.errors import DomainError
 
 
 def _unitary(rng, n):
@@ -26,7 +25,7 @@ def test_svd_reconstructs_random_matrices():
         m = int(rng.integers(1, 7))
         a = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
         res = kernel.svd(a)
-        assert np.linalg.norm(res.reconstruct() - a) < 1e-12 * max(1.0, np.linalg.norm(a))
+        assert np.linalg.norm(res.apply(res.s) - a) < 1e-12 * max(1.0, np.linalg.norm(a))
         assert np.all(res.s[:-1] >= res.s[1:])
 
 
@@ -45,25 +44,19 @@ def test_herm_eig_rejects_non_hermitian():
         kernel.herm_eig(np.ones((2, 3), dtype=complex))
 
 
-def test_matrix_phi_identity_function_is_identity():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    assert np.linalg.norm(kernel.matrix_phi(a, lambda s: s) - a) < 1e-13
+def _tanh_of(a):
+    res = kernel.svd(a)
+    return res.apply(np.tanh(res.s))
 
 
-def test_matrix_phi_commutes_with_unitaries():
+def test_svd_apply_commutes_with_unitaries():
     # phi(U B V*) = U phi(B) V* pins down that phi only acts on the singular values
     rng = np.random.default_rng(6)
     b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     u, v = _unitary(rng, 3), _unitary(rng, 3)
-    lhs = kernel.matrix_phi(u @ b @ v.conj().T, np.tanh)
-    rhs = u @ kernel.matrix_phi(b, np.tanh) @ v.conj().T
+    lhs = _tanh_of(u @ b @ v.conj().T)
+    rhs = u @ _tanh_of(b) @ v.conj().T
     assert np.linalg.norm(lhs - rhs) < 1e-12
-
-
-def test_matrix_phi_rejects_nonfinite_values():
-    with pytest.raises(DomainError):
-        kernel.matrix_phi(np.array([[2.0 + 0j]]), np.arctanh)
 
 
 def test_as_complex_matrix_validation():
@@ -77,8 +70,9 @@ def test_as_complex_matrix_validation():
 
 def test_fd_jacobian_of_tan_chart_at_zero_is_identity():
     def chart(x):
-        return np.stack([kernel.realvec(kernel.matrix_phi(kernel.complexmat(row, (2, 2)), np.tan))
-                         for row in x])
+        # rows of interleaved (re, im) coordinates as a (k, 2, 2) complex stack
+        res = kernel.svd(np.ascontiguousarray(x).view(np.complex128).reshape(-1, 2, 2))
+        return res.apply(np.tan(res.s)).reshape(len(x), -1).view(np.float64)
 
     jac = kernel.fd_jacobian(chart, np.zeros(8), step=1e-5)
     assert np.linalg.norm(jac - np.eye(8)) < 1e-6

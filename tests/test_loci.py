@@ -110,6 +110,19 @@ def test_cut_locus_test_on_constructed_and_random_planes():
         assert not verdict.in_locus
 
 
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 5), (6, 8)])
+def test_cut_pairing_equals_explicit_minor_pairing(n, m):
+    # the Gram pairing is the Cauchy-Binet closed form of the normalized
+    # pairing of all C(n+m, n) minors with the origin's
+    rng = np.random.default_rng(47)
+    origin = mf.plucker(mf.base_plane(n, m))
+    for k in range(6):
+        plane = _cut_plane(rng, n, m) if k % 2 == 0 else mf.haar_random_plane(n, m, rng)
+        minors = mf.plucker(plane)
+        explicit = abs(mf.plucker_pairing(minors, origin)) / np.linalg.norm(minors.coords)
+        assert loci.cut_locus_test(plane).pairing_abs == pytest.approx(explicit, rel=1e-12)
+
+
 def test_cut_routes_agree_with_schubert_and_cayley():
     rng = np.random.default_rng(43)
     sym = loci.cut_locus_symbol(2, 3)

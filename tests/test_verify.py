@@ -1,5 +1,8 @@
+import ast
 import csv
+import importlib
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -82,6 +85,13 @@ def test_overlap_tolerances_scale_with_overlap(seed, trials, n, m):
     assert report.passed, verify.report_json(report, include_timing=False)
 
 
+@pytest.mark.parametrize("n, m", [(3, 2), (3, 1)])
+def test_suite_passes_with_more_rows_than_columns(n, m):
+    # n-planes in C^(n+m) with n > m share n - m dimensions; those zero
+    # angles used to come out of arccos near 1 as ~1e-8
+    assert verify.run_suite(verify.SuiteConfig(seed=1, trials=3, n=n, m=m)).passed
+
+
 def test_trial_caps_bound_the_heavy_properties():
     report = verify.run_suite(_small_config(trials=50))
     by_name = {r.name: r for r in report.results}
@@ -160,3 +170,16 @@ def test_scan_input_validation():
         verify.scan_conjugate(d, (1.0, 0.5), 10, 1, 1)
     with pytest.raises(ValueError):
         verify.scan_conjugate(d, (0.5, 1.0), 1, 1, 1)
+
+
+def test_traced_benchmark_layers_resolve():
+    # perfbench/tracer.py wraps each (layer, name) of its TRACED table; read
+    # the table without importing the benchmark and check every name exists
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tree = ast.parse(path.read_text())
+    table = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "TRACED" for t in node.targets))
+    assert table
+    for layer, name in table:
+        assert callable(getattr(importlib.import_module(f"grassgeo.{layer}"), name)), (layer, name)
