@@ -44,6 +44,14 @@ def test_herm_eig_rejects_non_hermitian():
         kernel.herm_eig(np.ones((2, 3), dtype=complex))
 
 
+def test_matrix_phi_identity_function_is_identity():
+    # phi = id on the singular values gives back the matrix itself
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    res = kernel.svd(a)
+    assert np.linalg.norm(res.apply((lambda s: s)(res.s)) - a) < 1e-13
+
+
 def _tanh_of(a):
     res = kernel.svd(a)
     return res.apply(np.tanh(res.s))
