@@ -11,9 +11,14 @@ property checks the identity with the explicit minor enumeration.
 
 Conjugate points along a geodesic with Cartan direction h (the singular
 values of the velocity) occur at an explicit list of radii built from sums,
-differences, doubles, and plain reciprocals of the h entries.  A
-finite-difference Jacobian of the exponential provides an independent check:
-its smallest singular value collapses exactly at those radii.
+differences, doubles, and plain reciprocals of the h entries.  The
+differential of the chart exponential has a closed-form spectrum, the
+Daleckii-Krein divided differences of tan (tanh) at the singular values of
+t B (jacobian_spectrum); its zeros fall exactly at those radii, with the
+predicted multiplicities.  classify_conjugate and the scanner read their
+ratio from it.  A finite-difference Jacobian of the exponential
+(conjugate_test_jacobian) measures the same spectrum independently and is
+the route the verify suite checks it against.
 """
 from __future__ import annotations
 
@@ -22,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .errors import ChartEscapeError, ConsistencyError
-from .manifold import (AngleSpectrum, ChartPoint, Plane, TangentCoord, _exp0_stack, base_plane,
-                       geodesic_group, stationary_angles_svd, cos_cayley_planes,
-                       tan_pole_distance)
+from .errors import ChartEscapeError, ConsistencyError, DomainError
+from .manifold import (AngleSpectrum, Plane, TangentCoord, _angles_svd_stack,
+                       _descending_angles, _exp0_stack, _geodesic_group_stack, _tanh_saturates,
+                       base_plane, cos_cayley_planes, stationary_angles_svd, tan_pole_distance)
 
 ANGLE_TOL = 1e-6
 PAIRING_TOL = 1e-8
@@ -314,6 +319,45 @@ class JacobianProbe:
     indeterminate: bool
 
 
+def _stencil_step(fro):
+    """Half-width of the difference stencil at t B, from |t B|_F."""
+    return 1e-5 * np.maximum(1.0, fro)
+
+
+def _probe_clear(st: np.ndarray, step, signature: str) -> np.ndarray:
+    """Where the chart map can be differentiated, for each row of st, the
+    singular values of t B over a stack of times, with stencil half-width
+    step per row.  Compact rows within 10 steps of a tan pole are not clear:
+    neither Jacobian route reports a ratio there.  A noncompact row whose
+    stencil reaches a saturated tanh raises DomainError."""
+    if signature == "compact":
+        return np.min(tan_pole_distance(st), axis=-1) >= 10.0 * step
+    if np.any(_tanh_saturates(np.max(st, axis=-1) + step)):
+        raise DomainError("noncompact chart saturates within the difference stencil: "
+                          "tanh of a singular value of t B rounds to 1")
+    return np.ones(st.shape[:-1], dtype=bool)
+
+
+def _fd_spectrum(tangent: TangentCoord, t: float) -> np.ndarray:
+    """Descending singular values of the central-difference Jacobian of the
+    chart map at t B; ChartEscapeError where _probe_clear fails."""
+    bt = t * tangent.b
+    step = float(_stencil_step(np.linalg.norm(bt)))
+    svals = np.linalg.svd(bt, compute_uv=False)
+    if not _probe_clear(svals[None], step, tangent.signature)[0]:
+        raise ChartEscapeError("evaluation point too close to a tan pole for finite differences")
+    n, m = tangent.shape
+
+    def chart_map(x: np.ndarray) -> np.ndarray:
+        # rows of interleaved (re, im) coordinates are (k, n, m) complex stacks
+        b = np.ascontiguousarray(x).view(np.complex128).reshape(-1, n, m)
+        z = _exp0_stack(b, tangent.signature)
+        return z.reshape(len(x), -1).view(np.float64)
+
+    jac = kernel.fd_jacobian(chart_map, kernel.realvec(bt), step=step)
+    return np.linalg.svd(jac, compute_uv=False)
+
+
 def conjugate_test_jacobian(tangent: TangentCoord, t: float, tol: float = 1e-3) -> JacobianProbe:
     """Probe for a conjugate point at time t by differentiating the chart
     exponential.
@@ -325,28 +369,66 @@ def conjugate_test_jacobian(tangent: TangentCoord, t: float, tol: float = 1e-3) 
     values; ratios within a decade above tol are flagged indeterminate so
     callers can re-probe at a nudged time.  Compact evaluation closer to a
     tan pole than the difference stencil can resolve raises ChartEscapeError.
+    This is the independent route to jacobian_spectrum's closed form.
     """
-    bt = t * tangent.b
-    step = 1e-5 * max(1.0, float(np.linalg.norm(bt)))
-    if tangent.signature == "compact":
-        svals = np.linalg.svd(bt, compute_uv=False)
-        if svals.size and float(np.min(tan_pole_distance(svals))) < 10.0 * step:
-            raise ChartEscapeError(
-                "evaluation point too close to a tan pole for finite differences")
-    n, m = tangent.shape
-
-    def chart_map(x: np.ndarray) -> np.ndarray:
-        # rows of interleaved (re, im) coordinates are (k, n, m) complex stacks
-        b = np.ascontiguousarray(x).view(np.complex128).reshape(-1, n, m)
-        z = _exp0_stack(b, tangent.signature)
-        return z.reshape(len(x), -1).view(np.float64)
-
-    jac = kernel.fd_jacobian(chart_map, kernel.realvec(bt), step=step)
-    svs = np.linalg.svd(jac, compute_uv=False)
+    svs = _fd_spectrum(tangent, t)
     ratio = float(svs[-1] / svs[0])
     return JacobianProbe(t=float(t), min_sv=float(svs[-1]), max_sv=float(svs[0]),
                          ratio=ratio, is_conjugate=ratio < tol,
                          indeterminate=tol <= ratio < 10.0 * tol)
+
+
+def _spectrum_stack(st: np.ndarray, shape: tuple[int, int], signature: str) -> np.ndarray:
+    """jacobian_spectrum for each row of st, the singular values of t B over
+    a stack of times, as a (k, 2nm) array; rows that _probe_clear rejects
+    are nan."""
+    n, m = shape
+    clear = _probe_clear(st, _stencil_step(np.linalg.norm(st, axis=-1)), signature)
+    x = st[clear]
+    fn, c = (np.sin, np.cos) if signature == "compact" else (np.sinh, np.cosh)
+    # y[:, 0, a, b] = x_a - x_b and y[:, 1, a, b] = x_a + x_b: each pair a != b
+    # appears twice, as the divided differences should, and a = b once
+    y = np.stack([x[:, :, None] - x[:, None, :], x[:, :, None] + x[:, None, :]], axis=1)
+    zero = y == 0.0
+    y[zero] = 1.0
+    vals = fn(y) / y
+    vals[zero] = 1.0
+    cx = c(x)
+    r = x.shape[-1]
+    vals = np.abs(vals / (cx[:, None, :, None] * cx[:, None, None, :])).reshape(-1, 2 * r * r)
+    # g(x_a)/x_a, the plus diagonal, has 2|m - n| more copies
+    extra = np.tile(vals[:, r * r::r + 1], 2 * abs(m - n))
+    out = np.full((st.shape[0], 2 * n * m), np.nan)
+    out[clear] = -np.sort(-np.concatenate([vals, extra], axis=-1), axis=-1)
+    return out
+
+
+def jacobian_spectrum(tangent: TangentCoord, t) -> np.ndarray:
+    """Exact singular values, descending, of the differential of the chart
+    map B -> exp0(B) at t B: the quantity conjugate_test_jacobian measures
+    by finite differences.
+
+    The map commutes with B -> U B V* for unitary U, V, which act
+    orthogonally on real coordinates, so the spectrum depends only on the
+    singular values x of t B.  It consists of the Daleckii-Krein divided
+    differences of g = tan (tanh for the noncompact dual): g'(x_i) once,
+    g(x_i)/x_i 1 + 2|m - n| times, and (g(x_i) -/+ g(x_j))/(x_i -/+ x_j)
+    twice each for i < j, 2nm values in all.  Since
+    tan a -/+ tan b = sin(a -/+ b)/(cos a cos b), and likewise for tanh with
+    sinh and cosh, each value is |S(x_a -/+ x_b)/(c(x_a) c(x_b))| with
+    S(y) = sin(y)/y (sinh(y)/y) and c = cos (cosh).  That form has no
+    cancellation, so coincident and zero x are exact.  A zero of
+    S(t alpha) on a root alpha, a sum or difference of the entries of the
+    direction, is a conjugate point.
+
+    t may be a scalar, giving a (2nm,) array, or a 1-D array of times,
+    giving a (k, 2nm) stack.  Times within 10 stencil steps of a tan pole,
+    where the finite-difference route raises ChartEscapeError, give nan
+    rows; noncompact times whose chart image saturates raise DomainError.
+    """
+    ts = np.asarray(t, dtype=float)
+    st = ts.reshape(-1, 1) * kernel.svd(tangent.b).s
+    return _spectrum_stack(st, tangent.shape, tangent.signature).reshape(ts.shape + (-1,))
 
 
 @dataclass(slots=True)
@@ -360,33 +442,37 @@ class ConjugateClass:
     plane: Plane
 
 
+def _classify_stack(tangent: TangentCoord, ts: np.ndarray, angle_tol: float = ANGLE_TOL):
+    """classify_conjugate at each time of the 1-D array ts, from one SVD of B:
+    labels (k,), angles (k, n) descending per row, Jacobian ratios (k,), and
+    group-form row bases (k, n, n + m), whose rank test is left to the
+    caller."""
+    n, m = tangent.shape
+    r = min(n, m)
+    res = kernel.svd(tangent.b)
+    bases = _geodesic_group_stack(res, ts, tangent.signature)
+    angles = _descending_angles(_angles_svd_stack(bases, np.eye(n, n + m, dtype=complex)[None]))
+    wong = (angles[:, 0] >= np.pi / 2 - angle_tol) | (angles[:, r - 1] <= angle_tol)
+    gaps = angles[:, :r - 1] - angles[:, 1:r]
+    interior = np.min(gaps, axis=1, initial=np.inf) <= angle_tol
+    labels = np.where(wong, "wong", np.where(interior, "interior", "none"))
+    spectrum = _spectrum_stack(ts[:, None] * res.s, (n, m), tangent.signature)
+    return labels, angles, spectrum[:, -1] / spectrum[:, 0], bases
+
+
 def classify_conjugate(tangent: TangentCoord, t: float,
                        angle_tol: float = ANGLE_TOL) -> ConjugateClass:
     """Classify the geodesic point at time t by its stationary angles.
 
     A boundary point ("wong") has an angle at pi/2 or a vanishing smallest
     essential angle; an interior coincidence ("interior") has two of the top
-    min(n, m) angles equal.  Boundary takes precedence.  The Jacobian ratio
-    at the same point is attached when the chart map can be differentiated
-    there, else nan.  The group-form plane the angles were read from is
-    returned with them, so callers need not recompute it.
+    min(n, m) angles equal.  Boundary takes precedence.  The extreme ratio of
+    jacobian_spectrum at the same point is attached, or nan within 10
+    stencil steps of a tan pole, where the finite-difference route cannot
+    read it.  The group-form plane the angles were read from is returned
+    with them, so callers need not recompute it.  This is the stacked scan
+    path on a stack of one.
     """
-    n, m = tangent.shape
-    r = min(n, m)
-    plane = geodesic_group(tangent, t)
-    spectrum = stationary_angles_svd(plane, base_plane(n, m))
-    angles = spectrum.angles
-    wong = (spectrum.max_angle >= np.pi / 2 - angle_tol) or (angles[r - 1] <= angle_tol)
-    gaps = angles[:r - 1] - angles[1:r]
-    interior = bool(gaps.size) and float(np.min(gaps)) <= angle_tol
-    if wong:
-        label = "wong"
-    elif interior:
-        label = "interior"
-    else:
-        label = "none"
-    try:
-        ratio = conjugate_test_jacobian(tangent, t).ratio
-    except ChartEscapeError:
-        ratio = float("nan")
-    return ConjugateClass(label=label, angles=spectrum, jacobian_ratio=ratio, plane=plane)
+    labels, angles, ratios, bases = _classify_stack(tangent, np.array([float(t)]), angle_tol)
+    return ConjugateClass(label=str(labels[0]), angles=AngleSpectrum(angles[0]),
+                          jacobian_ratio=float(ratios[0]), plane=Plane(bases[0]))

@@ -37,8 +37,8 @@ def _check_signature(signature: str) -> str:
 
 
 def _check_ball(z: np.ndarray) -> None:
-    """DomainError unless every singular value of z, or of every matrix of a
-    stack z, lies below 1: the noncompact chart's bounded domain."""
+    """DomainError unless every singular value of z lies below 1: the
+    noncompact chart's bounded domain."""
     smax = float(np.max(np.linalg.svd(z, compute_uv=False))) if z.size else 0.0
     if smax >= 1.0:
         raise DomainError(
@@ -87,11 +87,7 @@ class Plane:
 
     def __post_init__(self):
         self.basis = kernel.as_complex_matrix(self.basis, "basis")
-        n, big_n = self.basis.shape
-        if not 1 <= n < big_n:
-            raise ValueError(f"need 1 <= n < N for a proper plane, got {n} x {big_n}")
-        if kernel.rank_tol(self.basis, RANK_TOL) != n:
-            raise ValueError("basis rows are numerically dependent")
+        _check_bases(self.basis)
 
     @property
     def n(self) -> int:
@@ -102,6 +98,23 @@ class Plane:
         return self.basis.shape[1]
 
 
+def _check_bases(basis: np.ndarray) -> None:
+    """ValueError unless the n x N basis, or each member of a (k, n, N) stack,
+    spans a proper n-plane: 1 <= n < N and n numerically independent rows."""
+    n, big_n = basis.shape[-2:]
+    if not 1 <= n < big_n:
+        raise ValueError(f"need 1 <= n < N for a proper plane, got {n} x {big_n}")
+    # rank n: the smallest of the n singular values clears kernel.rank_tol's cutoff
+    s = np.linalg.svd(basis, compute_uv=False)
+    if not (s[..., -1] > RANK_TOL * np.maximum(s[..., 0], 1.0)).all():
+        raise ValueError("basis rows are numerically dependent")
+
+
+def _descending_angles(a: np.ndarray) -> np.ndarray:
+    """Angles clipped to [0, pi/2] and sorted descending along the last axis."""
+    return np.sort(np.clip(a, 0.0, np.pi / 2), axis=-1)[..., ::-1]
+
+
 @dataclass(slots=True)
 class AngleSpectrum:
     """Stationary (principal) angles between two planes, descending in [0, pi/2]."""
@@ -109,8 +122,7 @@ class AngleSpectrum:
     angles: np.ndarray
 
     def __post_init__(self):
-        arr = np.sort(np.clip(np.asarray(self.angles, dtype=float), 0.0, np.pi / 2))[::-1]
-        self.angles = arr.copy()
+        self.angles = _descending_angles(np.asarray(self.angles, dtype=float)).copy()
 
     @property
     def max_angle(self) -> float:
@@ -202,11 +214,16 @@ def cos_cayley_planes(p: Plane, q: Plane) -> float:
     """
     if p.basis.shape != q.basis.shape:
         raise ValueError(f"shape mismatch: {p.basis.shape} vs {q.basis.shape}")
-    gram = p.basis @ q.basis.conj().T
-    num = abs(np.linalg.det(gram))
-    den = np.sqrt(np.linalg.det(p.basis @ p.basis.conj().T).real
-                  * np.linalg.det(q.basis @ q.basis.conj().T).real)
-    return min(num / den, 1.0)
+    return float(_cos_cayley_stack(p.basis[None], q.basis[None])[0])
+
+
+def _cos_cayley_stack(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """cos_cayley_planes over (k, n, N) stacks of row bases; q may be a stack
+    of one, paired with every member of p."""
+    qh = q.conj().swapaxes(-1, -2)
+    num = np.abs(np.linalg.det(p @ qh))
+    den = np.sqrt(np.linalg.det(p @ p.conj().swapaxes(-1, -2)).real * np.linalg.det(q @ qh).real)
+    return np.minimum(num / den, 1.0)
 
 
 def stationary_angles_w(zp: ChartPoint, z: ChartPoint) -> AngleSpectrum:
@@ -240,12 +257,21 @@ def stationary_angles_svd(p: Plane, q: Plane) -> AngleSpectrum:
     orthonormalized bases; defined for every pair of planes."""
     if p.big_n != q.big_n or p.n != q.n:
         raise ValueError(f"plane shape mismatch: {p.basis.shape} vs {q.basis.shape}")
-    q1, _ = np.linalg.qr(p.basis.T)
-    q2, _ = np.linalg.qr(q.basis.T)
-    cos = np.clip(np.linalg.svd(q1.conj().T @ q2, compute_uv=False), 0.0, 1.0)
+    return AngleSpectrum(_angles_svd_stack(p.basis[None], q.basis[None])[0])
+
+
+def _angles_svd_stack(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """stationary_angles_svd over (k, n, N) stacks of row bases, as a (k, n)
+    array of angles in no fixed order; q may be a stack of one, paired with
+    every member of p."""
+    n, big_n = p.shape[-2:]
+    q1 = np.linalg.qr(p.swapaxes(-1, -2))[0]
+    q2 = np.linalg.qr(q.swapaxes(-1, -2))[0]
+    cos = np.clip(np.linalg.svd(q1.conj().swapaxes(-1, -2) @ q2, compute_uv=False),
+                  0.0, 1.0)
     # two n-planes in C^N meet in at least 2n - N dimensions
-    cos[:max(0, 2 * p.n - p.big_n)] = 1.0
-    return AngleSpectrum(np.arccos(cos))
+    cos[..., :max(0, 2 * n - big_n)] = 1.0
+    return np.arccos(cos)
 
 
 def tan_pole_distance(s: np.ndarray) -> np.ndarray:
@@ -254,16 +280,26 @@ def tan_pole_distance(s: np.ndarray) -> np.ndarray:
     return np.abs(frac - 0.5) * np.pi
 
 
+def _tanh_saturates(s) -> np.ndarray:
+    """Whether tanh of each value rounds to 1 or to the last double below it:
+    a noncompact chart image there cannot be told from the boundary of the
+    bounded domain."""
+    return np.tanh(s) >= np.nextafter(1.0, 0.0)
+
+
 def exp0(tangent: TangentCoord) -> ChartPoint:
     """Chart coordinate of the geodesic exponential at the origin.
 
     Z = B ta(sqrt(B*B)) / sqrt(B*B) evaluated through the SVD of B, with
     ta = tan (compact) or tanh (noncompact).  Compact input whose singular
     values sit within 1e-9 of a tan pole raises ChartEscapeError: the
-    geodesic is passing through the polar divisor, outside the chart.  This
-    is _exp0_stack on a stack of one; ChartPoint checks the noncompact domain.
+    geodesic is passing through the polar divisor, outside the chart.
+    Noncompact input whose tanh saturates raises ChartEscapeError as well:
+    the point lies in the chart, but floating point cannot place it inside
+    the domain.  geodesic_group reaches both.  This is _exp0_stack on a
+    stack of one.
     """
-    z = _exp0_stack(tangent.b[None], tangent.signature, check_domain=False)[0]
+    z = _exp0_stack(tangent.b[None], tangent.signature)[0]
     return ChartPoint(z=z, signature=tangent.signature)
 
 
@@ -273,7 +309,7 @@ def _exp0_stack(b: np.ndarray, signature: Signature, check_domain: bool = True) 
 
     Every member gets the checks of exp0: finite entries, ChartEscapeError
     within 1e-9 of a tan pole (compact), and, unless check_domain is off,
-    DomainError for an image with a singular value at 1 or above (noncompact).
+    ChartEscapeError where tanh of a singular value saturates (noncompact).
     """
     res = kernel.svd(b)
     if signature == "compact":
@@ -283,10 +319,12 @@ def _exp0_stack(b: np.ndarray, signature: Signature, check_domain: bool = True) 
         vals = np.tan(res.s)
     else:
         vals = np.tanh(res.s)
-    z = res.apply(vals)
-    if signature == "noncompact" and check_domain:
-        _check_ball(z)
-    return z
+        if check_domain and np.any(_tanh_saturates(res.s)):
+            raise ChartEscapeError(
+                "noncompact chart saturates: tanh of a singular value rounds to 1, "
+                "so the image cannot be told from the boundary; use geodesic_group "
+                "(--route group)")
+    return res.apply(vals)
 
 
 def log0(point: ChartPoint) -> TangentCoord:
@@ -317,18 +355,25 @@ def geodesic_group(tangent: TangentCoord, t: float) -> Plane:
     spans the same plane because the dual never leaves the chart.  Unscaled,
     the rows grow apart like e^(t h) until they are numerically dependent.
     """
-    n, m = tangent.shape
     res = kernel.svd(tangent.b)
-    ts = t * res.s
-    if tangent.signature == "compact":
-        co, si = np.cos(ts), np.sin(ts)
+    return Plane(_geodesic_group_stack(res, np.array([float(t)]), tangent.signature)[0])
+
+
+def _geodesic_group_stack(res: kernel.SvdResult, ts: np.ndarray,
+                          signature: Signature) -> np.ndarray:
+    """geodesic_group's row bases at each time of the 1-D array ts, as a
+    (k, n, n + m) stack, from the SVD of B; the rank test is left to the
+    caller."""
+    st = ts[:, None] * res.s
+    if signature == "compact":
+        co, si = np.cos(st), np.sin(st)
     else:
-        co, si = 1.0, np.tanh(ts)
+        co, si = np.ones_like(st), np.tanh(st)
+    n = res.u.shape[0]
     # cos(t sqrt(BB*)) = 1_n + U (co - 1) U*: the orthogonal complement of the
     # column space of B carries co(0) = 1
-    left = np.eye(n, dtype=complex) + (res.u * (co - 1.0)) @ res.u.conj().T
-    right = res.apply(si)
-    return Plane(np.hstack([left, right]))
+    left = np.eye(n, dtype=complex) + (res.u * (co - 1.0)[:, None, :]) @ res.u.conj().T
+    return np.concatenate([left, res.apply(si)], axis=-1)
 
 
 def geodesic_residual(tangent: TangentCoord, t: float, step: float = 1e-3) -> float:

@@ -36,6 +36,7 @@ REQUIRED_PROPERTIES = (
     "conjugate-class-angles",
     "noncompact-jacobian-floor",
     "schubert-sample-membership",
+    "jacobian-spectrum-routes",
 )
 
 # Tolerances are absolute, except that the two properties comparing
@@ -57,6 +58,7 @@ DEFAULT_TOLERANCES = {
     "conjugate-class-angles": 1e-6,
     "noncompact-jacobian-floor": 1e-1,
     "schubert-sample-membership": 1e-9,
+    "jacobian-spectrum-routes": 1e-6,
 }
 
 # finite-difference Jacobians dominate the runtime of these
@@ -64,6 +66,7 @@ _TRIAL_CAPS = {
     "conjugate-radii-jacobian": 6,
     "conjugate-class-angles": 8,
     "noncompact-jacobian-floor": 4,
+    "jacobian-spectrum-routes": 6,
 }
 
 _POLE_CLEARANCE = 0.05
@@ -474,6 +477,31 @@ def _prop_noncompact_floor(rng, cfg, tol):
     return tol - worst_ratio
 
 
+@_property("jacobian-spectrum-routes")
+def _prop_jacobian_spectrum(rng, cfg, tol):
+    # the whole finite-difference spectrum against the closed form, relative
+    # to the largest value, on a random non-diagonal tangent (one row zeroed
+    # half the time, so rank-deficient) at a pole-clear time, both signatures
+    worst = -np.inf
+    for signature in ("compact", "noncompact"):
+        b = _complex_gaussian(rng, cfg.n, cfg.m)
+        if cfg.n > 1 and rng.random() < 0.5:
+            b[rng.integers(cfg.n)] = 0.0
+        tc = manifold.TangentCoord(b / np.linalg.norm(b), signature)
+        svals = np.linalg.svd(tc.b, compute_uv=False)
+        for _ in range(64):
+            t = rng.uniform(0.1, 6.0)
+            if (signature == "noncompact"
+                    or float(np.min(manifold.tan_pole_distance(t * svals))) > _POLE_CLEARANCE):
+                break
+        else:
+            raise ConsistencyError("no pole-safe time found")
+        exact = loci.jacobian_spectrum(tc, t)
+        measured = loci._fd_spectrum(tc, t)
+        worst = max(worst, float(np.max(np.abs(measured - exact)) / exact[0]) - tol)
+    return worst
+
+
 @_property("schubert-sample-membership")
 def _prop_schubert_samples(rng, cfg, tol):
     n, m = cfg.n, cfg.m
@@ -504,8 +532,11 @@ def scan_conjugate(direction: loci.CartanDirection, t_range: tuple[float, float]
     Each row records the Jacobian ratio, the two largest stationary angles
     against the origin, the normalized overlap, the angle classification, and
     the predicted radius (family, indices, winding) when one falls within
-    half a grid step.  Rows too close to a tan pole for finite differences
-    are marked class "pole" with an empty ratio.
+    half a grid step.  Rows within 1e-3 of a tan pole are marked class
+    "pole" with an empty ratio; rows within 10 stencil steps of a pole keep
+    their angle class and have an empty ratio.  The whole grid is evaluated
+    as stacks through the code behind classify_conjugate, with one stacked
+    rank test of the geodesic planes.
     """
     t0, t1 = float(t_range[0]), float(t_range[1])
     if not (steps >= 2 and t1 > t0 > 0.0):
@@ -516,34 +547,30 @@ def scan_conjugate(direction: loci.CartanDirection, t_range: tuple[float, float]
               if signature == "compact" else [])
     grid = np.linspace(t0, t1, steps)
     half_step = 0.5 * (grid[1] - grid[0])
+    pole = np.zeros(steps, dtype=bool)
+    if signature == "compact":
+        pole = np.min(manifold.tan_pole_distance(grid[:, None] * direction.h), axis=1) < 1e-3
+    labels, angles, ratios, bases = loci._classify_stack(tc, grid)
+    manifold._check_bases(bases)
+    overlaps = manifold._cos_cayley_stack(bases, origin.basis[None])
     rows = []
-    for t in grid:
-        t = float(t)
-        pole = (signature == "compact"
-                and float(np.min(manifold.tan_pole_distance(t * direction.h))) < 1e-3)
-        if pole:
-            verdict = None
-            plane = manifold.geodesic_group(tc, t)
-            spectrum = manifold.stationary_angles_svd(plane, origin)
-        else:
-            verdict = loci.classify_conjugate(tc, t)
-            plane, spectrum = verdict.plane, verdict.angles
+    for i, t in enumerate(grid.tolist()):
         row = {
             "t": t,
             "family": "", "p": "", "q": "", "lambda": "",
             "min_jac_sv": "",
-            "max_angle": spectrum.max_angle,
-            "second_angle": float(spectrum.angles[1]) if spectrum.angles.size > 1 else "",
-            "overlap_abs": manifold.cos_cayley_planes(plane, origin),
-            "class": "pole" if verdict is None else verdict.label,
+            "max_angle": float(angles[i, 0]),
+            "second_angle": float(angles[i, 1]) if n > 1 else "",
+            "overlap_abs": float(overlaps[i]),
+            "class": "pole" if pole[i] else str(labels[i]),
         }
         near = [par for par in params if abs(par.t - t) <= half_step]
         if near:
             par = min(near, key=lambda c: abs(c.t - t))
             row["family"], row["p"], row["lambda"] = par.family, par.p, par.lam
             row["q"] = par.q if par.q is not None else ""
-        if verdict is not None and np.isfinite(verdict.jacobian_ratio):
-            row["min_jac_sv"] = verdict.jacobian_ratio
+        if not pole[i] and np.isfinite(ratios[i]):
+            row["min_jac_sv"] = float(ratios[i])
         rows.append(row)
     return rows
 

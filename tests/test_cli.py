@@ -209,6 +209,23 @@ def test_noncompact_group_geodesic_far_out_stays_a_plane(capsys):
     assert np.arcsin(sin_max) < 1e-12
 
 
+def test_noncompact_chart_saturation_points_to_the_group_route(capsys):
+    # at t = 13.5 tanh(t s_1) is 3 ulps below 1 and the chart image is
+    # representable; at t = 14 it is 1 ulp below, and the SVD of the image
+    # used to read a singular value of 1 and blame the input
+    b = '{"rows":2,"cols":2,"data":[[1.0,0.3],[0.5,0],[0.2,0.1],[0.9,0]]}'
+    code, out, _ = _run(capsys, "geodesic", b, "--t", "13.5", "--signature", "noncompact")
+    assert code == 0
+    assert np.ravel(json.loads(out)["data"]) == pytest.approx(
+        [0.9507516173321541, 0.2741823542824479, 0.14285486660377422, 0.02208626183439653,
+         -0.14359763314222734, -0.01658316198512245, 0.9894210411516728, -0.012270145463553615],
+        rel=1e-12)
+    code, _, err = _run(capsys, "geodesic", b, "--t", "14", "--signature", "noncompact")
+    assert code == 3
+    assert "saturates" in err and "geodesic_group" in err and "--route group" in err
+    assert "below 1" not in err
+
+
 # ------------------------------------------------------ exit-code contract
 
 _EXTREME = (-0.0, 1e-300, 19.5, 1e300, float("inf"), float("nan"), -1.5, np.pi / 2)

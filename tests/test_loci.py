@@ -319,6 +319,57 @@ def test_short_direction_multiplicity_matches_jacobian_nullity(h, shape, nullity
     assert predicted == measured
 
 
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 5), (4, 4),
+                                  (4, 6)])
+def test_predicted_multiplicity_equals_spectrum_nullity(n, m):
+    # every predicted radius short of the winding cap's coverage limit (past
+    # it, coincident radii of the next winding are missing from the list);
+    # odd-winding t2 radii sit on a tan pole, where the chart has no
+    # differential and the spectrum is nan
+    rng = np.random.default_rng(10 * n + m)
+    tested = 0
+    for k in range(8):
+        r = min(n, m) if k % 2 == 0 else int(rng.integers(1, min(n, m) + 1))
+        direction = loci.CartanDirection(np.sort(rng.uniform(0.2, 1.0, r))[::-1])
+        params = loci.tangent_conjugate_params(direction, n, m)
+        horizon = loci.coverage_limit(direction, n, m)
+        radii = sorted({c.t for c in params if c.t < horizon})
+        spectra = loci.jacobian_spectrum(loci.cartan_to_tangent(direction, n, m), radii)
+        for t, spectrum in zip(radii, spectra):
+            if np.isnan(spectrum).any():
+                assert np.min(mf.tan_pole_distance(t * direction.h)) < 1e-3
+                continue
+            predicted = sum(c.multiplicity for c in params if abs(c.t - t) <= 1e-9 * t)
+            assert np.count_nonzero(spectrum < 1e-9 * spectrum[0]) == predicted, (direction.h, t)
+            tested += 1
+    assert tested >= 8
+
+
+def test_jacobian_spectrum_matches_the_probe():
+    # the probe's extreme ratio from the closed form, on a non-diagonal
+    # tangent with a zero row, in both signatures and for a stack of times
+    rng = np.random.default_rng(49)
+    b = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    b[1] = 0.0
+    for signature in ("compact", "noncompact"):
+        tc = mf.TangentCoord(b / np.linalg.norm(b), signature)
+        stack = loci.jacobian_spectrum(tc, [0.7, 1.9])
+        assert stack.shape == (2, 24)
+        for t, spectrum in zip((0.7, 1.9), stack):
+            assert np.array_equal(loci.jacobian_spectrum(tc, t), spectrum)
+            probe = loci.conjugate_test_jacobian(tc, t)
+            assert spectrum[-1] / spectrum[0] == pytest.approx(probe.ratio, rel=1e-6)
+            assert spectrum[0] == pytest.approx(probe.max_sv, rel=1e-6)
+
+
+def test_jacobian_spectrum_is_nan_where_the_probe_escapes():
+    tc = mf.TangentCoord(np.array([[1.0 + 0j]]))
+    with pytest.raises(ChartEscapeError):
+        loci.conjugate_test_jacobian(tc, np.pi / 2 + 1e-5)
+    assert np.isnan(loci.jacobian_spectrum(tc, np.pi / 2 + 1e-5)).all()
+    assert np.isnan(loci.classify_conjugate(tc, np.pi / 2 + 1e-5).jacobian_ratio)
+
+
 # -------------------------------------------------------------- classifier
 
 def test_classify_interior_at_pair_radius():

@@ -36,6 +36,7 @@ def test_required_property_names_are_frozen():
         "conjugate-class-angles",
         "noncompact-jacobian-floor",
         "schubert-sample-membership",
+        "jacobian-spectrum-routes",
     )
     assert set(verify.DEFAULT_TOLERANCES) == set(verify.REQUIRED_PROPERTIES)
 
@@ -118,7 +119,7 @@ def test_report_shapes():
     d2 = report.to_dict(include_timing=False)
     assert "elapsed" not in d2 and "elapsed" not in d2["results"][0]
     text = report.to_text(include_timing=False)
-    assert text.count("[PASS]") == 16
+    assert text.count("[PASS]") == 17
     assert "all properties passed" in text
 
 
@@ -162,6 +163,62 @@ def test_scan_noncompact_has_no_conjugate_structure():
     assert all(r["class"] == "none" for r in rows)
     assert all(r["family"] == "" for r in rows)
     assert all(r["min_jac_sv"] > 1e-1 for r in rows)
+
+
+def _escape_time(h):
+    """A time 1.5e-3 past a pole of the largest entry with |t h| >= 18, where
+    10 stencil steps reach the pole but the 1e-3 pole-row window does not,
+    and the other entries stay 0.01 clear of a pole."""
+    winding = int(np.ceil((18.0 * h[0] / np.linalg.norm(h) - 0.5 * np.pi) / np.pi))
+    while True:
+        t = ((winding + 0.5) * np.pi + 1.5e-3) / h[0]
+        if h.size == 1 or np.min(grassgeo.manifold.tan_pole_distance(t * h[1:])) >= 0.01:
+            return t
+        winding += 1
+
+
+@pytest.mark.parametrize("shape, h, signature", [((2, 2), (0.8, 0.6), "compact"),
+                                                 ((3, 5), (0.9, 0.7, 0.3), "compact"),
+                                                 ((4, 6), (1.0, 0.7, 0.4, 0.2), "compact"),
+                                                 ((3, 5), (0.9, 0.7, 0.3), "noncompact")])
+def test_scan_rows_equal_per_point_calls(shape, h, signature):
+    # the stacked scan and the per-point API share one code path, so every
+    # value must agree exactly, pole and escape rows included
+    n, m = shape
+    d = loci.CartanDirection(np.array(h))
+    compact = signature == "compact"
+    grids = [(0.3, 4.0, 23)]
+    if compact:
+        pole = 1.5 * np.pi / h[0]
+        grids.append((pole - 0.5, pole + 0.5, 11))
+        escape = _escape_time(d.h)
+        grids.append((escape - 0.2, escape + 0.2, 9))
+    tc = loci.cartan_to_tangent(d, n, m, signature)
+    origin = grassgeo.manifold.base_plane(n, m)
+    classes = set()
+    for t0, t1, steps in grids:
+        for row in verify.scan_conjugate(d, (t0, t1), steps, n, m, signature=signature):
+            t = row["t"]
+            plane = grassgeo.manifold.geodesic_group(tc, t)
+            spectrum = grassgeo.manifold.stationary_angles_svd(plane, origin)
+            assert row["max_angle"] == spectrum.max_angle
+            assert row["second_angle"] == spectrum.angles[1]
+            assert row["overlap_abs"] == grassgeo.manifold.cos_cayley_planes(plane, origin)
+            verdict = loci.classify_conjugate(tc, t)
+            assert np.array_equal(verdict.plane.basis, plane.basis)
+            assert np.array_equal(verdict.angles.angles, spectrum.angles)
+            if row["class"] == "pole":
+                classes.add("pole")
+                assert row["min_jac_sv"] == ""
+                continue
+            assert row["class"] == verdict.label
+            if row["min_jac_sv"] == "":
+                classes.add("escape")
+                assert np.isnan(verdict.jacobian_ratio)
+            else:
+                assert row["min_jac_sv"] == verdict.jacobian_ratio
+    if compact:
+        assert classes == {"pole", "escape"}
 
 
 def test_scan_input_validation():
