@@ -340,7 +340,8 @@ def _probe_clear(st: np.ndarray, step, signature: str) -> np.ndarray:
 
 def _fd_spectrum(tangent: TangentCoord, t: float) -> np.ndarray:
     """Descending singular values of the central-difference Jacobian of the
-    chart map at t B; ChartEscapeError where _probe_clear fails."""
+    chart map at t B, with _probe_clear's guard: ChartEscapeError near a tan
+    pole, DomainError where a noncompact tanh saturates."""
     bt = t * tangent.b
     step = float(_stencil_step(np.linalg.norm(bt)))
     svals = np.linalg.svd(bt, compute_uv=False)
@@ -368,8 +369,10 @@ def conjugate_test_jacobian(tangent: TangentCoord, t: float, tol: float = 1e-3) 
     the square Jacobian.  The verdict uses the ratio of extreme singular
     values; ratios within a decade above tol are flagged indeterminate so
     callers can re-probe at a nudged time.  Compact evaluation closer to a
-    tan pole than the difference stencil can resolve raises ChartEscapeError.
-    This is the independent route to jacobian_spectrum's closed form.
+    tan pole than the difference stencil can resolve raises ChartEscapeError;
+    noncompact evaluation whose stencil reaches a saturated tanh raises
+    DomainError.  This is the independent route to jacobian_spectrum's
+    closed form.
     """
     svs = _fd_spectrum(tangent, t)
     ratio = float(svs[-1] / svs[0])
