@@ -33,6 +33,8 @@ from .manifold import (AngleSpectrum, Plane, TangentCoord, _angles_svd_stack,
                        base_plane, cos_cayley_planes, stationary_angles_svd, tan_pole_distance)
 
 ANGLE_TOL = 1e-6
+CAYLEY_TOL = 1e-9
+CONJUGATE_TOL = 1e-3
 PAIRING_TOL = 1e-8
 DENOM_TOL = 1e-12
 
@@ -170,21 +172,21 @@ class LocusVerdict:
     pairing_abs: float
 
 
-def cut_locus_test(plane: Plane, angle_tol: float = ANGLE_TOL) -> LocusVerdict:
+def cut_locus_test(plane: Plane) -> LocusVerdict:
     """Decide whether a plane lies in the cut locus of the origin.
 
     Route one reads the largest stationary angle against the origin plane;
     route two reads the normalized Gram pairing with the origin,
     |det A[:, :n]| / sqrt(det A A*) for a row basis A: the coherent-state
     overlap with |0>, and by Cauchy-Binet the normalized Pluecker pairing.
-    The plane is in the locus when the angle reaches pi/2, equivalently when
-    the pairing vanishes.  Disagreement between the routes raises
-    ConsistencyError rather than picking a side.
+    The plane is in the locus when the angle reaches pi/2 within ANGLE_TOL,
+    equivalently when the pairing falls to PAIRING_TOL.  Disagreement
+    between the routes raises ConsistencyError rather than picking a side.
     """
     n, big_n = plane.basis.shape
     origin = base_plane(n, big_n - n)
     spectrum = stationary_angles_svd(plane, origin)
-    by_angle = spectrum.max_angle >= np.pi / 2 - angle_tol
+    by_angle = spectrum.max_angle >= np.pi / 2 - ANGLE_TOL
 
     pairing = cos_cayley_planes(plane, origin)
     by_pairing = pairing <= PAIRING_TOL
@@ -197,12 +199,12 @@ def cut_locus_test(plane: Plane, angle_tol: float = ANGLE_TOL) -> LocusVerdict:
                         pairing_abs=pairing)
 
 
-def cayley_cut_check(plane: Plane, tol: float = 1e-9) -> bool:
+def cayley_cut_check(plane: Plane) -> bool:
     """Cut locus membership from the normalized Gram pairing alone: the
-    arccos of the plane-level cosine reaches pi/2 within tol."""
+    arccos of the plane-level cosine reaches pi/2 within CAYLEY_TOL."""
     n, big_n = plane.basis.shape
     cos = cos_cayley_planes(plane, base_plane(n, big_n - n))
-    return float(np.arccos(np.clip(cos, 0.0, 1.0))) >= np.pi / 2 - tol
+    return float(np.arccos(np.clip(cos, 0.0, 1.0))) >= np.pi / 2 - CAYLEY_TOL
 
 
 @dataclass(slots=True)
@@ -359,7 +361,7 @@ def _fd_spectrum(tangent: TangentCoord, t: float) -> np.ndarray:
     return np.linalg.svd(jac, compute_uv=False)
 
 
-def conjugate_test_jacobian(tangent: TangentCoord, t: float, tol: float = 1e-3) -> JacobianProbe:
+def conjugate_test_jacobian(tangent: TangentCoord, t: float) -> JacobianProbe:
     """Probe for a conjugate point at time t by differentiating the chart
     exponential.
 
@@ -367,18 +369,18 @@ def conjugate_test_jacobian(tangent: TangentCoord, t: float, tol: float = 1e-3) 
     chart image of exp at t B is differentiated by central differences; a
     conjugate point shows up as a collapse of the smallest singular value of
     the square Jacobian.  The verdict uses the ratio of extreme singular
-    values; ratios within a decade above tol are flagged indeterminate so
-    callers can re-probe at a nudged time.  Compact evaluation closer to a
-    tan pole than the difference stencil can resolve raises ChartEscapeError;
-    noncompact evaluation whose stencil reaches a saturated tanh raises
-    DomainError.  This is the independent route to jacobian_spectrum's
-    closed form.
+    values: below CONJUGATE_TOL is conjugate, and ratios within a decade
+    above it are flagged indeterminate so callers can re-probe at a nudged
+    time.  Compact evaluation closer to a tan pole than the difference
+    stencil can resolve raises ChartEscapeError; noncompact evaluation whose
+    stencil reaches a saturated tanh raises DomainError.  This is the
+    independent route to jacobian_spectrum's closed form.
     """
     svs = _fd_spectrum(tangent, t)
     ratio = float(svs[-1] / svs[0])
     return JacobianProbe(t=float(t), min_sv=float(svs[-1]), max_sv=float(svs[0]),
-                         ratio=ratio, is_conjugate=ratio < tol,
-                         indeterminate=tol <= ratio < 10.0 * tol)
+                         ratio=ratio, is_conjugate=ratio < CONJUGATE_TOL,
+                         indeterminate=CONJUGATE_TOL <= ratio < 10.0 * CONJUGATE_TOL)
 
 
 def _spectrum_stack(st: np.ndarray, shape: tuple[int, int], signature: str) -> np.ndarray:
@@ -445,7 +447,7 @@ class ConjugateClass:
     plane: Plane
 
 
-def _classify_stack(tangent: TangentCoord, ts: np.ndarray, angle_tol: float = ANGLE_TOL):
+def _classify_stack(tangent: TangentCoord, ts: np.ndarray):
     """classify_conjugate at each time of the 1-D array ts, from one SVD of B:
     labels (k,), angles (k, n) descending per row, Jacobian ratios (k,), and
     group-form row bases (k, n, n + m), whose rank test is left to the
@@ -455,27 +457,26 @@ def _classify_stack(tangent: TangentCoord, ts: np.ndarray, angle_tol: float = AN
     res = kernel.svd(tangent.b)
     bases = _geodesic_group_stack(res, ts, tangent.signature)
     angles = _descending_angles(_angles_svd_stack(bases, np.eye(n, n + m, dtype=complex)[None]))
-    wong = (angles[:, 0] >= np.pi / 2 - angle_tol) | (angles[:, r - 1] <= angle_tol)
+    wong = (angles[:, 0] >= np.pi / 2 - ANGLE_TOL) | (angles[:, r - 1] <= ANGLE_TOL)
     gaps = angles[:, :r - 1] - angles[:, 1:r]
-    interior = np.min(gaps, axis=1, initial=np.inf) <= angle_tol
+    interior = np.min(gaps, axis=1, initial=np.inf) <= ANGLE_TOL
     labels = np.where(wong, "wong", np.where(interior, "interior", "none"))
     spectrum = _spectrum_stack(ts[:, None] * res.s, (n, m), tangent.signature)
     return labels, angles, spectrum[:, -1] / spectrum[:, 0], bases
 
 
-def classify_conjugate(tangent: TangentCoord, t: float,
-                       angle_tol: float = ANGLE_TOL) -> ConjugateClass:
+def classify_conjugate(tangent: TangentCoord, t: float) -> ConjugateClass:
     """Classify the geodesic point at time t by its stationary angles.
 
     A boundary point ("wong") has an angle at pi/2 or a vanishing smallest
     essential angle; an interior coincidence ("interior") has two of the top
-    min(n, m) angles equal.  Boundary takes precedence.  The extreme ratio of
-    jacobian_spectrum at the same point is attached, or nan within 10
-    stencil steps of a tan pole, where the finite-difference route cannot
-    read it.  The group-form plane the angles were read from is returned
+    min(n, m) angles equal, each within ANGLE_TOL.  Boundary takes
+    precedence.  The extreme ratio of jacobian_spectrum at the same point is
+    attached, or nan within 10 stencil steps of a tan pole, where the
+    finite-difference route cannot read it.  The group-form plane the angles were read from is returned
     with them, so callers need not recompute it.  This is the stacked scan
     path on a stack of one.
     """
-    labels, angles, ratios, bases = _classify_stack(tangent, np.array([float(t)]), angle_tol)
+    labels, angles, ratios, bases = _classify_stack(tangent, np.array([float(t)]))
     return ConjugateClass(label=str(labels[0]), angles=AngleSpectrum(angles[0]),
                           jacobian_ratio=float(ratios[0]), plane=Plane(bases[0]))

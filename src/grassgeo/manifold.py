@@ -303,13 +303,13 @@ def exp0(tangent: TangentCoord) -> ChartPoint:
     return ChartPoint(z=z, signature=tangent.signature)
 
 
-def _exp0_stack(b: np.ndarray, signature: Signature, check_domain: bool = True) -> np.ndarray:
+def _exp0_stack(b: np.ndarray, signature: Signature) -> np.ndarray:
     """exp0 of each matrix of a (k, n, m) stack of tangents, as a (k, n, m)
     stack of chart coordinates, with one stacked SVD.
 
     Every member gets the checks of exp0: finite entries, ChartEscapeError
-    within 1e-9 of a tan pole (compact), and, unless check_domain is off,
-    ChartEscapeError where tanh of a singular value saturates (noncompact).
+    within 1e-9 of a tan pole (compact), and ChartEscapeError where tanh of
+    a singular value saturates (noncompact).
     """
     res = kernel.svd(b)
     if signature == "compact":
@@ -319,7 +319,7 @@ def _exp0_stack(b: np.ndarray, signature: Signature, check_domain: bool = True) 
         vals = np.tan(res.s)
     else:
         vals = np.tanh(res.s)
-        if check_domain and np.any(_tanh_saturates(res.s)):
+        if np.any(_tanh_saturates(res.s)):
             raise ChartEscapeError(
                 "noncompact chart saturates: tanh of a singular value rounds to 1, "
                 "so the image cannot be told from the boundary; use geodesic_group "

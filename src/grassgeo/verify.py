@@ -12,72 +12,31 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import loci, manifold
 from .errors import ConsistencyError, GeometryError
 
-REQUIRED_PROPERTIES = (
-    "cayley-angle-product",
-    "angle-routes-agree",
-    "cauchy-binet-pairing",
-    "exp-log-roundtrip",
-    "angles-match-singular-values",
-    "geodesic-ode-residual",
-    "group-chart-agreement",
-    "overlap-symmetry-scaling",
-    "noncompact-injectivity",
-    "cut-locus-polar-divisor",
-    "cayley-cut-criterion",
-    "cut-locus-schubert-variety",
-    "conjugate-radii-jacobian",
-    "conjugate-class-angles",
-    "noncompact-jacobian-floor",
-    "schubert-sample-membership",
-    "jacobian-spectrum-routes",
-)
-
-# Tolerances are absolute, except that the two properties comparing
-# unnormalized overlaps (which reach ~1e3) scale theirs by max(1, |overlap|).
-DEFAULT_TOLERANCES = {
-    "cayley-angle-product": 1e-10,
-    "angle-routes-agree": 1e-9,
-    "cauchy-binet-pairing": 1e-10,
-    "exp-log-roundtrip": 1e-9,
-    "angles-match-singular-values": 1e-9,
-    "geodesic-ode-residual": 1e-4,
-    "group-chart-agreement": 1e-9,
-    "overlap-symmetry-scaling": 1e-10,
-    "noncompact-injectivity": 1e-9,
-    "cut-locus-polar-divisor": 1e-6,
-    "cayley-cut-criterion": 1e-9,
-    "cut-locus-schubert-variety": 1e-9,
-    "conjugate-radii-jacobian": 1e-3,
-    "conjugate-class-angles": 1e-6,
-    "noncompact-jacobian-floor": 1e-1,
-    "schubert-sample-membership": 1e-9,
-    "jacobian-spectrum-routes": 1e-6,
-}
-
-# finite-difference Jacobians dominate the runtime of these
-_TRIAL_CAPS = {
-    "conjugate-radii-jacobian": 6,
-    "conjugate-class-angles": 8,
-    "noncompact-jacobian-floor": 4,
-    "jacobian-spectrum-routes": 6,
-}
-
+LAMBDA_MAX = 2
 _POLE_CLEARANCE = 0.05
 _T_CAP = 40.0
 
-_REGISTRY: dict[str, object] = {}
+# name -> (check, tolerance, trial cap) in suite order; a property's position
+# in the suite keys its random stream
+_PROPERTIES: dict[str, tuple] = {}
 
 
-def _property(name: str):
+def _property(name: str, tol: float, cap: int | None = None):
+    """Register a check with its tolerance and, where finite-difference
+    Jacobians dominate its runtime, a cap on its trials.
+
+    Tolerances are absolute, except that the two properties comparing
+    unnormalized overlaps (which reach ~1e3) scale theirs by max(1, |overlap|).
+    """
     def wrap(func):
-        _REGISTRY[name] = func
+        _PROPERTIES[name] = (func, tol, cap)
         return func
     return wrap
 
@@ -88,18 +47,10 @@ class SuiteConfig:
     trials: int = 20
     n: int = 2
     m: int = 2
-    lambda_max: int = 2
-    tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.trials < 1 or self.n < 1 or self.m < 1 or self.lambda_max < 1:
-            raise ValueError("trials, n, m, and lambda_max must all be positive")
-        unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
-        if unknown:
-            raise ValueError(f"unknown tolerance names: {sorted(unknown)}")
-        merged = dict(DEFAULT_TOLERANCES)
-        merged.update(self.tolerances)
-        self.tolerances = merged
+        if self.trials < 1 or self.n < 1 or self.m < 1:
+            raise ValueError("trials, n, and m must all be positive")
 
 
 @dataclass(slots=True)
@@ -133,8 +84,8 @@ class SuiteReport:
                 "trials": self.config.trials,
                 "n": self.config.n,
                 "m": self.config.m,
-                "lambda_max": self.config.lambda_max,
-                "tolerances": {k: self.config.tolerances[k] for k in REQUIRED_PROPERTIES},
+                "lambda_max": LAMBDA_MAX,
+                "tolerances": dict(DEFAULT_TOLERANCES),
             },
             "results": [
                 {
@@ -175,20 +126,11 @@ def _trial_rng(seed: int, trial: int, prop_index: int) -> np.random.Generator:
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
-    """Run every required property and collect a report.
-
-    A missing registry entry is a packaging error and fails the build of the
-    suite, not a single property.
-    """
-    missing = [name for name in REQUIRED_PROPERTIES if name not in _REGISTRY]
-    if missing:
-        raise ConsistencyError(f"property registry is missing {missing}")
+    """Run every property, in suite order, and collect a report."""
     start = time.perf_counter()
     results = []
-    for prop_index, name in enumerate(REQUIRED_PROPERTIES):
-        func = _REGISTRY[name]
-        tol = config.tolerances[name]
-        trials = min(config.trials, _TRIAL_CAPS.get(name, config.trials))
+    for prop_index, (name, (func, tol, cap)) in enumerate(_PROPERTIES.items()):
+        trials = min(config.trials, cap or config.trials)
         t0 = time.perf_counter()
         worst = -np.inf
         detail = ""
@@ -264,6 +206,18 @@ def _unit_direction(rng, r, min_gap=0.0, min_entry=0.0):
     raise ConsistencyError("could not sample a separated unit direction")
 
 
+def _pole_safe_time(rng, tc, t_max):
+    """A time drawn from (0.1, t_max) where the compact chart stays
+    _POLE_CLEARANCE clear of every tan pole; the first draw for the dual."""
+    svals = np.linalg.svd(tc.b, compute_uv=False)
+    for _ in range(64):
+        t = rng.uniform(0.1, t_max)
+        if (tc.signature == "noncompact"
+                or float(np.min(manifold.tan_pole_distance(t * svals))) > _POLE_CLEARANCE):
+            return t
+    raise ConsistencyError("no pole-safe time found")
+
+
 def _testable_radii(params, direction, t_cap=_T_CAP):
     """Conjugate times where the chart Jacobian can actually be probed."""
     out = []
@@ -278,7 +232,7 @@ def _testable_radii(params, direction, t_cap=_T_CAP):
 
 # ------------------------------------------------- chart and angle properties
 
-@_property("cayley-angle-product")
+@_property("cayley-angle-product", 1e-10)
 def _prop_cayley_angle_product(rng, cfg, tol):
     zp, z = _chart_pair(rng, cfg.n, cfg.m, min_overlap=1e-6)
     lhs = manifold.cos_cayley(zp, z)
@@ -286,7 +240,7 @@ def _prop_cayley_angle_product(rng, cfg, tol):
     return abs(lhs - rhs) - tol
 
 
-@_property("angle-routes-agree")
+@_property("angle-routes-agree", 1e-9)
 def _prop_angle_routes(rng, cfg, tol):
     zp, z = _chart_pair(rng, cfg.n, cfg.m, min_overlap=1e-6)
     a = manifold.stationary_angles_w(zp, z).angles
@@ -295,7 +249,7 @@ def _prop_angle_routes(rng, cfg, tol):
     return float(np.max(np.abs(a - b))) - tol
 
 
-@_property("cauchy-binet-pairing")
+@_property("cauchy-binet-pairing", 1e-10)
 def _prop_cauchy_binet(rng, cfg, tol):
     zp, z = _chart_pair(rng, cfg.n, cfg.m)
     lhs = manifold.plucker_pairing(manifold.plucker(manifold.chart_to_plane(z)),
@@ -304,7 +258,7 @@ def _prop_cauchy_binet(rng, cfg, tol):
     return abs(lhs - ov) - tol * max(1.0, abs(ov))
 
 
-@_property("exp-log-roundtrip")
+@_property("exp-log-roundtrip", 1e-9)
 def _prop_exp_log(rng, cfg, tol):
     smax = rng.uniform(0.05, np.pi / 2 - 0.11)
     tc = _tangent_with_top_sv(rng, cfg.n, cfg.m, smax)
@@ -312,7 +266,7 @@ def _prop_exp_log(rng, cfg, tol):
     return float(np.linalg.norm(back.b - tc.b)) - tol
 
 
-@_property("angles-match-singular-values")
+@_property("angles-match-singular-values", 1e-9)
 def _prop_angles_match_sv(rng, cfg, tol):
     smax = rng.uniform(0.05, 1.45)
     tc = _tangent_with_top_sv(rng, cfg.n, cfg.m, smax)
@@ -325,7 +279,7 @@ def _prop_angles_match_sv(rng, cfg, tol):
     return float(np.max(np.abs(got - want))) - tol
 
 
-@_property("geodesic-ode-residual")
+@_property("geodesic-ode-residual", 1e-4)
 def _prop_ode_residual(rng, cfg, tol):
     worst = -np.inf
     for signature in ("compact", "noncompact"):
@@ -335,22 +289,16 @@ def _prop_ode_residual(rng, cfg, tol):
     return worst - tol
 
 
-@_property("group-chart-agreement")
+@_property("group-chart-agreement", 1e-9)
 def _prop_group_chart(rng, cfg, tol):
     tc = _tangent_with_norm(rng, cfg.n, cfg.m, 1.0)
-    svals = np.linalg.svd(tc.b, compute_uv=False)
-    for _ in range(64):
-        t = rng.uniform(0.1, 2.5)
-        if float(np.min(manifold.tan_pole_distance(t * svals))) > _POLE_CLEARANCE:
-            break
-    else:
-        raise ConsistencyError("no pole-safe time found")
+    t = _pole_safe_time(rng, tc, 2.5)
     via_group = manifold.plane_to_chart(manifold.geodesic_group(tc, t))
     direct = manifold.geodesic_chart(tc, t)
     return float(np.linalg.norm(via_group.z - direct.z)) - tol
 
 
-@_property("overlap-symmetry-scaling")
+@_property("overlap-symmetry-scaling", 1e-10)
 def _prop_overlap_symmetry(rng, cfg, tol):
     zp, z = _chart_pair(rng, cfg.n, cfg.m)
     ov = manifold.overlap(zp, z)
@@ -363,7 +311,7 @@ def _prop_overlap_symmetry(rng, cfg, tol):
     return max(sym - tol * max(1.0, abs(ov)), inv - tol)
 
 
-@_property("noncompact-injectivity")
+@_property("noncompact-injectivity", 1e-9)
 def _prop_noncompact_injectivity(rng, cfg, tol):
     fro = rng.uniform(0.1, 2.5)
     tc = _tangent_with_norm(rng, cfg.n, cfg.m, fro, "noncompact")
@@ -373,25 +321,24 @@ def _prop_noncompact_injectivity(rng, cfg, tol):
 
 # ------------------------------------------------------- cut locus properties
 
-@_property("cut-locus-polar-divisor")
+@_property("cut-locus-polar-divisor", loci.ANGLE_TOL)
 def _prop_cut_polar(rng, cfg, tol):
-    built = loci.cut_locus_test(_cut_plane(rng, cfg.n, cfg.m), angle_tol=tol)
-    random = loci.cut_locus_test(manifold.haar_random_plane(cfg.n, cfg.m, rng),
-                                 angle_tol=tol)
+    built = loci.cut_locus_test(_cut_plane(rng, cfg.n, cfg.m))
+    random = loci.cut_locus_test(manifold.haar_random_plane(cfg.n, cfg.m, rng))
     del random  # must merely not raise: both routes agreed on the sample
     return 0.0 if built.in_locus else 1.0
 
 
-@_property("cayley-cut-criterion")
+@_property("cayley-cut-criterion", loci.CAYLEY_TOL)
 def _prop_cayley_cut(rng, cfg, tol):
     built = _cut_plane(rng, cfg.n, cfg.m)
     random = manifold.haar_random_plane(cfg.n, cfg.m, rng)
-    ok = loci.cayley_cut_check(built, tol=tol)
-    agree = loci.cayley_cut_check(random, tol=tol) == loci.cut_locus_test(random).in_locus
+    ok = loci.cayley_cut_check(built)
+    agree = loci.cayley_cut_check(random) == loci.cut_locus_test(random).in_locus
     return 0.0 if (ok and agree) else 1.0
 
 
-@_property("cut-locus-schubert-variety")
+@_property("cut-locus-schubert-variety", 1e-9)
 def _prop_cut_schubert(rng, cfg, tol):
     symbol = loci.cut_locus_symbol(cfg.n, cfg.m)
     built = _cut_plane(rng, cfg.n, cfg.m)
@@ -404,19 +351,19 @@ def _prop_cut_schubert(rng, cfg, tol):
 
 # ------------------------------------------------- conjugate locus properties
 
-@_property("conjugate-radii-jacobian")
+@_property("conjugate-radii-jacobian", loci.CONJUGATE_TOL, cap=6)
 def _prop_conjugate_radii(rng, cfg, tol):
     r = min(cfg.n, cfg.m)
     direction = _unit_direction(rng, r, min_gap=0.05, min_entry=0.1)
     tc = loci.cartan_to_tangent(direction, cfg.n, cfg.m)
-    params = loci.tangent_conjugate_params(direction, cfg.n, cfg.m, cfg.lambda_max)
+    params = loci.tangent_conjugate_params(direction, cfg.n, cfg.m, LAMBDA_MAX)
     testable = _testable_radii(params, direction)
     worst = -np.inf
     for par in testable:
-        probe = loci.conjugate_test_jacobian(tc, par.t, tol=tol)
+        probe = loci.conjugate_test_jacobian(tc, par.t)
         worst = max(worst, probe.ratio - tol)
 
-    horizon = loci.coverage_limit(direction, cfg.n, cfg.m, cfg.lambda_max)
+    horizon = loci.coverage_limit(direction, cfg.n, cfg.m, LAMBDA_MAX)
     times = sorted({par.t for par in params if par.t <= horizon})
     for ta, tb in zip(times, times[1:]):
         width = tb - ta
@@ -428,12 +375,12 @@ def _prop_conjugate_radii(rng, cfg, tol):
             continue
         if float(np.min(manifold.tan_pole_distance(mid * direction.h))) <= 0.15:
             continue
-        probe = loci.conjugate_test_jacobian(tc, mid, tol=tol)
+        probe = loci.conjugate_test_jacobian(tc, mid)
         if probe.is_conjugate or probe.indeterminate:
             # a flat stretch of the ratio can sit near the threshold; nudge
             # the time before calling it a false conjugate point
             for nudge in (mid - 0.05 * width, mid + 0.05 * width):
-                probe = loci.conjugate_test_jacobian(tc, nudge, tol=tol)
+                probe = loci.conjugate_test_jacobian(tc, nudge)
                 if not (probe.is_conjugate or probe.indeterminate):
                     break
         if probe.is_conjugate:
@@ -441,7 +388,7 @@ def _prop_conjugate_radii(rng, cfg, tol):
     return worst
 
 
-@_property("conjugate-class-angles")
+@_property("conjugate-class-angles", loci.ANGLE_TOL, cap=8)
 def _prop_conjugate_classes(rng, cfg, tol):
     r = min(cfg.n, cfg.m)
     direction = _unit_direction(rng, r, min_gap=0.15, min_entry=0.2)
@@ -455,19 +402,19 @@ def _prop_conjugate_classes(rng, cfg, tol):
         if not testable:
             raise ConsistencyError("no probe-safe pair radius for the sampled direction")
         par = testable[0]
-        verdict = loci.classify_conjugate(tc, par.t, angle_tol=tol)
+        verdict = loci.classify_conjugate(tc, par.t)
         if verdict.label != "interior":
             return 1.0
         top = verdict.angles.angles[:r]
         worst = max(worst, float(np.min(np.abs(np.diff(top)))) - tol)
-    boundary = loci.classify_conjugate(tc, np.pi / (2.0 * direction.h[0]), angle_tol=tol)
+    boundary = loci.classify_conjugate(tc, np.pi / (2.0 * direction.h[0]))
     if boundary.label != "wong":
         return 1.0
     worst = max(worst, (np.pi / 2 - boundary.angles.max_angle) - tol)
     return worst
 
 
-@_property("noncompact-jacobian-floor")
+@_property("noncompact-jacobian-floor", 1e-1, cap=4)
 def _prop_noncompact_floor(rng, cfg, tol):
     tc = _tangent_with_norm(rng, cfg.n, cfg.m, 0.5, "noncompact")
     worst_ratio = np.inf
@@ -477,32 +424,7 @@ def _prop_noncompact_floor(rng, cfg, tol):
     return tol - worst_ratio
 
 
-@_property("jacobian-spectrum-routes")
-def _prop_jacobian_spectrum(rng, cfg, tol):
-    # the whole finite-difference spectrum against the closed form, relative
-    # to the largest value, on a random non-diagonal tangent (one row zeroed
-    # half the time, so rank-deficient) at a pole-clear time, both signatures
-    worst = -np.inf
-    for signature in ("compact", "noncompact"):
-        b = _complex_gaussian(rng, cfg.n, cfg.m)
-        if cfg.n > 1 and rng.random() < 0.5:
-            b[rng.integers(cfg.n)] = 0.0
-        tc = manifold.TangentCoord(b / np.linalg.norm(b), signature)
-        svals = np.linalg.svd(tc.b, compute_uv=False)
-        for _ in range(64):
-            t = rng.uniform(0.1, 6.0)
-            if (signature == "noncompact"
-                    or float(np.min(manifold.tan_pole_distance(t * svals))) > _POLE_CLEARANCE):
-                break
-        else:
-            raise ConsistencyError("no pole-safe time found")
-        exact = loci.jacobian_spectrum(tc, t)
-        measured = loci._fd_spectrum(tc, t)
-        worst = max(worst, float(np.max(np.abs(measured - exact)) / exact[0]) - tol)
-    return worst
-
-
-@_property("schubert-sample-membership")
+@_property("schubert-sample-membership", 1e-9)
 def _prop_schubert_samples(rng, cfg, tol):
     n, m = cfg.n, cfg.m
     w = np.sort(rng.integers(0, m + 1, size=n))
@@ -516,6 +438,28 @@ def _prop_schubert_samples(rng, cfg, tol):
     ok = ok and loci.schubert_membership(random, whole, tol=tol)
     ok = ok and not loci.schubert_membership(random, symbol, tol=tol)
     return 0.0 if ok else 1.0
+
+
+@_property("jacobian-spectrum-routes", 1e-6, cap=6)
+def _prop_jacobian_spectrum(rng, cfg, tol):
+    # the whole finite-difference spectrum against the closed form, relative
+    # to the largest value, on a random non-diagonal tangent (one row zeroed
+    # half the time, so rank-deficient) at a pole-clear time, both signatures
+    worst = -np.inf
+    for signature in ("compact", "noncompact"):
+        b = _complex_gaussian(rng, cfg.n, cfg.m)
+        if cfg.n > 1 and rng.random() < 0.5:
+            b[rng.integers(cfg.n)] = 0.0
+        tc = manifold.TangentCoord(b / np.linalg.norm(b), signature)
+        t = _pole_safe_time(rng, tc, 6.0)
+        exact = loci.jacobian_spectrum(tc, t)
+        measured = loci._fd_spectrum(tc, t)
+        worst = max(worst, float(np.max(np.abs(measured - exact)) / exact[0]) - tol)
+    return worst
+
+
+REQUIRED_PROPERTIES = tuple(_PROPERTIES)
+DEFAULT_TOLERANCES = {name: tol for name, (_, tol, _) in _PROPERTIES.items()}
 
 
 # ------------------------------------------------------------------- scanner
@@ -539,8 +483,8 @@ def scan_conjugate(direction: loci.CartanDirection, t_range: tuple[float, float]
     rank test of the geodesic planes.
     """
     t0, t1 = float(t_range[0]), float(t_range[1])
-    if not (steps >= 2 and t1 > t0 > 0.0):
-        raise ValueError("need steps >= 2 and 0 < t0 < t1")
+    if not (steps >= 2 and np.isfinite(t1) and t1 > t0 > 0.0):
+        raise ValueError("need steps >= 2 and finite 0 < t0 < t1")
     tc = loci.cartan_to_tangent(direction, n, m, signature)
     origin = manifold.base_plane(n, m)
     params = (loci.tangent_conjugate_params(direction, n, m, lambda_max)

@@ -408,9 +408,10 @@ def test_classify_generic_time_is_none():
     assert loci.classify_conjugate(tc, 0.9).label == "none"
 
 
-def test_consistency_error_when_routes_disagree():
+def test_consistency_error_when_routes_disagree(monkeypatch):
     # force the disagreement path with an absurd angle tolerance
     rng = np.random.default_rng(45)
     plane = mf.haar_random_plane(2, 2, rng)
+    monkeypatch.setattr(loci, "ANGLE_TOL", np.pi / 2)
     with pytest.raises(ConsistencyError):
-        loci.cut_locus_test(plane, angle_tol=np.pi / 2)
+        loci.cut_locus_test(plane)
