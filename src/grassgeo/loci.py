@@ -28,9 +28,9 @@ import numpy as np
 
 from . import kernel
 from .errors import ChartEscapeError, ConsistencyError, DomainError
-from .manifold import (AngleSpectrum, Plane, TangentCoord, _angles_svd_stack,
-                       _descending_angles, _exp0_stack, _geodesic_group_stack, _tanh_saturates,
-                       base_plane, cos_cayley_planes, stationary_angles_svd, tan_pole_distance)
+from .manifold import (AngleSpectrum, Plane, TangentCoord, _descending_angles, _exp0_stack,
+                       _geodesic_group_stack, _origin_angles_stack, _origin_pairing_stack,
+                       _tanh_saturates, tan_pole_distance)
 
 ANGLE_TOL = 1e-6
 CAYLEY_TOL = 1e-9
@@ -131,7 +131,10 @@ def schubert_membership(plane: Plane, symbol: SchubertSymbol, tol: float = 1e-9,
     """Whether the plane satisfies every incidence condition of the symbol.
 
     dim(X intersect V_p) is read off as n + p - rank of the basis rows stacked
-    on the first p flag vectors.
+    on the first p flag vectors.  A condition with w_i = m is skipped: there
+    p = m + i + 1 and the rank of the stack is at most N = n + m, so the
+    meet is at least i + 1 for every plane, tolerance and flag.  Of the n
+    conditions of cut_locus_symbol only the first is computed.
     """
     n, m = symbol.n, symbol.m
     if plane.basis.shape != (n, n + m):
@@ -139,6 +142,8 @@ def schubert_membership(plane: Plane, symbol: SchubertSymbol, tol: float = 1e-9,
     order = flag_order(symbol, flag)
     eye = np.eye(n + m, dtype=complex)
     for i in range(n):
+        if symbol.w[i] == m:
+            continue
         p = symbol.w[i] + i + 1
         stacked = np.vstack([plane.basis, eye[list(order[:p])]])
         meet = n + p - kernel.rank_tol(stacked, tol)
@@ -179,31 +184,34 @@ def cut_locus_test(plane: Plane) -> LocusVerdict:
     route two reads the normalized Gram pairing with the origin,
     |det A[:, :n]| / sqrt(det A A*) for a row basis A: the coherent-state
     overlap with |0>, and by Cauchy-Binet the normalized Pluecker pairing.
-    The plane is in the locus when the angle reaches pi/2 within ANGLE_TOL,
-    equivalently when the pairing falls to PAIRING_TOL.  Disagreement
-    between the routes raises ConsistencyError rather than picking a side.
+    Both routes read the plane's own leading block and build no origin
+    plane: the angles are the arccos of the singular values of the leading
+    n x n block of the orthonormalized basis.  The values equal
+    stationary_angles_svd and cos_cayley_planes against base_plane(n, m)
+    bit for bit.  The plane is in the locus when the angle reaches pi/2
+    within ANGLE_TOL, equivalently when the pairing falls to PAIRING_TOL.
+    Disagreement between the routes raises ConsistencyError rather than
+    picking a side.
     """
-    n, big_n = plane.basis.shape
-    origin = base_plane(n, big_n - n)
-    spectrum = stationary_angles_svd(plane, origin)
-    by_angle = spectrum.max_angle >= np.pi / 2 - ANGLE_TOL
+    basis = plane.basis[None]
+    max_angle = float(np.max(_origin_angles_stack(basis)))
+    by_angle = max_angle >= np.pi / 2 - ANGLE_TOL
 
-    pairing = cos_cayley_planes(plane, origin)
+    pairing = float(_origin_pairing_stack(basis)[0])
     by_pairing = pairing <= PAIRING_TOL
 
     if by_angle != by_pairing:
         raise ConsistencyError(
-            f"angle route ({spectrum.max_angle:.12f} rad) and pairing route "
+            f"angle route ({max_angle:.12f} rad) and pairing route "
             f"({pairing:.3e}) disagree on cut locus membership")
-    return LocusVerdict(in_locus=by_angle, max_angle=spectrum.max_angle,
-                        pairing_abs=pairing)
+    return LocusVerdict(in_locus=by_angle, max_angle=max_angle, pairing_abs=pairing)
 
 
 def cayley_cut_check(plane: Plane) -> bool:
     """Cut locus membership from the normalized Gram pairing alone: the
-    arccos of the plane-level cosine reaches pi/2 within CAYLEY_TOL."""
-    n, big_n = plane.basis.shape
-    cos = cos_cayley_planes(plane, base_plane(n, big_n - n))
+    arccos of the plane-level cosine reaches pi/2 within CAYLEY_TOL.  The
+    cosine is read from the plane's leading block, as in cut_locus_test."""
+    cos = float(_origin_pairing_stack(plane.basis[None])[0])
     return float(np.arccos(np.clip(cos, 0.0, 1.0))) >= np.pi / 2 - CAYLEY_TOL
 
 
@@ -456,7 +464,7 @@ def _classify_stack(tangent: TangentCoord, ts: np.ndarray):
     r = min(n, m)
     res = kernel.svd(tangent.b)
     bases = _geodesic_group_stack(res, ts, tangent.signature)
-    angles = _descending_angles(_angles_svd_stack(bases, np.eye(n, n + m, dtype=complex)[None]))
+    angles = _descending_angles(_origin_angles_stack(bases))
     wong = (angles[:, 0] >= np.pi / 2 - ANGLE_TOL) | (angles[:, r - 1] <= ANGLE_TOL)
     gaps = angles[:, :r - 1] - angles[:, 1:r]
     interior = np.min(gaps, axis=1, initial=np.inf) <= ANGLE_TOL

@@ -226,6 +226,15 @@ def _cos_cayley_stack(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.minimum(num / den, 1.0)
 
 
+def _origin_pairing_stack(p: np.ndarray) -> np.ndarray:
+    """_cos_cayley_stack against the origin plane O, read from each basis's
+    leading block: |det A[:, :n]| / sqrt(det A A*).  The same numbers, since
+    A O* is exactly that block and det(O O*) is exactly 1."""
+    n = p.shape[-2]
+    gram = np.linalg.det(p @ p.conj().swapaxes(-1, -2)).real
+    return np.minimum(np.abs(np.linalg.det(p[..., :n])) / np.sqrt(gram), 1.0)
+
+
 def stationary_angles_w(zp: ChartPoint, z: ChartPoint) -> AngleSpectrum:
     """Stationary angles from the eigenvalues of the chart product matrix
     W = (1+ZZ*)^-1 (1+ZZp*) (1+ZpZp*)^-1 (1+ZpZ*), whose spectrum is cos^2
@@ -264,11 +273,25 @@ def _angles_svd_stack(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """stationary_angles_svd over (k, n, N) stacks of row bases, as a (k, n)
     array of angles in no fixed order; q may be a stack of one, paired with
     every member of p."""
-    n, big_n = p.shape[-2:]
     q1 = np.linalg.qr(p.swapaxes(-1, -2))[0]
     q2 = np.linalg.qr(q.swapaxes(-1, -2))[0]
-    cos = np.clip(np.linalg.svd(q1.conj().swapaxes(-1, -2) @ q2, compute_uv=False),
-                  0.0, 1.0)
+    return _angles_of(q1.conj().swapaxes(-1, -2) @ q2, p.shape[-1])
+
+
+def _origin_angles_stack(p: np.ndarray) -> np.ndarray:
+    """_angles_svd_stack against the origin plane O, without orthonormalizing
+    O: the QR factor of O* is exactly O*, so Q1* O* is exactly the leading
+    n rows of Q1, conjugate-transposed, and the angles are the same numbers."""
+    n = p.shape[-2]
+    q1 = np.linalg.qr(p.swapaxes(-1, -2))[0]
+    return _angles_of(q1[..., :n, :].conj().swapaxes(-1, -2), p.shape[-1])
+
+
+def _angles_of(cross: np.ndarray, big_n: int) -> np.ndarray:
+    """Angles whose cosines are the singular values of the (k, n, n) products
+    Q1* Q2 of orthonormal bases of n-planes in C^N."""
+    n = cross.shape[-1]
+    cos = np.clip(np.linalg.svd(cross, compute_uv=False), 0.0, 1.0)
     # two n-planes in C^N meet in at least 2n - N dimensions
     cos[..., :max(0, 2 * n - big_n)] = 1.0
     return np.arccos(cos)

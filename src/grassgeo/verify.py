@@ -480,13 +480,23 @@ def scan_conjugate(direction: loci.CartanDirection, t_range: tuple[float, float]
     "pole" with an empty ratio; rows within 10 stencil steps of a pole keep
     their angle class and have an empty ratio.  The whole grid is evaluated
     as stacks through the code behind classify_conjugate, with one stacked
-    rank test of the geodesic planes.
+    rank test of the geodesic planes.  ValueError, before any stacked call:
+    lambda_max below 1, for either signature, and a grid reaching so far
+    (t1 h_1 from about 2^33) that neighbouring doubles of t h_1 lie farther
+    apart than loci.ANGLE_TOL, where the rows' angles would be noise.
     """
     t0, t1 = float(t_range[0]), float(t_range[1])
     if not (steps >= 2 and np.isfinite(t1) and t1 > t0 > 0.0):
         raise ValueError("need steps >= 2 and finite 0 < t0 < t1")
+    if lambda_max < 1:
+        raise ValueError("lambda_max must be at least 1")
+    # np.spacing of an overflowed product is nan, which fails the test too
+    reach = t1 * float(direction.h[0])
+    if not np.spacing(reach) <= loci.ANGLE_TOL:
+        raise ValueError(f"t1 * h_1 = {reach:.6g} is too large: neighbouring doubles there "
+                         f"are {np.spacing(reach):.3g} apart, coarser than the angle "
+                         f"threshold {loci.ANGLE_TOL:g}")
     tc = loci.cartan_to_tangent(direction, n, m, signature)
-    origin = manifold.base_plane(n, m)
     params = (loci.tangent_conjugate_params(direction, n, m, lambda_max)
               if signature == "compact" else [])
     grid = np.linspace(t0, t1, steps)
@@ -496,7 +506,7 @@ def scan_conjugate(direction: loci.CartanDirection, t_range: tuple[float, float]
         pole = np.min(manifold.tan_pole_distance(grid[:, None] * direction.h), axis=1) < 1e-3
     labels, angles, ratios, bases = loci._classify_stack(tc, grid)
     manifold._check_bases(bases)
-    overlaps = manifold._cos_cayley_stack(bases, origin.basis[None])
+    overlaps = manifold._origin_pairing_stack(bases)
     rows = []
     for i, t in enumerate(grid.tolist()):
         row = {

@@ -133,6 +133,96 @@ def test_cut_routes_agree_with_schubert_and_cayley():
         assert loci.schubert_membership(plane, sym, flag="perp") == expect
 
 
+def _origin_test_planes(rng, n, m):
+    """A plane built in the cut locus, a Haar plane, and unnormalized bases
+    of both: a scaled Gaussian basis and a built basis mixed by a random
+    invertible matrix."""
+    g = rng.standard_normal((n, n + m)) + 1j * rng.standard_normal((n, n + m))
+    mix = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+    built = _cut_plane(rng, n, m)
+    return [built, mf.haar_random_plane(n, m, rng), mf.Plane(g * rng.uniform(1e-3, 1e3)),
+            mf.Plane(mix @ built.basis)]
+
+
+@pytest.mark.parametrize("n, m", [(1, 4), (3, 5), (6, 8), (3, 2), (4, 1)])
+def test_origin_cut_routes_equal_the_general_routes(n, m):
+    # cut_locus_test and cayley_cut_check read the leading block of the
+    # plane's own basis; the numbers must be exactly those of the general
+    # routes against an explicit origin plane
+    rng = np.random.default_rng(53 + n + m)
+    origin = mf.base_plane(n, m)
+    for _ in range(4):
+        for plane in _origin_test_planes(rng, n, m):
+            verdict = loci.cut_locus_test(plane)
+            cos = mf.cos_cayley_planes(plane, origin)
+            assert verdict.max_angle == mf.stationary_angles_svd(plane, origin).max_angle
+            assert verdict.pairing_abs == cos
+            arccos = float(np.arccos(np.clip(cos, 0.0, 1.0)))
+            assert loci.cayley_cut_check(plane) == (arccos >= np.pi / 2 - loci.CAYLEY_TOL)
+
+
+@pytest.mark.parametrize("shape, h", [((2, 2), (0.8, 0.6)), ((3, 5), (0.9, 0.7, 0.3)),
+                                      ((4, 2), (1.0, 0.4))])
+def test_origin_stacks_equal_the_general_stacks_on_a_scan(shape, h):
+    n, m = shape
+    res = kernel.svd(loci.cartan_to_tangent(loci.CartanDirection(np.array(h)), n, m).b)
+    bases = mf._geodesic_group_stack(res, np.linspace(0.3, 12.0, 41), "compact")
+    origin = np.eye(n, n + m, dtype=complex)[None]
+    assert np.array_equal(mf._origin_angles_stack(bases), mf._angles_svd_stack(bases, origin))
+    assert np.array_equal(mf._origin_pairing_stack(bases), mf._cos_cayley_stack(bases, origin))
+
+
+def _membership_every_condition(plane, symbol, flag):
+    """schubert_membership without the dimension-count shortcut: one rank
+    test for each of the n conditions."""
+    n, m = symbol.n, symbol.m
+    order = loci.flag_order(symbol, flag)
+    eye = np.eye(n + m, dtype=complex)
+    for i in range(n):
+        p = symbol.w[i] + i + 1
+        stacked = np.vstack([plane.basis, eye[list(order[:p])]])
+        if n + p - kernel.rank_tol(stacked, 1e-9) < i + 1:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n, m", [(1, 3), (2, 2), (3, 5), (3, 2), (4, 1)])
+def test_schubert_membership_equals_every_condition(n, m):
+    rng = np.random.default_rng(59 + n * m)
+    symbols = [loci.cut_locus_symbol(n, m)]
+    symbols += [loci.v_pl_symbol(p, l, n, m) for l in range(1, n + 1) for p in range(l, m + l + 1)]
+    symbols += [loci.SchubertSymbol(w=tuple(int(v) for v in np.sort(rng.integers(0, m + 1, n))),
+                                    m=m) for _ in range(6)]
+    assert any(m in s.w for s in symbols) and any(m not in s.w for s in symbols)
+    verdicts = set()
+    for symbol in symbols:
+        planes = _origin_test_planes(rng, n, m)
+        planes += [loci.schubert_generic_sample(symbol, rng, flag=flag)
+                   for flag in ("standard", "perp", "chart")]
+        for plane in planes:
+            for flag in ("standard", "perp", "chart"):
+                want = _membership_every_condition(plane, symbol, flag)
+                assert loci.schubert_membership(plane, symbol, flag=flag) == want
+                verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_schubert_membership_skips_conditions_that_always_hold(monkeypatch):
+    calls = []
+    rank_tol = kernel.rank_tol
+
+    def counted(a, tol):
+        calls.append(a.shape)
+        return rank_tol(a, tol)
+
+    monkeypatch.setattr(kernel, "rank_tol", counted)
+    plane = mf.haar_random_plane(6, 8, np.random.default_rng(61))
+    assert not loci.schubert_membership(plane, loci.cut_locus_symbol(6, 8), flag="perp")
+    assert calls == [(14, 14)]
+    assert loci.schubert_membership(plane, loci.SchubertSymbol(w=(8,) * 6, m=8))
+    assert calls == [(14, 14)]
+
+
 def test_cut_time_equal_entries():
     d = loci.CartanDirection(np.array([1.0, 1.0]) / np.sqrt(2.0))
     assert loci.cut_time(d) == pytest.approx(2.221441469079183, rel=1e-12)

@@ -1,12 +1,15 @@
 import ast
 import csv
 import importlib
+import importlib.util
 import json
 import pathlib
+import sys
 
 import numpy as np
 import pytest
 
+import grassgeo.cli  # noqa: F401  (the benchmark's scan workload calls grassgeo.cli.main)
 import grassgeo.manifold
 from grassgeo import loci, verify
 
@@ -250,6 +253,42 @@ def test_scan_input_validation():
         verify.scan_conjugate(d, (0.5, 1.0), 1, 1, 1)
     with pytest.raises(ValueError, match="finite"):
         verify.scan_conjugate(d, (0.5, np.inf), 10, 1, 1)
+    pair = loci.CartanDirection(np.array([0.8, 0.6]))
+    for signature in ("compact", "noncompact"):
+        with pytest.raises(ValueError, match="lambda_max"):
+            verify.scan_conjugate(pair, (0.5, 2.0), 3, 2, 2, signature=signature, lambda_max=0)
+
+
+@pytest.mark.parametrize("h, t1", [(1e300, 2.0), (1e200, 2.0), (1.0, 2.0**33), (1e10, 1e300)])
+def test_scan_refuses_grids_too_coarse_for_the_angle_threshold(h, t1):
+    # past t1 h_1 ~ 2^33 neighbouring doubles of t h_1 are farther apart than
+    # ANGLE_TOL, so the rows would be noise; the refusal comes before any
+    # stacked call, so no overflow warning is raised on the way (pytest turns
+    # warnings into errors), and an overflowing t1 h_1 is refused as well
+    d = loci.CartanDirection(np.array([h]))
+    with pytest.raises(ValueError, match="too large"):
+        verify.scan_conjugate(d, (0.5, t1), 3, 1, 1)
+    assert len(verify.scan_conjugate(loci.CartanDirection(np.array([1.0])),
+                                     (0.5, 2.0**32), 3, 1, 1)) == 3
+
+
+def test_benchmark_output_checks_pass_on_real_output(tmp_path, monkeypatch):
+    # the benchmark's own output checks, two cycles per workload: every real
+    # output must pass and every deliberately perturbed copy must fail
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses resolve their module through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for name, cls in workloads.WORKLOADS.items():
+        workload = cls(grassgeo, str(tmp_path))
+        for k in range(2):
+            for op in workload.cycle(21, k):
+                out = workload.outputs(op, workload.call(op))
+                assert workload.check(op, out) == [], (name, k, op.kind, op.n, op.m)
+                for label, wrong in workload.perturb(op, out):
+                    assert workload.check(op, wrong), (name, k, label)
 
 
 def test_traced_benchmark_layers_resolve():
