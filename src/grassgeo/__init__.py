@@ -15,7 +15,7 @@ from .loci import (CartanDirection, ConjugateClass, ConjugateParam, JacobianProb
                    LocusVerdict, SchubertSymbol, cartan_to_tangent, cayley_cut_check,
                    classify_conjugate, conjugate_test_jacobian, coverage_limit,
                    cut_locus_symbol, cut_locus_test, cut_time, flag_order,
-                   jacobian_spectrum, jumps, schubert_generic_sample, schubert_membership,
+                   jacobian_spectrum, schubert_generic_sample, schubert_membership,
                    tangent_conjugate_params, v_pl_symbol)
 from .verify import (DEFAULT_TOLERANCES, REQUIRED_PROPERTIES, SuiteConfig, SuiteReport,
                      run_suite, scan_conjugate, write_scan_csv)
@@ -34,7 +34,7 @@ __all__ = [
     "cut_locus_symbol", "cut_locus_test", "cut_time", "exp0", "fd_jacobian",
     "flag_order", "geodesic_chart", "geodesic_distance0", "geodesic_group",
     "geodesic_residual", "haar_random_chart", "haar_random_plane", "hat_basis",
-    "herm_eig", "jacobian_spectrum", "jumps", "log0", "overlap", "plane_to_chart", "plucker",
+    "herm_eig", "jacobian_spectrum", "log0", "overlap", "plane_to_chart", "plucker",
     "plucker_pairing", "run_suite", "scan_conjugate", "schubert_generic_sample",
     "schubert_membership", "stationary_angles_svd", "stationary_angles_w", "svd",
     "tan_pole_distance", "tangent_conjugate_params", "v_pl_symbol", "write_scan_csv",

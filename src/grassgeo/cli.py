@@ -164,8 +164,7 @@ def _cmd_schubert(args) -> int:
         return 0
     if args.plane is None:
         raise ValueError("give a plane to test, or pass --sample")
-    member = loci.schubert_membership(_plane(args, args.plane), symbol,
-                                      tol=args.tol, flag=args.flag)
+    member = loci.schubert_membership(_plane(args, args.plane), symbol, flag=args.flag)
     _emit({"member": member})
     return 0
 
@@ -215,6 +214,11 @@ def _cmd_verify(args) -> int:
 def _add_shape_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=None, help="rows for bare data lists")
     p.add_argument("--m", type=int, default=None, help="cols for bare data lists")
+
+
+def _add_chart_flags(p: argparse.ArgumentParser) -> None:
+    """Shape flags and --signature, for subcommands that read chart points."""
+    _add_shape_flags(p)
     p.add_argument("--signature", choices=("compact", "noncompact"), default="compact")
 
 
@@ -228,41 +232,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("zp", help="chart matrix whose side is conjugated")
     p.add_argument("z", help="chart matrix")
     p.add_argument("--route", choices=("w", "svd"), default="w")
-    _add_shape_flags(p)
+    _add_chart_flags(p)
     p.set_defaults(func=_cmd_angles)
 
     p = sub.add_parser("overlap", help="pairing det(1 +/- Z Zp*) of two chart points")
     p.add_argument("zp")
     p.add_argument("z")
-    _add_shape_flags(p)
+    _add_chart_flags(p)
     p.set_defaults(func=_cmd_overlap)
 
     p = sub.add_parser("dist", help="distance from the origin plane")
     p.add_argument("z")
-    _add_shape_flags(p)
+    _add_chart_flags(p)
     p.set_defaults(func=_cmd_dist)
 
     p = sub.add_parser("exp", help="chart image of the geodesic exponential of t*B")
     p.add_argument("b")
     p.add_argument("--t", type=float, default=1.0)
-    _add_shape_flags(p)
+    _add_chart_flags(p)
     p.set_defaults(func=_cmd_exp)
 
     p = sub.add_parser("log", help="tangent preimage of a chart point")
     p.add_argument("z")
-    _add_shape_flags(p)
+    _add_chart_flags(p)
     p.set_defaults(func=_cmd_log)
 
     p = sub.add_parser("geodesic", help="geodesic point at time t, chart or group form")
     p.add_argument("b")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--route", choices=("chart", "group"), default="chart")
-    _add_shape_flags(p)
+    _add_chart_flags(p)
     p.set_defaults(func=_cmd_geodesic)
 
     p = sub.add_parser("plucker", help="minor coordinates of a chart point (1-based tuples)")
     p.add_argument("z")
-    _add_shape_flags(p)
+    _add_chart_flags(p)
     p.set_defaults(func=_cmd_plucker)
 
     p = sub.add_parser("cut-test", help="cut locus membership of a plane, all routes")
@@ -276,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flag", choices=("standard", "perp", "chart"), default="standard")
     p.add_argument("--sample", action="store_true")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
     _add_shape_flags(p)
     p.set_defaults(func=_cmd_schubert)
 

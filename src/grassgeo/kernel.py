@@ -4,6 +4,10 @@ Factorizations are delegated to LAPACK through numpy.linalg; this module
 adds the conventions the rest of the package relies on (descending order,
 tolerance-based rank, spectral matrix functions of rectangular matrices,
 real central-difference Jacobians of complex maps).
+
+rank_tol is the package's one numerical-rank rule and RANK_TOL its one
+tolerance: Plane validation, the chart test of plane_to_chart and the
+Schubert incidence conditions all read rank through it.
 """
 from __future__ import annotations
 
@@ -15,6 +19,7 @@ import numpy as np
 from .errors import NumericalFailure
 
 HERMITIAN_RTOL = 1e-10
+RANK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -38,7 +43,7 @@ def as_complex_matrix(a, name: str = "matrix", stacked: bool = False) -> np.ndar
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2 and not (stacked and arr.ndim > 2):
         raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(np.float64))):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -93,14 +98,13 @@ def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x, step: float = 1e-4) ->
     return ((values[:d] - values[d:]) / (2.0 * step)).T
 
 
-def rank_tol(a, tol: float = 1e-9) -> int:
-    """Numerical rank: singular values above tol * max(s_max, 1)."""
+def rank_tol(a) -> int:
+    """Numerical rank: singular values above RANK_TOL * max(s_max, 1)."""
     arr = as_complex_matrix(a)
     if arr.size == 0:
         return 0
     s = np.linalg.svd(arr, compute_uv=False)
-    cutoff = tol * max(float(s[0]) if s.size else 0.0, 1.0)
-    return int(np.count_nonzero(s > cutoff))
+    return int(np.count_nonzero(s > RANK_TOL * max(float(s[0]), 1.0)))
 
 
 def realvec(z) -> np.ndarray:
@@ -108,10 +112,3 @@ def realvec(z) -> np.ndarray:
     arr = np.ascontiguousarray(z, dtype=np.complex128)
     return arr.ravel().view(np.float64).copy()
 
-
-def complexmat(v, shape: tuple[int, int]) -> np.ndarray:
-    """Inverse of realvec for the given matrix shape."""
-    arr = np.ascontiguousarray(v, dtype=np.float64)
-    if arr.size != 2 * shape[0] * shape[1]:
-        raise ValueError(f"expected {2 * shape[0] * shape[1]} reals for shape {shape}")
-    return arr.view(np.complex128).reshape(shape).copy()

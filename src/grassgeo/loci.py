@@ -72,14 +72,6 @@ class SchubertSymbol:
         return sum(self.m - v for v in self.w)
 
 
-def jumps(symbol: SchubertSymbol) -> tuple[int, ...]:
-    """1-based positions where the symbol strictly increases, plus n."""
-    w, n = symbol.w, symbol.n
-    out = [i + 1 for i in range(n - 1) if w[i] < w[i + 1]]
-    out.append(n)
-    return tuple(out)
-
-
 def v_pl_symbol(p: int, l: int, n: int, m: int) -> SchubertSymbol:
     """Symbol of the planes meeting the first p flag vectors in dimension >= l:
     p - l repeated l times, then m repeated n - l times."""
@@ -126,27 +118,32 @@ def flag_order(symbol: SchubertSymbol, flag: str = "standard") -> tuple[int, ...
     raise ValueError(f"unknown flag {flag!r}; choose standard, perp, or chart")
 
 
-def schubert_membership(plane: Plane, symbol: SchubertSymbol, tol: float = 1e-9,
+def schubert_membership(plane: Plane, symbol: SchubertSymbol,
                         flag: str = "standard") -> bool:
     """Whether the plane satisfies every incidence condition of the symbol.
 
-    dim(X intersect V_p) is read off as n + p - rank of the basis rows stacked
-    on the first p flag vectors.  A condition with w_i = m is skipped: there
-    p = m + i + 1 and the rank of the stack is at most N = n + m, so the
-    meet is at least i + 1 for every plane, tolerance and flag.  Of the n
-    conditions of cut_locus_symbol only the first is computed.
+    dim(X intersect V_p) is read off as n + p - kernel.rank_tol of the basis
+    rows, each scaled so that its largest entry has modulus 1, stacked on
+    the first p flag vectors.  The scaling keeps the plane and puts its rows
+    on the scale of the unit flag vectors, so the verdict does not depend on
+    the basis scale.  (A row norm in place of the largest modulus would
+    overflow from entries of about 1e154.)  A condition with w_i = m is
+    skipped: there p = m + i + 1 and the rank of the stack is at most
+    N = n + m, so the meet is at least i + 1 for every plane and flag.  Of
+    the n conditions of cut_locus_symbol only the first is computed.
     """
     n, m = symbol.n, symbol.m
     if plane.basis.shape != (n, n + m):
         raise ValueError(f"plane shape {plane.basis.shape} does not match symbol ({n},{n + m})")
     order = flag_order(symbol, flag)
     eye = np.eye(n + m, dtype=complex)
+    rows = plane.basis / np.abs(plane.basis).max(axis=1, keepdims=True)
     for i in range(n):
         if symbol.w[i] == m:
             continue
         p = symbol.w[i] + i + 1
-        stacked = np.vstack([plane.basis, eye[list(order[:p])]])
-        meet = n + p - kernel.rank_tol(stacked, tol)
+        stacked = np.vstack([rows, eye[list(order[:p])]])
+        meet = n + p - kernel.rank_tol(stacked)
         if meet < i + 1:
             return False
     return True
@@ -447,19 +444,17 @@ def jacobian_spectrum(tangent: TangentCoord, t) -> np.ndarray:
 @dataclass(slots=True)
 class ConjugateClass:
     """Angle-based classification of a conjugate point candidate, with the
-    geodesic plane at the probed time and its angles against the origin."""
+    angles against the origin of the geodesic plane at the probed time."""
 
     label: str
     angles: AngleSpectrum
     jacobian_ratio: float
-    plane: Plane
 
 
 def _classify_stack(tangent: TangentCoord, ts: np.ndarray):
     """classify_conjugate at each time of the 1-D array ts, from one SVD of B:
     labels (k,), angles (k, n) descending per row, Jacobian ratios (k,), and
-    group-form row bases (k, n, n + m), whose rank test is left to the
-    caller."""
+    the group-form row bases (k, n, n + m) the angles were read from."""
     n, m = tangent.shape
     r = min(n, m)
     res = kernel.svd(tangent.b)
@@ -481,10 +476,9 @@ def classify_conjugate(tangent: TangentCoord, t: float) -> ConjugateClass:
     min(n, m) angles equal, each within ANGLE_TOL.  Boundary takes
     precedence.  The extreme ratio of jacobian_spectrum at the same point is
     attached, or nan within 10 stencil steps of a tan pole, where the
-    finite-difference route cannot read it.  The group-form plane the angles were read from is returned
-    with them, so callers need not recompute it.  This is the stacked scan
-    path on a stack of one.
+    finite-difference route cannot read it.  This is the stacked scan path
+    on a stack of one.
     """
-    labels, angles, ratios, bases = _classify_stack(tangent, np.array([float(t)]))
+    labels, angles, ratios, _ = _classify_stack(tangent, np.array([float(t)]))
     return ConjugateClass(label=str(labels[0]), angles=AngleSpectrum(angles[0]),
-                          jacobian_ratio=float(ratios[0]), plane=Plane(bases[0]))
+                          jacobian_ratio=float(ratios[0]))

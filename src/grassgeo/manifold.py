@@ -11,6 +11,9 @@ Geodesics through O come in two equivalent forms: the chart form
 Z(t) = B ta(t sqrt(B*B)) / sqrt(B*B) with ta = tan or tanh, and the group
 form obtained from the one-parameter subgroup acting on O, which never
 leaves the manifold and is used whenever the chart form hits a pole.
+
+A Plane is validated, and plane_to_chart decides chart membership, by
+numerical rank through kernel.rank_tol, the package's one rank rule.
 """
 from __future__ import annotations
 
@@ -25,7 +28,6 @@ from .errors import ChartEscapeError, DomainError, NotInChartError, NumericalFai
 
 Signature = Literal["compact", "noncompact"]
 
-RANK_TOL = 1e-9
 POLE_TOL = 1e-9
 OVERLAP_TOL = 1e-12
 
@@ -87,7 +89,11 @@ class Plane:
 
     def __post_init__(self):
         self.basis = kernel.as_complex_matrix(self.basis, "basis")
-        _check_bases(self.basis)
+        n, big_n = self.basis.shape
+        if not 1 <= n < big_n:
+            raise ValueError(f"need 1 <= n < N for a proper plane, got {n} x {big_n}")
+        if kernel.rank_tol(self.basis) != n:
+            raise ValueError("basis rows are numerically dependent")
 
     @property
     def n(self) -> int:
@@ -96,18 +102,6 @@ class Plane:
     @property
     def big_n(self) -> int:
         return self.basis.shape[1]
-
-
-def _check_bases(basis: np.ndarray) -> None:
-    """ValueError unless the n x N basis, or each member of a (k, n, N) stack,
-    spans a proper n-plane: 1 <= n < N and n numerically independent rows."""
-    n, big_n = basis.shape[-2:]
-    if not 1 <= n < big_n:
-        raise ValueError(f"need 1 <= n < N for a proper plane, got {n} x {big_n}")
-    # rank n: the smallest of the n singular values clears kernel.rank_tol's cutoff
-    s = np.linalg.svd(basis, compute_uv=False)
-    if not (s[..., -1] > RANK_TOL * np.maximum(s[..., 0], 1.0)).all():
-        raise ValueError("basis rows are numerically dependent")
 
 
 def _descending_angles(a: np.ndarray) -> np.ndarray:
@@ -160,14 +154,14 @@ def chart_to_plane(point: ChartPoint) -> Plane:
     return Plane(hat_basis(point))
 
 
-def plane_to_chart(plane: Plane, signature: Signature = "compact") -> ChartPoint:
-    """Chart coordinate of a plane, when the leading n x n block is invertible."""
+def plane_to_chart(plane: Plane) -> ChartPoint:
+    """Compact chart coordinate of a plane, when the leading n x n block is
+    invertible: has full kernel.rank_tol rank."""
     n = plane.n
     lead = plane.basis[:, :n]
-    if kernel.rank_tol(lead, RANK_TOL) != n:
+    if kernel.rank_tol(lead) != n:
         raise NotInChartError("leading block is singular; plane lies outside the chart")
-    z = np.linalg.solve(lead, plane.basis[:, n:])
-    return ChartPoint(z=z, signature=signature)
+    return ChartPoint(z=np.linalg.solve(lead, plane.basis[:, n:]))
 
 
 def _check_pair(zp: ChartPoint, z: ChartPoint) -> None:
@@ -385,8 +379,8 @@ def geodesic_group(tangent: TangentCoord, t: float) -> Plane:
 def _geodesic_group_stack(res: kernel.SvdResult, ts: np.ndarray,
                           signature: Signature) -> np.ndarray:
     """geodesic_group's row bases at each time of the 1-D array ts, as a
-    (k, n, n + m) stack, from the SVD of B; the rank test is left to the
-    caller."""
+    (k, n, n + m) stack, from the SVD of B.  They need no rank test: the
+    compact rows are orthonormal, and the noncompact ones start with 1_n."""
     st = ts[:, None] * res.s
     if signature == "compact":
         co, si = np.cos(st), np.sin(st)
@@ -450,14 +444,14 @@ def haar_random_plane(n: int, m: int, seed=None) -> Plane:
     return Plane(q.T.copy())
 
 
-def haar_random_chart(n: int, m: int, seed=None, signature: Signature = "compact") -> ChartPoint:
-    """Chart coordinate of a random plane, resampling until it lies in the
-    chart (and, for the noncompact signature, inside the bounded domain)."""
+def haar_random_chart(n: int, m: int, seed=None) -> ChartPoint:
+    """Compact chart coordinate of a random plane, resampling until it lies
+    in the chart."""
     rng = _rng(seed)
     for _ in range(64):
         try:
-            return plane_to_chart(haar_random_plane(n, m, rng), signature=signature)
-        except (NotInChartError, DomainError):
+            return plane_to_chart(haar_random_plane(n, m, rng))
+        except NotInChartError:
             continue
     raise NumericalFailure("no chart sample found in 64 tries")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import loci, manifold
+from . import kernel, loci, manifold
 from .errors import ConsistencyError, GeometryError
 
 LAMBDA_MAX = 2
@@ -163,10 +163,10 @@ def _complex_gaussian(rng, n, m):
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
 
 
-def _tangent_with_top_sv(rng, n, m, smax, signature="compact"):
+def _tangent_with_top_sv(rng, n, m, smax):
     b = _complex_gaussian(rng, n, m)
     b *= smax / np.linalg.svd(b, compute_uv=False)[0]
-    return manifold.TangentCoord(b=b, signature=signature)
+    return manifold.TangentCoord(b=b)
 
 
 def _tangent_with_norm(rng, n, m, fro, signature="compact"):
@@ -218,11 +218,11 @@ def _pole_safe_time(rng, tc, t_max):
     raise ConsistencyError("no pole-safe time found")
 
 
-def _testable_radii(params, direction, t_cap=_T_CAP):
+def _testable_radii(params, direction):
     """Conjugate times where the chart Jacobian can actually be probed."""
     out = []
     for par in params:
-        if par.t > t_cap:
+        if par.t > _T_CAP:
             continue
         dist = float(np.min(manifold.tan_pole_distance(par.t * direction.h)))
         if dist > _POLE_CLEARANCE:
@@ -338,13 +338,13 @@ def _prop_cayley_cut(rng, cfg, tol):
     return 0.0 if (ok and agree) else 1.0
 
 
-@_property("cut-locus-schubert-variety", 1e-9)
+@_property("cut-locus-schubert-variety", kernel.RANK_TOL)
 def _prop_cut_schubert(rng, cfg, tol):
     symbol = loci.cut_locus_symbol(cfg.n, cfg.m)
     built = _cut_plane(rng, cfg.n, cfg.m)
     random = manifold.haar_random_plane(cfg.n, cfg.m, rng)
-    ok = loci.schubert_membership(built, symbol, tol=tol, flag="perp")
-    agree = (loci.schubert_membership(random, symbol, tol=tol, flag="perp")
+    ok = loci.schubert_membership(built, symbol, flag="perp")
+    agree = (loci.schubert_membership(random, symbol, flag="perp")
              == loci.cut_locus_test(random).in_locus)
     return 0.0 if (ok and agree) else 1.0
 
@@ -424,19 +424,19 @@ def _prop_noncompact_floor(rng, cfg, tol):
     return tol - worst_ratio
 
 
-@_property("schubert-sample-membership", 1e-9)
+@_property("schubert-sample-membership", kernel.RANK_TOL)
 def _prop_schubert_samples(rng, cfg, tol):
     n, m = cfg.n, cfg.m
     w = np.sort(rng.integers(0, m + 1, size=n))
     w[0] = rng.integers(0, m)
     symbol = loci.SchubertSymbol(w=tuple(int(v) for v in np.sort(w)), m=m)
     sample = loci.schubert_generic_sample(symbol, rng, flag="chart")
-    ok = loci.schubert_membership(sample, symbol, tol=tol, flag="chart")
+    ok = loci.schubert_membership(sample, symbol, flag="chart")
 
     whole = loci.SchubertSymbol(w=(m,) * n, m=m)
     random = manifold.haar_random_plane(n, m, rng)
-    ok = ok and loci.schubert_membership(random, whole, tol=tol)
-    ok = ok and not loci.schubert_membership(random, symbol, tol=tol)
+    ok = ok and loci.schubert_membership(random, whole)
+    ok = ok and not loci.schubert_membership(random, symbol)
     return 0.0 if ok else 1.0
 
 
@@ -479,11 +479,11 @@ def scan_conjugate(direction: loci.CartanDirection, t_range: tuple[float, float]
     half a grid step.  Rows within 1e-3 of a tan pole are marked class
     "pole" with an empty ratio; rows within 10 stencil steps of a pole keep
     their angle class and have an empty ratio.  The whole grid is evaluated
-    as stacks through the code behind classify_conjugate, with one stacked
-    rank test of the geodesic planes.  ValueError, before any stacked call:
-    lambda_max below 1, for either signature, and a grid reaching so far
-    (t1 h_1 from about 2^33) that neighbouring doubles of t h_1 lie farther
-    apart than loci.ANGLE_TOL, where the rows' angles would be noise.
+    as stacks through the code behind classify_conjugate.  ValueError,
+    before any stacked call: lambda_max below 1, for either signature, and a
+    grid reaching so far (t1 h_1 from about 2^33) that neighbouring doubles
+    of t h_1 lie farther apart than loci.ANGLE_TOL, where the rows' angles
+    would be noise.
     """
     t0, t1 = float(t_range[0]), float(t_range[1])
     if not (steps >= 2 and np.isfinite(t1) and t1 > t0 > 0.0):
@@ -505,7 +505,6 @@ def scan_conjugate(direction: loci.CartanDirection, t_range: tuple[float, float]
     if signature == "compact":
         pole = np.min(manifold.tan_pole_distance(grid[:, None] * direction.h), axis=1) < 1e-3
     labels, angles, ratios, bases = loci._classify_stack(tc, grid)
-    manifold._check_bases(bases)
     overlaps = manifold._origin_pairing_stack(bases)
     rows = []
     for i, t in enumerate(grid.tolist()):

@@ -126,6 +126,32 @@ def test_schubert_sample_then_membership(tmp_path, capsys):
     assert json.loads(out) == {"member": True}
 
 
+def test_cut_test_schubert_route_ignores_the_basis_scale(capsys):
+    # the origin plane O with every entry 1e9: all four routes read "not in
+    # the locus", as they do for the unit basis
+    for scale in (1.0, 1e9):
+        code, out, _ = _run(capsys, "cut-test", _mat(scale * np.eye(2, 3)))
+        assert code == 0
+        got = json.loads(out)
+        assert not (got["in_locus"] or got["cayley"] or got["schubert"]), scale
+
+
+@pytest.mark.parametrize("argv", [
+    ["cut-test", '{"rows":1,"cols":2,"data":[[1,0],[0,0]]}', "--signature", "noncompact"],
+    ["schubert", '{"rows":1,"cols":2,"data":[[1,0],[0,0]]}', "--symbol", "0", "--m", "1",
+     "--signature", "noncompact"],
+    ["schubert", '{"rows":1,"cols":2,"data":[[1,0],[0,0]]}', "--symbol", "0", "--m", "1",
+     "--tol", "nan"],
+])
+def test_plane_subcommands_refuse_options_they_do_not_read(argv, capsys):
+    # cut-test and schubert take row bases of planes, which carry no
+    # signature, and the rank tolerance is kernel.RANK_TOL
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_schubert_usage_errors(capsys):
     code, _, err = _run(capsys, "schubert", "--symbol", "1,2")
     assert code == 2

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from grassgeo import kernel
+from grassgeo import kernel, manifold as mf
+from grassgeo.errors import NotInChartError
 
 
 def _unitary(rng, n):
@@ -135,10 +136,54 @@ def test_rank_tol_counts_dominant_directions():
     assert kernel.rank_tol(np.zeros((2, 2), dtype=complex)) == 0
 
 
+def _with_singular_values(rng, s):
+    """An n x n complex matrix with the given singular values."""
+    n = len(s)
+    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    return (u * np.asarray(s)) @ v.conj().T
+
+
+def _reference_rank(a):
+    """The numerical-rank rule as written inline before rank_tol held it:
+    singular values above 1e-9 * max(s_max, 1)."""
+    s = np.linalg.svd(a, compute_uv=False)
+    return int(np.count_nonzero(s > 1e-9 * max(s[0], 1.0)))
+
+
+@pytest.mark.parametrize("s_max", [0.5, 1.0, 30.0])
+@pytest.mark.parametrize("side", [1.0 - 1e-3, 1.0 + 1e-3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_plane_and_chart_read_rank_through_rank_tol(n, side, s_max):
+    # s_min / s_max just below and just above RANK_TOL: Plane acceptance,
+    # plane_to_chart's chart test and rank_tol's count must all follow the
+    # reference rule, including the absolute floor at s_max below 1
+    assert kernel.RANK_TOL == 1e-9
+    rng = np.random.default_rng(int(100 * s_max) + n)
+    s = np.geomspace(s_max, s_max * 1e-9 * side, n)
+    block = _with_singular_values(rng, s)
+    basis = np.hstack([block, np.zeros((n, 2))])
+    want = _reference_rank(block)
+    assert kernel.rank_tol(block) == kernel.rank_tol(basis) == want
+    if want == n:
+        mf.Plane(basis)
+    else:
+        with pytest.raises(ValueError, match="numerically dependent"):
+            mf.Plane(basis)
+    chart_basis = np.hstack([block, np.eye(n)])
+    assert kernel.rank_tol(chart_basis) == _reference_rank(chart_basis) == n
+    if want == n:
+        mf.plane_to_chart(mf.Plane(chart_basis))
+    else:
+        with pytest.raises(NotInChartError):
+            mf.plane_to_chart(mf.Plane(chart_basis))
+    # the floor: below s_max = 1 the cutoff is the absolute 1e-9
+    assert (want == n) == (s_max >= 1.0 and side > 1.0)
+
+
 def test_realvec_complexmat_roundtrip():
     rng = np.random.default_rng(9)
     z = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     v = kernel.realvec(z)
     assert v.shape == (12,)
     assert v[0] == z[0, 0].real and v[1] == z[0, 0].imag
-    assert np.array_equal(kernel.complexmat(v, (2, 3)), z)

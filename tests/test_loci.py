@@ -30,12 +30,6 @@ def test_symbol_codimension():
     assert loci.SchubertSymbol(w=(0, 1), m=2).codimension() == 3
 
 
-def test_jumps_examples():
-    assert loci.jumps(loci.SchubertSymbol(w=(0, 1, 1), m=2)) == (1, 3)
-    assert loci.jumps(loci.SchubertSymbol(w=(2, 2), m=2)) == (2,)
-    assert loci.jumps(loci.SchubertSymbol(w=(0, 1, 2), m=2)) == (1, 2, 3)
-
-
 def test_v_pl_symbols():
     assert loci.v_pl_symbol(2, 1, 2, 2).w == (1, 2)
     assert loci.v_pl_symbol(3, 2, 2, 2).w == (1, 1)
@@ -181,7 +175,7 @@ def _membership_every_condition(plane, symbol, flag):
     for i in range(n):
         p = symbol.w[i] + i + 1
         stacked = np.vstack([plane.basis, eye[list(order[:p])]])
-        if n + p - kernel.rank_tol(stacked, 1e-9) < i + 1:
+        if n + p - kernel.rank_tol(stacked) < i + 1:
             return False
     return True
 
@@ -211,16 +205,36 @@ def test_schubert_membership_skips_conditions_that_always_hold(monkeypatch):
     calls = []
     rank_tol = kernel.rank_tol
 
-    def counted(a, tol):
+    def counted(a):
         calls.append(a.shape)
-        return rank_tol(a, tol)
+        return rank_tol(a)
 
-    monkeypatch.setattr(kernel, "rank_tol", counted)
     plane = mf.haar_random_plane(6, 8, np.random.default_rng(61))
+    monkeypatch.setattr(kernel, "rank_tol", counted)
     assert not loci.schubert_membership(plane, loci.cut_locus_symbol(6, 8), flag="perp")
     assert calls == [(14, 14)]
     assert loci.schubert_membership(plane, loci.SchubertSymbol(w=(8,) * 6, m=8))
     assert calls == [(14, 14)]
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (3, 5), (6, 8)])
+def test_schubert_membership_does_not_depend_on_the_basis_scale(n, m):
+    # the origin plane, and a plane built in the cut locus, with the whole
+    # basis scaled: each row is scaled to a largest modulus of 1 before the
+    # flag vectors are stacked under it, so no scale swamps the flag rows
+    symbol = loci.cut_locus_symbol(n, m)
+    origin = np.eye(n, n + m, dtype=complex)
+    built = _cut_plane(np.random.default_rng(67 + n), n, m).basis
+    verdicts = set()
+    for basis in (origin, built):
+        for flag in ("standard", "perp", "chart"):
+            want = loci.schubert_membership(mf.Plane(basis), symbol, flag=flag)
+            verdicts.add((flag, want))
+            for scale in (1e-6, 1.0, 1e9, 1e12, 1e100, 1e200):
+                assert loci.schubert_membership(mf.Plane(scale * basis), symbol,
+                                                flag=flag) == want, (scale, flag)
+    # the origin plane is outside the cut locus, the built plane inside it
+    assert {("perp", False), ("perp", True)} <= verdicts
 
 
 def test_cut_time_equal_entries():
@@ -339,7 +353,7 @@ def _pointwise_jacobian_svs(tangent, t):
     x0 = kernel.realvec(bt)
 
     def chart(x):
-        coord = mf.TangentCoord(kernel.complexmat(x, bt.shape), tangent.signature)
+        coord = mf.TangentCoord(x.view(np.complex128).reshape(bt.shape), tangent.signature)
         return kernel.realvec(mf.exp0(coord).z)
 
     jac = np.empty((x0.size, x0.size))
@@ -467,7 +481,6 @@ def test_classify_interior_at_pair_radius():
     tc = loci.cartan_to_tangent(d, 2, 2)
     verdict = loci.classify_conjugate(tc, np.pi / 1.4)
     assert verdict.label == "interior"
-    assert np.array_equal(verdict.plane.basis, mf.geodesic_group(tc, np.pi / 1.4).basis)
     top = verdict.angles.angles[:2]
     assert top[0] == pytest.approx(top[1], abs=1e-9)
     assert top[0] == pytest.approx(np.pi * 0.6 / 1.4, abs=1e-9)

@@ -5,8 +5,8 @@ from grassgeo import manifold as mf
 from grassgeo.errors import ChartEscapeError, DomainError, NotInChartError
 
 
-def _rand_chart(rng, n, m, signature="compact"):
-    return mf.haar_random_chart(n, m, rng, signature=signature)
+def _rand_chart(rng, n, m):
+    return mf.haar_random_chart(n, m, rng)
 
 
 def _projector(plane):
@@ -291,13 +291,6 @@ def test_haar_line_angle_distribution_is_uniform_in_cos2():
     sampled = mf.haar_random_plane(1, 1, seed=1).basis[0]
     got = abs(sampled[0]) ** 2 / np.linalg.norm(sampled) ** 2
     assert 0.0 <= got <= 1.0
-
-
-def test_haar_chart_respects_noncompact_ball():
-    rng = np.random.default_rng(33)
-    for _ in range(20):
-        z = mf.haar_random_chart(2, 2, rng, signature="noncompact")
-        assert np.linalg.svd(z.z, compute_uv=False)[0] < 1.0
 
 
 # --------------------------------------------------------------- validation

@@ -1,0 +1,173 @@
+"""Write a byte-stable snapshot of the program's observable outputs.
+
+    python3 tools/snapshot.py OUTDIR
+
+Runs a fixed set of CLI commands in process, with their exit codes, and a
+seeded dump of library answers, against the package under this checkout's
+src/.  Each CLI case writes OUTDIR/<name>.txt holding its exit code, stdout
+and stderr; conj-scan cases also write OUTDIR/<name>.csv.  The library dump
+is OUTDIR/library.txt.  Snapshots taken from two checkouts compare with
+
+    diff -r OLD NEW
+
+and an empty diff means the two give the same numbers, verdicts and exit
+codes on every case.  Exits 1 if any case's exit code is not the one listed
+in CASES, after writing every file.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from grassgeo import cli, loci, manifold  # noqa: E402
+from grassgeo.errors import GeometryError  # noqa: E402
+
+
+def _mat(rows) -> str:
+    a = np.asarray(rows, dtype=complex)
+    return json.dumps({"rows": a.shape[0], "cols": a.shape[1],
+                       "data": [[v.real, v.imag] for v in a.ravel()]})
+
+
+def _verify(seed, trials, n, m):
+    return ["verify", "--seed", str(seed), "--trials", str(trials), "--n", str(n),
+            "--m", str(m), "--no-timing", "--json", "-"]
+
+
+# (name, argv, expected exit code); "{csv}" in an argv stands for OUTDIR/<name>.csv
+CASES = (
+    ("scan-2x2", ["conj-scan", "--h", "0.8,0.6", "--n", "2", "--m", "2", "--t0", "0.5",
+                  "--t1", "9", "--steps", "400", "--out", "{csv}"], 0),
+    ("scan-3x5", ["conj-scan", "--h", "0.9,0.7,0.3", "--n", "3", "--m", "5", "--t0", "0.3",
+                  "--t1", "25", "--steps", "200", "--out", "{csv}"], 0),
+    ("scan-3x5-noncompact", ["conj-scan", "--h", "0.9,0.7,0.3", "--n", "3", "--m", "5",
+                             "--t0", "0.2", "--t1", "8", "--steps", "100",
+                             "--signature", "noncompact", "--out", "{csv}"], 0),
+    ("scan-6x8", ["conj-scan", "--h", "1.0,0.85,0.7,0.5,0.35,0.2", "--n", "6", "--m", "8",
+                  "--t0", "0.3", "--t1", "20", "--steps", "200", "--out", "{csv}"], 0),
+    ("scan-1x1", ["conj-scan", "--h", "1.0", "--n", "1", "--m", "1", "--t0", "0.3",
+                  "--t1", "20", "--steps", "77", "--out", "{csv}"], 0),
+    ("verify-42-30-3x4", _verify(42, 30, 3, 4), 0),
+    ("verify-7-40-2x2", _verify(7, 40, 2, 2), 0),
+    ("verify-1-5-3x2", _verify(1, 5, 3, 2), 0),
+    ("verify-3-10-5x3", _verify(3, 10, 5, 3), 0),
+    ("cut-test-in-locus", ["cut-test", _mat([[1, 0, 0.3, 0.1j], [0, 0, 1.0, 0.5]])], 0),
+    ("cut-test-generic", ["cut-test", _mat([[1, 0.2, 0.3j], [0.1, 1, -0.4]])], 0),
+    ("cut-test-routes-disagree", ["cut-test", _mat([[1e-7, 1]])], 3),
+    ("cut-test-dependent-rows", ["cut-test", _mat([[1, 2, 3], [2, 4, 6]])], 2),
+    ("conj-params-2x2", ["conj-params", "--h", "0.8,0.6", "--n", "2", "--m", "2"], 0),
+    ("conj-params-2x3", ["conj-params", "--h", "0.9,0.4", "--n", "2", "--m", "3",
+                         "--lambda-max", "3"], 0),
+    ("schubert-sample", ["schubert", "--symbol", "1,2", "--m", "2", "--sample",
+                         "--seed", "5", "--flag", "chart"], 0),
+)
+
+FILES = tuple(sorted([f"{name}.txt" for name, _, _ in CASES]
+                     + [f"{name}.csv" for name, argv, _ in CASES if "{csv}" in argv]
+                     + ["library.txt"]))
+
+
+def run_case(outdir: Path, name: str, argv: list[str]) -> int:
+    csv_path = str(outdir / f"{name}.csv")
+    argv = [csv_path if a == "{csv}" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    stdout = out.getvalue().replace(csv_path, f"{name}.csv")
+    (outdir / f"{name}.txt").write_text(
+        f"exit: {code}\n--- stdout\n{stdout}--- stderr\n{err.getvalue()}")
+    return code
+
+
+def _floats(a) -> str:
+    return " ".join(repr(float(v)) for v in np.asarray(a).ravel())
+
+
+def _cut_basis(rng, n, m) -> np.ndarray:
+    """A Haar plane's basis with its last row swapped for a vector in the
+    complement of the origin plane: a plane in the cut locus."""
+    basis = manifold.haar_random_plane(n, m, rng).basis.copy()
+    w = np.zeros(n + m, dtype=complex)
+    w[n:] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    basis[n - 1] = w / np.linalg.norm(w)
+    return basis
+
+
+def library_lines() -> list[str]:
+    """Seeded library answers: cut verdicts, pairings and Schubert answers on
+    Haar and built cut planes, chart draws, and classify_conjugate probes."""
+    lines = []
+    rng = np.random.default_rng(20261018)
+    shapes = ((1, 4), (2, 2), (2, 5), (3, 5), (4, 6), (6, 8), (3, 2))
+    for k in range(200):
+        n, m = shapes[k % len(shapes)]
+        built = k % 2 == 1
+        plane = manifold.Plane(_cut_basis(rng, n, m) if built
+                               else manifold.haar_random_plane(n, m, rng).basis)
+        w = np.sort(rng.integers(0, m + 1, size=n))
+        symbol = loci.SchubertSymbol(w=tuple(int(v) for v in w), m=m)
+        cut_symbol = loci.cut_locus_symbol(n, m)
+        try:
+            verdict = loci.cut_locus_test(plane)
+            cut = f"{verdict.in_locus} {verdict.max_angle!r} {verdict.pairing_abs!r}"
+        except GeometryError as exc:
+            cut = type(exc).__name__
+        answers = [loci.schubert_membership(plane, sym, flag=flag)
+                   for sym in (cut_symbol, symbol) for flag in ("standard", "perp", "chart")]
+        lines.append(f"plane {k} {n}x{m} {'cut' if built else 'haar'} {cut} "
+                     f"cayley={loci.cayley_cut_check(plane)} w={symbol.w} "
+                     f"schubert={' '.join(str(a) for a in answers)}")
+    for k in range(100):
+        n, m = shapes[k % len(shapes)]
+        z = manifold.haar_random_chart(n, m, rng)
+        lines.append(f"chart {k} {n}x{m} {_floats(z.z.view(np.float64))}")
+        basis = _cut_basis(rng, n, m) if k % 4 == 3 else manifold.haar_random_plane(n, m, rng).basis
+        try:
+            back = manifold.plane_to_chart(manifold.Plane(basis))
+            lines.append(f"plane-to-chart {k} {_floats(back.z.view(np.float64))}")
+        except GeometryError as exc:
+            lines.append(f"plane-to-chart {k} {type(exc).__name__}")
+    for k in range(50):
+        n, m = shapes[k % len(shapes)]
+        r = min(n, m)
+        h = np.sort(rng.uniform(0.1, 1.5, size=r))[::-1]
+        tc = loci.cartan_to_tangent(loci.CartanDirection(h), n, m)
+        # the half period (a boundary point), a pair radius (an interior
+        # coincidence when r > 1), or a random time
+        t = (np.pi / (2.0 * h[0]), np.pi / (h[0] + h[-1]),
+             float(rng.uniform(0.2, 6.0)))[k % 3]
+        try:
+            cls = loci.classify_conjugate(tc, t)
+            got = f"{cls.label} {cls.jacobian_ratio!r} {_floats(cls.angles.angles)}"
+        except GeometryError as exc:
+            got = type(exc).__name__
+        lines.append(f"classify {k} {n}x{m} t={t!r} {got}")
+    return lines
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: python3 tools/snapshot.py OUTDIR", file=sys.stderr)
+        return 2
+    outdir = Path(args[0])
+    outdir.mkdir(parents=True, exist_ok=True)
+    status = 0
+    for name, argv_case, expected in CASES:
+        code = run_case(outdir, name, argv_case)
+        if code != expected:
+            print(f"{name}: exit {code}, expected {expected}", file=sys.stderr)
+            status = 1
+    (outdir / "library.txt").write_text("\n".join(library_lines()) + "\n")
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
