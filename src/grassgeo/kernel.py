@@ -5,9 +5,9 @@ adds the conventions the rest of the package relies on (descending order,
 tolerance-based rank, spectral matrix functions of rectangular matrices,
 real central-difference Jacobians of complex maps).
 
-rank_tol is the package's one numerical-rank rule and RANK_TOL its one
-tolerance: Plane validation, the chart test of plane_to_chart and the
-Schubert incidence conditions all read rank through it.
+numerical_rank is the package's one numerical-rank rule and RANK_TOL its
+one tolerance: Plane validation applies it to the SVD it keeps, and every
+other rank test reads it through rank_tol.
 """
 from __future__ import annotations
 
@@ -98,13 +98,20 @@ def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x, step: float = 1e-4) ->
     return ((values[:d] - values[d:]) / (2.0 * step)).T
 
 
+def numerical_rank(s: np.ndarray) -> int:
+    """Numerical rank from descending singular values: those above
+    RANK_TOL * max(s_max, 1)."""
+    if s.size == 0:
+        return 0
+    return int(np.count_nonzero(s > RANK_TOL * max(float(s[0]), 1.0)))
+
+
 def rank_tol(a) -> int:
-    """Numerical rank: singular values above RANK_TOL * max(s_max, 1)."""
+    """Numerical rank of a matrix by the rule of numerical_rank."""
     arr = as_complex_matrix(a)
     if arr.size == 0:
         return 0
-    s = np.linalg.svd(arr, compute_uv=False)
-    return int(np.count_nonzero(s > RANK_TOL * max(float(s[0]), 1.0)))
+    return numerical_rank(np.linalg.svd(arr, compute_uv=False))
 
 
 def realvec(z) -> np.ndarray:

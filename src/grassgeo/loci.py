@@ -29,8 +29,8 @@ import numpy as np
 from . import kernel
 from .errors import ChartEscapeError, ConsistencyError, DomainError
 from .manifold import (AngleSpectrum, Plane, TangentCoord, _descending_angles, _exp0_stack,
-                       _geodesic_group_stack, _origin_angles_stack, _origin_pairing_stack,
-                       _tanh_saturates, tan_pole_distance)
+                       _geodesic_group_stack, _origin_angles_stack, _origin_frame_angles,
+                       _tanh_saturates, _unit_rows, tan_pole_distance)
 
 ANGLE_TOL = 1e-6
 CAYLEY_TOL = 1e-9
@@ -123,11 +123,10 @@ def schubert_membership(plane: Plane, symbol: SchubertSymbol,
     """Whether the plane satisfies every incidence condition of the symbol.
 
     dim(X intersect V_p) is read off as n + p - kernel.rank_tol of the basis
-    rows, each scaled so that its largest entry has modulus 1, stacked on
-    the first p flag vectors.  The scaling keeps the plane and puts its rows
-    on the scale of the unit flag vectors, so the verdict does not depend on
-    the basis scale.  (A row norm in place of the largest modulus would
-    overflow from entries of about 1e154.)  A condition with w_i = m is
+    rows, each scaled so that its largest entry has modulus 1 (_unit_rows),
+    stacked on the first p flag vectors.  The scaling keeps the plane and
+    puts its rows on the scale of the unit flag vectors, so the verdict does
+    not depend on the basis scale.  A condition with w_i = m is
     skipped: there p = m + i + 1 and the rank of the stack is at most
     N = n + m, so the meet is at least i + 1 for every plane and flag.  Of
     the n conditions of cut_locus_symbol only the first is computed.
@@ -137,7 +136,7 @@ def schubert_membership(plane: Plane, symbol: SchubertSymbol,
         raise ValueError(f"plane shape {plane.basis.shape} does not match symbol ({n},{n + m})")
     order = flag_order(symbol, flag)
     eye = np.eye(n + m, dtype=complex)
-    rows = plane.basis / np.abs(plane.basis).max(axis=1, keepdims=True)
+    rows = _unit_rows(plane.basis)
     for i in range(n):
         if symbol.w[i] == m:
             continue
@@ -183,18 +182,18 @@ def cut_locus_test(plane: Plane) -> LocusVerdict:
     overlap with |0>, and by Cauchy-Binet the normalized Pluecker pairing.
     Both routes read the plane's own leading block and build no origin
     plane: the angles are the arccos of the singular values of the leading
-    n x n block of the orthonormalized basis.  The values equal
-    stationary_angles_svd and cos_cayley_planes against base_plane(n, m)
-    bit for bit.  The plane is in the locus when the angle reaches pi/2
-    within ANGLE_TOL, equivalently when the pairing falls to PAIRING_TOL.
+    n x n block of the plane's frame, and the pairing is the plane's cached
+    origin_pairing.  The values equal stationary_angles_svd and
+    cos_cayley_planes against base_plane(n, m) bit for bit.  The plane is in
+    the locus when the angle reaches pi/2 within ANGLE_TOL, equivalently
+    when the pairing falls to PAIRING_TOL.
     Disagreement between the routes raises ConsistencyError rather than
     picking a side.
     """
-    basis = plane.basis[None]
-    max_angle = float(np.max(_origin_angles_stack(basis)))
+    max_angle = float(np.max(_origin_frame_angles(plane.frame[None])))
     by_angle = max_angle >= np.pi / 2 - ANGLE_TOL
 
-    pairing = float(_origin_pairing_stack(basis)[0])
+    pairing = plane.origin_pairing
     by_pairing = pairing <= PAIRING_TOL
 
     if by_angle != by_pairing:
@@ -207,8 +206,9 @@ def cut_locus_test(plane: Plane) -> LocusVerdict:
 def cayley_cut_check(plane: Plane) -> bool:
     """Cut locus membership from the normalized Gram pairing alone: the
     arccos of the plane-level cosine reaches pi/2 within CAYLEY_TOL.  The
-    cosine is read from the plane's leading block, as in cut_locus_test."""
-    cos = float(_origin_pairing_stack(plane.basis[None])[0])
+    cosine is the plane's cached origin_pairing, which cut_locus_test reads
+    too."""
+    cos = plane.origin_pairing
     return float(np.arccos(np.clip(cos, 0.0, 1.0))) >= np.pi / 2 - CAYLEY_TOL
 
 

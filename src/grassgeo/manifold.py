@@ -12,13 +12,14 @@ Z(t) = B ta(t sqrt(B*B)) / sqrt(B*B) with ta = tan or tanh, and the group
 form obtained from the one-parameter subgroup acting on O, which never
 leaves the manifold and is used whenever the chart form hits a pole.
 
-A Plane is validated, and plane_to_chart decides chart membership, by
-numerical rank through kernel.rank_tol, the package's one rank rule.
+A Plane runs one thin SVD of its basis: the package's one rank rule reads
+its singular values, and its right factor is the orthonormal frame that
+every angle route reads.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -81,19 +82,42 @@ class TangentCoord:
         return self.b.shape
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Plane:
-    """n-plane in C^N given by a row basis (rows span the plane, rank n)."""
+    """n-plane in C^N given by a row basis (rows span the plane, rank n).
+
+    The thin SVD A = U S V* of the basis that validates the rank is kept as
+    frame = V (N x n): V* is an orthonormal row basis of the plane.  The
+    pairing with the origin plane is computed on first use and kept.  The
+    plane is frozen and both arrays are read-only, so neither can go stale
+    through the plane.
+    """
 
     basis: np.ndarray
+    frame: np.ndarray = field(init=False, repr=False, compare=False)
+    _origin_pairing: float | None = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
-        self.basis = kernel.as_complex_matrix(self.basis, "basis")
-        n, big_n = self.basis.shape
+        basis = kernel.as_complex_matrix(self.basis, "basis").view()
+        n, big_n = basis.shape
         if not 1 <= n < big_n:
             raise ValueError(f"need 1 <= n < N for a proper plane, got {n} x {big_n}")
-        if kernel.rank_tol(self.basis) != n:
+        res = kernel.svd(basis)
+        if kernel.numerical_rank(res.s) != n:
             raise ValueError("basis rows are numerically dependent")
+        basis.flags.writeable = res.v.flags.writeable = False
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "frame", res.v)
+
+    @property
+    def origin_pairing(self) -> float:
+        """cos_cayley_planes against the origin plane, read from the leading
+        block by _origin_pairing_stack; computed once per plane."""
+        if self._origin_pairing is None:
+            object.__setattr__(self, "_origin_pairing",
+                               float(_origin_pairing_stack(self.basis[None])[0]))
+        return self._origin_pairing
 
     @property
     def n(self) -> int:
@@ -211,9 +235,18 @@ def cos_cayley_planes(p: Plane, q: Plane) -> float:
     return float(_cos_cayley_stack(p.basis[None], q.basis[None])[0])
 
 
+def _unit_rows(a: np.ndarray) -> np.ndarray:
+    """Each row of a basis, or of a stack of them, scaled to a largest
+    modulus of 1: the same plane, on the scale of unit vectors.  (A row norm
+    would overflow from entries of about 1e154.)"""
+    return a / np.abs(a).max(axis=-1, keepdims=True)
+
+
 def _cos_cayley_stack(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """cos_cayley_planes over (k, n, N) stacks of row bases; q may be a stack
-    of one, paired with every member of p."""
+    of one, paired with every member of p.  The ratio does not change when a
+    row is scaled; on _unit_rows no determinant overflows."""
+    p, q = _unit_rows(p), _unit_rows(q)
     qh = q.conj().swapaxes(-1, -2)
     num = np.abs(np.linalg.det(p @ qh))
     den = np.sqrt(np.linalg.det(p @ p.conj().swapaxes(-1, -2)).real * np.linalg.det(q @ qh).real)
@@ -222,9 +255,11 @@ def _cos_cayley_stack(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _origin_pairing_stack(p: np.ndarray) -> np.ndarray:
     """_cos_cayley_stack against the origin plane O, read from each basis's
-    leading block: |det A[:, :n]| / sqrt(det A A*).  The same numbers, since
-    A O* is exactly that block and det(O O*) is exactly 1."""
+    leading block: |det A[:, :n]| / sqrt(det A A*), on _unit_rows(A).  The
+    same numbers, since the rows of O are already unit rows, A O* is exactly
+    the leading block and det(O O*) is exactly 1."""
     n = p.shape[-2]
+    p = _unit_rows(p)
     gram = np.linalg.det(p @ p.conj().swapaxes(-1, -2)).real
     return np.minimum(np.abs(np.linalg.det(p[..., :n])) / np.sqrt(gram), 1.0)
 
@@ -256,34 +291,45 @@ def _inv_sqrt_gram(a: np.ndarray) -> np.ndarray:
 
 
 def stationary_angles_svd(p: Plane, q: Plane) -> AngleSpectrum:
-    """Stationary angles as arccos of singular values of Q1* Q2 for
-    orthonormalized bases; defined for every pair of planes."""
+    """Stationary angles as arccos of the singular values of V1* V2 for the
+    planes' orthonormal frames (Bjorck-Golub); defined for every pair of
+    planes."""
     if p.big_n != q.big_n or p.n != q.n:
         raise ValueError(f"plane shape mismatch: {p.basis.shape} vs {q.basis.shape}")
-    return AngleSpectrum(_angles_svd_stack(p.basis[None], q.basis[None])[0])
+    return AngleSpectrum(_frame_angles(p.frame[None], q.frame[None])[0])
 
 
 def _angles_svd_stack(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """stationary_angles_svd over (k, n, N) stacks of row bases, as a (k, n)
     array of angles in no fixed order; q may be a stack of one, paired with
     every member of p."""
-    q1 = np.linalg.qr(p.swapaxes(-1, -2))[0]
-    q2 = np.linalg.qr(q.swapaxes(-1, -2))[0]
-    return _angles_of(q1.conj().swapaxes(-1, -2) @ q2, p.shape[-1])
+    return _frame_angles(kernel.svd(p).v, kernel.svd(q).v)
 
 
 def _origin_angles_stack(p: np.ndarray) -> np.ndarray:
-    """_angles_svd_stack against the origin plane O, without orthonormalizing
-    O: the QR factor of O* is exactly O*, so Q1* O* is exactly the leading
-    n rows of Q1, conjugate-transposed, and the angles are the same numbers."""
-    n = p.shape[-2]
-    q1 = np.linalg.qr(p.swapaxes(-1, -2))[0]
-    return _angles_of(q1[..., :n, :].conj().swapaxes(-1, -2), p.shape[-1])
+    """_angles_svd_stack against the origin plane O."""
+    return _origin_frame_angles(kernel.svd(p).v)
+
+
+def _frame_angles(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """Angles from (k, N, n) stacks of orthonormal frames; f2 may be a stack
+    of one, paired with every member of f1."""
+    return _angles_of(f1.conj().swapaxes(-1, -2) @ f2, f1.shape[-2])
+
+
+def _origin_frame_angles(f: np.ndarray) -> np.ndarray:
+    """_frame_angles against the frame of the origin plane O without forming
+    it.  LAPACK's SVD of the basis (1_n | 0) of O is exactly
+    (1_n, 1, (1_n | 0)), so O's frame is exactly (1_n | 0)^T, V* times it is
+    exactly the leading n rows of V conjugate-transposed, and the angles
+    are the same numbers."""
+    n = f.shape[-1]
+    return _angles_of(f[..., :n, :].conj().swapaxes(-1, -2), f.shape[-2])
 
 
 def _angles_of(cross: np.ndarray, big_n: int) -> np.ndarray:
     """Angles whose cosines are the singular values of the (k, n, n) products
-    Q1* Q2 of orthonormal bases of n-planes in C^N."""
+    V1* V2 of orthonormal frames of n-planes in C^N."""
     n = cross.shape[-1]
     cos = np.clip(np.linalg.svd(cross, compute_uv=False), 0.0, 1.0)
     # two n-planes in C^N meet in at least 2n - N dimensions
@@ -436,23 +482,33 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _gaussian_rows(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
+    """n complex Gaussian rows in C^(n+m); their span is a Haar-random plane."""
+    return rng.standard_normal((n, n + m)) + 1j * rng.standard_normal((n, n + m))
+
+
 def haar_random_plane(n: int, m: int, seed=None) -> Plane:
     """Uniformly random n-plane in C^(n+m): orthonormalized complex Gaussian."""
-    rng = _rng(seed)
-    g = (rng.standard_normal((n, n + m)) + 1j * rng.standard_normal((n, n + m)))
+    g = _gaussian_rows(_rng(seed), n, m)
     q, _ = np.linalg.qr(g.T / np.sqrt(2.0))
     return Plane(q.T.copy())
 
 
 def haar_random_chart(n: int, m: int, seed=None) -> ChartPoint:
     """Compact chart coordinate of a random plane, resampling until it lies
-    in the chart."""
+    in the chart.
+
+    Z = G_lead^-1 G_trail is solved from the Gaussian rows G that
+    haar_random_plane draws, with the same generator calls; its
+    orthonormalized rows span the same plane.  A draw is in the chart when
+    G_lead has full kernel.rank_tol rank, as in plane_to_chart.
+    """
     rng = _rng(seed)
     for _ in range(64):
-        try:
-            return plane_to_chart(haar_random_plane(n, m, rng))
-        except NotInChartError:
-            continue
+        g = _gaussian_rows(rng, n, m)
+        lead = g[:, :n]
+        if kernel.rank_tol(lead) == n:
+            return ChartPoint(z=np.linalg.solve(lead, g[:, n:]))
     raise NumericalFailure("no chart sample found in 64 tries")
 
 

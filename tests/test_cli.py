@@ -208,13 +208,24 @@ def test_wrongly_typed_matrix_entries_are_bad_input(capsys):
     assert code == 2 and "bad input" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_overflowing_minor_pairing_is_a_geometric_error(capsys):
-    # the Gram determinants of this plane overflow, so the pairing route reads
-    # nan; the routes then disagree and the CLI reports a geometric error
+def test_cut_test_pairing_does_not_overflow(capsys):
+    # the Gram determinants of these bases overflow unless each row is first
+    # scaled to a largest modulus of 1.  The first row here is within about
+    # 1e-300 of orthogonal to O, so the plane is in the locus on every route
     plane = [[1.5, 1.5], [1.5, -0.7], [1e300, 0.0], [1e300, -0.7], [0.3, 0.0], [1.5, 0.0]]
-    code, _, err = _run(capsys, "cut-test", json.dumps({"rows": 2, "cols": 3, "data": plane}))
-    assert code == 3 and "disagree" in err
+    code, out, _ = _run(capsys, "cut-test", json.dumps({"rows": 2, "cols": 3, "data": plane}))
+    assert code == 0
+    got = json.loads(out)
+    assert got["in_locus"] and got["cayley"] and got["schubert"]
+    # |det A[:, :2]| / sqrt(det AA*) = |1.5 - 0.7i| * 1e-300 to rounding
+    assert got["pairing_abs"] == pytest.approx(np.sqrt(2.74) * 1e-300, rel=1e-12)
+    # O itself with every entry 1e100: out of the locus, pairing exactly 1
+    for n in (2, 3, 4, 5):
+        code, out, _ = _run(capsys, "cut-test", _mat(1e100 * np.eye(n, n + 2)))
+        assert code == 0
+        got = json.loads(out)
+        assert not (got["in_locus"] or got["cayley"] or got["schubert"]), n
+        assert got["pairing_abs"] == 1.0 and got["max_angle"] == 0.0, n
 
 
 def test_noncompact_group_geodesic_far_out_stays_a_plane(capsys):

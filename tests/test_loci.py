@@ -155,6 +155,56 @@ def test_origin_cut_routes_equal_the_general_routes(n, m):
             assert loci.cayley_cut_check(plane) == (arccos >= np.pi / 2 - loci.CAYLEY_TOL)
 
 
+def test_planes_are_factored_once(monkeypatch):
+    # a Plane runs one SVD, and the cut and angle routes read its frame and
+    # its cached origin pairing: no further SVD or QR of the basis
+    calls = {"svd": 0, "qr": 0, "pairing": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(kernel, "svd", counted("svd", kernel.svd))
+    monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+    monkeypatch.setattr(mf, "_origin_pairing_stack",
+                        counted("pairing", mf._origin_pairing_stack))
+    rng = np.random.default_rng(71)
+    for n, m in ((1, 4), (3, 5), (6, 8)):
+        built = _cut_plane(rng, n, m)
+        g = rng.standard_normal((n, n + m)) + 1j * rng.standard_normal((n, n + m))
+        calls.update(svd=0, qr=0, pairing=0)
+        other = mf.Plane(g)
+        origin = mf.base_plane(n, m)
+        assert calls == {"svd": 2, "qr": 0, "pairing": 0}
+        for plane in (built, other):
+            calls.update(svd=0, pairing=0)
+            for _ in range(2):
+                verdict = loci.cut_locus_test(plane)
+                assert loci.cayley_cut_check(plane) == verdict.in_locus
+                mf.stationary_angles_svd(plane, origin)
+                mf.stationary_angles_svd(built, other)
+            assert calls == {"svd": 0, "qr": 0, "pairing": 1}, (n, m)
+        assert loci.cut_locus_test(built).in_locus and not loci.cut_locus_test(other).in_locus
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_cut_routes_do_not_overflow_on_large_bases(n):
+    # the origin plane with every entry 1e100 to 1e300: the Gram
+    # determinants of the unscaled rows overflow from n = 2 on
+    for m in (1, 3):
+        origin = mf.base_plane(n, m)
+        symbol = loci.cut_locus_symbol(n, m)
+        for scale in (1e100, 1e150, 1e300):
+            plane = mf.Plane(scale * origin.basis)
+            verdict = loci.cut_locus_test(plane)
+            assert not verdict.in_locus and verdict.max_angle == 0.0
+            assert verdict.pairing_abs == mf.cos_cayley_planes(plane, origin) == 1.0
+            assert not loci.cayley_cut_check(plane)
+            assert not loci.schubert_membership(plane, symbol, flag="perp")
+
+
 @pytest.mark.parametrize("shape, h", [((2, 2), (0.8, 0.6)), ((3, 5), (0.9, 0.7, 0.3)),
                                       ((4, 2), (1.0, 0.4))])
 def test_origin_stacks_equal_the_general_stacks_on_a_scan(shape, h):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,23 @@ def test_haar_plane_is_deterministic_and_orthonormal():
     assert np.linalg.norm(p1.basis @ p1.basis.conj().T - np.eye(2)) < 1e-12
 
 
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (3, 2), (6, 8)])
+def test_haar_random_chart_solves_the_drawn_rows(n, m):
+    # the chart point is solved from the Gaussian rows themselves; the route
+    # through the orthonormalized rows of haar_random_plane and
+    # plane_to_chart must give the same Z, from the same generator calls
+    for seed in range(51):
+        got = mf.haar_random_chart(n, m, seed)
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, n + m)) + 1j * rng.standard_normal((n, n + m))
+        q = np.linalg.qr(g.T / np.sqrt(2.0))[0].T
+        want = np.linalg.solve(q[:, :n], q[:, n:])
+        assert np.linalg.norm(got.z - want) <= 1e-12 * np.linalg.norm(want), seed
+        stream = np.random.default_rng(seed)
+        mf.haar_random_chart(n, m, stream)
+        assert stream.standard_normal() == rng.standard_normal()
+
+
 def test_haar_line_angle_distribution_is_uniform_in_cos2():
     rng = np.random.default_rng(32)
     vals = []
@@ -298,6 +317,17 @@ def test_haar_line_angle_distribution_is_uniform_in_cos2():
 def test_plane_rejects_dependent_rows():
     with pytest.raises(ValueError):
         mf.Plane(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], dtype=complex))
+
+
+def test_plane_is_frozen():
+    # the frame and the origin pairing are computed from the basis once
+    plane = mf.base_plane(2, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plane.basis = np.eye(2, 5, k=1, dtype=complex)
+    for array in (plane.basis, plane.frame):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 1] = 1.0
+    assert np.array_equal(plane.basis, np.eye(2, 5))
 
 
 def test_plane_to_chart_outside_chart():
