@@ -68,11 +68,6 @@ def _chart(args, text: str) -> manifold.ChartPoint:
                                signature=args.signature)
 
 
-def _tangent(args, text: str) -> manifold.TangentCoord:
-    return manifold.TangentCoord(b=_parse_matrix(text, args.n, args.m),
-                                 signature=args.signature)
-
-
 def _plane(args, text: str) -> manifold.Plane:
     return manifold.Plane(_parse_matrix(text, args.n, args.m))
 
@@ -109,19 +104,13 @@ def _cmd_dist(args) -> int:
     return 0
 
 
-def _cmd_exp(args) -> int:
-    tc = _tangent(args, args.b)
-    _emit(_matrix_json(manifold.geodesic_chart(tc, args.t).z))
-    return 0
-
-
 def _cmd_log(args) -> int:
     _emit(_matrix_json(manifold.log0(_chart(args, args.z)).b))
     return 0
 
 
 def _cmd_geodesic(args) -> int:
-    tc = _tangent(args, args.b)
+    tc = manifold.TangentCoord(b=_parse_matrix(args.b, args.n, args.m), signature=args.signature)
     if args.route == "chart":
         _emit(_matrix_json(manifold.geodesic_chart(tc, args.t).z))
     else:
@@ -250,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b")
     p.add_argument("--t", type=float, default=1.0)
     _add_chart_flags(p)
-    p.set_defaults(func=_cmd_exp)
+    p.set_defaults(func=_cmd_geodesic, route="chart")
 
     p = sub.add_parser("log", help="tangent preimage of a chart point")
     p.add_argument("z")

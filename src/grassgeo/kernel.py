@@ -68,8 +68,10 @@ def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
     arr = as_complex_matrix(a)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"herm_eig needs a square matrix, got {arr.shape}")
-    defect = np.linalg.norm(arr - arr.conj().T)
-    if defect > HERMITIAN_RTOL * max(np.linalg.norm(arr), 1e-300):
+    # scaled to a largest modulus of 1, neither norm overflows
+    unit = arr / max(float(np.abs(arr).max(initial=0.0)), 1e-300)
+    defect = np.linalg.norm(unit - unit.conj().T)
+    if defect > HERMITIAN_RTOL * np.linalg.norm(unit):
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
     try:
         vals, vecs = np.linalg.eigh(arr)

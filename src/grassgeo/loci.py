@@ -29,8 +29,8 @@ import numpy as np
 from . import kernel
 from .errors import ChartEscapeError, ConsistencyError, DomainError
 from .manifold import (AngleSpectrum, Plane, TangentCoord, _descending_angles, _exp0_stack,
-                       _geodesic_group_stack, _origin_angles_stack, _origin_frame_angles,
-                       _tanh_saturates, _unit_rows, tan_pole_distance)
+                       _geodesic_group_stack, _origin_frame_angles, _rng, _tanh_saturates,
+                       _unit_rows, tan_pole_distance)
 
 ANGLE_TOL = 1e-6
 CAYLEY_TOL = 1e-9
@@ -152,7 +152,7 @@ def schubert_generic_sample(symbol: SchubertSymbol, seed=None,
                             flag: str = "chart") -> Plane:
     """Random plane in the open cell of the variety: row i is the pivot flag
     vector at position w_i + i plus a random combination of the earlier ones."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _rng(seed)
     n, m = symbol.n, symbol.m
     order = flag_order(symbol, flag)
     basis = np.zeros((n, n + m), dtype=complex)
@@ -459,7 +459,7 @@ def _classify_stack(tangent: TangentCoord, ts: np.ndarray):
     r = min(n, m)
     res = kernel.svd(tangent.b)
     bases = _geodesic_group_stack(res, ts, tangent.signature)
-    angles = _descending_angles(_origin_angles_stack(bases))
+    angles = _descending_angles(_origin_frame_angles(kernel.svd(bases).v))
     wong = (angles[:, 0] >= np.pi / 2 - ANGLE_TOL) | (angles[:, r - 1] <= ANGLE_TOL)
     gaps = angles[:, :r - 1] - angles[:, 1:r]
     interior = np.min(gaps, axis=1, initial=np.inf) <= ANGLE_TOL

@@ -181,11 +181,17 @@ def chart_to_plane(point: ChartPoint) -> Plane:
 def plane_to_chart(plane: Plane) -> ChartPoint:
     """Compact chart coordinate of a plane, when the leading n x n block is
     invertible: has full kernel.rank_tol rank."""
-    n = plane.n
-    lead = plane.basis[:, :n]
+    return ChartPoint(z=_chart_solve(plane.basis))
+
+
+def _chart_solve(rows: np.ndarray) -> np.ndarray:
+    """Z = A_lead^-1 A_trail for an n x N row basis A of the plane (1_n | Z);
+    NotInChartError unless A_lead has full kernel.rank_tol rank."""
+    n = rows.shape[0]
+    lead = rows[:, :n]
     if kernel.rank_tol(lead) != n:
         raise NotInChartError("leading block is singular; plane lies outside the chart")
-    return ChartPoint(z=np.linalg.solve(lead, plane.basis[:, n:]))
+    return np.linalg.solve(lead, rows[:, n:])
 
 
 def _check_pair(zp: ChartPoint, z: ChartPoint) -> None:
@@ -195,28 +201,36 @@ def _check_pair(zp: ChartPoint, z: ChartPoint) -> None:
         raise ValueError(f"signature mismatch: {zp.signature} vs {z.signature}")
 
 
+def _chart_overflow(err: str, flag: int) -> None:
+    """np.errstate handler for the routes built on chart products such as
+    1 + Z Zp*, which finite coordinates can overflow or round to nonsense."""
+    raise DomainError(f"floating-point {err} in the chart products: the chart coordinates "
+                      "are too large for this route")
+
+
 def overlap(zp: ChartPoint, z: ChartPoint) -> complex:
     """Unnormalized pairing of two chart points; the first argument is conjugated.
 
     Compact: det(1 + Z Zp*).  Noncompact: det(1 - Z Zp*).  For hat bases this
     is the Gram determinant det((zp_i, z_j)) of the two row families.
+    DomainError where the product or its determinant overflows.
     """
     _check_pair(zp, z)
     n = z.shape[0]
     sign = 1.0 if z.signature == "compact" else -1.0
-    return complex(np.linalg.det(np.eye(n) + sign * (z.z @ zp.z.conj().T)))
+    with np.errstate(call=_chart_overflow, over="call", invalid="call", divide="call"):
+        return complex(np.linalg.det(np.eye(n) + sign * (z.z @ zp.z.conj().T)))
 
 
 def cos_cayley(zp: ChartPoint, z: ChartPoint) -> float:
-    """Normalized overlap magnitude in [0, 1] for compact chart points."""
+    """Normalized overlap magnitude in [0, 1] for compact chart points: the
+    overflow-free Gram pairing _cos_cayley_stack of their hat bases."""
     _check_pair(zp, z)
     if z.signature != "compact":
         raise DomainError(
             "the Cayley distance comes from the projective embedding of the "
             "compact space; the noncompact normalized overlap is not a cosine")
-    num = abs(overlap(zp, z))
-    den = np.sqrt(overlap(z, z).real * overlap(zp, zp).real)
-    return min(num / den, 1.0)
+    return float(_cos_cayley_stack(hat_basis(zp)[None], hat_basis(z)[None])[0])
 
 
 def cayley_distance(zp: ChartPoint, z: ChartPoint) -> float:
@@ -270,16 +284,19 @@ def stationary_angles_w(zp: ChartPoint, z: ChartPoint) -> AngleSpectrum:
     of the angles.  W is similar to the Hermitian G G* with
     G = (1+ZZ*)^-1/2 (1+ZZp*) (1+ZpZp*)^-1/2, so the eigenvalues are computed
     as squared singular values of G.  Requires a nonzero overlap.
+    DomainError where a chart product overflows, or rounds to a nan or a
+    division by zero.
     """
     _check_pair(zp, z)
     n = z.shape[0]
-    big_m = np.eye(n) + z.z @ zp.z.conj().T
-    if abs(np.linalg.det(big_m)) <= OVERLAP_TOL:
-        raise DomainError("vanishing overlap; use the orthonormal-basis angle route")
-    inv_sqrt_a = _inv_sqrt_gram(np.eye(n) + z.z @ z.z.conj().T)
-    inv_sqrt_ap = _inv_sqrt_gram(np.eye(n) + zp.z @ zp.z.conj().T)
-    g = inv_sqrt_a @ big_m @ inv_sqrt_ap
-    cos2 = np.clip(np.linalg.svd(g, compute_uv=False) ** 2, 0.0, 1.0)
+    with np.errstate(call=_chart_overflow, over="call", invalid="call", divide="call"):
+        big_m = np.eye(n) + z.z @ zp.z.conj().T
+        if abs(np.linalg.det(big_m)) <= OVERLAP_TOL:
+            raise DomainError("vanishing overlap; use the orthonormal-basis angle route")
+        inv_sqrt_a = _inv_sqrt_gram(np.eye(n) + z.z @ z.z.conj().T)
+        inv_sqrt_ap = _inv_sqrt_gram(np.eye(n) + zp.z @ zp.z.conj().T)
+        g = inv_sqrt_a @ big_m @ inv_sqrt_ap
+        cos2 = np.clip(np.linalg.svd(g, compute_uv=False) ** 2, 0.0, 1.0)
     # two n-planes in C^(n+m) meet in at least n - m dimensions
     cos2[:max(0, n - z.shape[1])] = 1.0
     return AngleSpectrum(np.arccos(np.sqrt(cos2)))
@@ -296,40 +313,22 @@ def stationary_angles_svd(p: Plane, q: Plane) -> AngleSpectrum:
     planes."""
     if p.big_n != q.big_n or p.n != q.n:
         raise ValueError(f"plane shape mismatch: {p.basis.shape} vs {q.basis.shape}")
-    return AngleSpectrum(_frame_angles(p.frame[None], q.frame[None])[0])
-
-
-def _angles_svd_stack(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """stationary_angles_svd over (k, n, N) stacks of row bases, as a (k, n)
-    array of angles in no fixed order; q may be a stack of one, paired with
-    every member of p."""
-    return _frame_angles(kernel.svd(p).v, kernel.svd(q).v)
-
-
-def _origin_angles_stack(p: np.ndarray) -> np.ndarray:
-    """_angles_svd_stack against the origin plane O."""
-    return _origin_frame_angles(kernel.svd(p).v)
-
-
-def _frame_angles(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-    """Angles from (k, N, n) stacks of orthonormal frames; f2 may be a stack
-    of one, paired with every member of f1."""
-    return _angles_of(f1.conj().swapaxes(-1, -2) @ f2, f1.shape[-2])
+    return AngleSpectrum(_angles_of(p.frame.conj().T @ q.frame, p.big_n))
 
 
 def _origin_frame_angles(f: np.ndarray) -> np.ndarray:
-    """_frame_angles against the frame of the origin plane O without forming
-    it.  LAPACK's SVD of the basis (1_n | 0) of O is exactly
-    (1_n, 1, (1_n | 0)), so O's frame is exactly (1_n | 0)^T, V* times it is
-    exactly the leading n rows of V conjugate-transposed, and the angles
-    are the same numbers."""
+    """The angles of stationary_angles_svd against the origin plane O, from a
+    (k, N, n) stack of frames, without forming O's frame.  LAPACK's SVD of
+    the basis (1_n | 0) of O is exactly (1_n, 1, (1_n | 0)), so O's frame is
+    exactly (1_n | 0)^T, V* times it is exactly the leading n rows of V
+    conjugate-transposed, and the angles are the same numbers."""
     n = f.shape[-1]
     return _angles_of(f[..., :n, :].conj().swapaxes(-1, -2), f.shape[-2])
 
 
 def _angles_of(cross: np.ndarray, big_n: int) -> np.ndarray:
-    """Angles whose cosines are the singular values of the (k, n, n) products
-    V1* V2 of orthonormal frames of n-planes in C^N."""
+    """Angles whose cosines are the singular values of the (k, n, n), or
+    (n, n), products V1* V2 of orthonormal frames of n-planes in C^N."""
     n = cross.shape[-1]
     cos = np.clip(np.linalg.svd(cross, compute_uv=False), 0.0, 1.0)
     # two n-planes in C^N meet in at least 2n - N dimensions
@@ -482,14 +481,15 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _gaussian_rows(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
-    """n complex Gaussian rows in C^(n+m); their span is a Haar-random plane."""
-    return rng.standard_normal((n, n + m)) + 1j * rng.standard_normal((n, n + m))
+def _complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """A rows x cols matrix of independent complex Gaussians, real parts drawn
+    first.  Its rows span a Haar-random plane when rows < cols."""
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
 def haar_random_plane(n: int, m: int, seed=None) -> Plane:
     """Uniformly random n-plane in C^(n+m): orthonormalized complex Gaussian."""
-    g = _gaussian_rows(_rng(seed), n, m)
+    g = _complex_gaussian(_rng(seed), n, n + m)
     q, _ = np.linalg.qr(g.T / np.sqrt(2.0))
     return Plane(q.T.copy())
 
@@ -500,15 +500,16 @@ def haar_random_chart(n: int, m: int, seed=None) -> ChartPoint:
 
     Z = G_lead^-1 G_trail is solved from the Gaussian rows G that
     haar_random_plane draws, with the same generator calls; its
-    orthonormalized rows span the same plane.  A draw is in the chart when
-    G_lead has full kernel.rank_tol rank, as in plane_to_chart.
+    orthonormalized rows span the same plane.  The solve and its chart test
+    are plane_to_chart's; a draw outside the chart is drawn again, and
+    NumericalFailure follows 64 of them.
     """
     rng = _rng(seed)
     for _ in range(64):
-        g = _gaussian_rows(rng, n, m)
-        lead = g[:, :n]
-        if kernel.rank_tol(lead) == n:
-            return ChartPoint(z=np.linalg.solve(lead, g[:, n:]))
+        try:
+            return ChartPoint(z=_chart_solve(_complex_gaussian(rng, n, n + m)))
+        except NotInChartError:
+            continue
     raise NumericalFailure("no chart sample found in 64 tries")
 
 

@@ -159,18 +159,14 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 
 # ---------------------------------------------------------------- samplers
 
-def _complex_gaussian(rng, n, m):
-    return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-
-
 def _tangent_with_top_sv(rng, n, m, smax):
-    b = _complex_gaussian(rng, n, m)
+    b = manifold._complex_gaussian(rng, n, m)
     b *= smax / np.linalg.svd(b, compute_uv=False)[0]
     return manifold.TangentCoord(b=b)
 
 
 def _tangent_with_norm(rng, n, m, fro, signature="compact"):
-    b = _complex_gaussian(rng, n, m)
+    b = manifold._complex_gaussian(rng, n, m)
     b *= fro / np.linalg.norm(b)
     return manifold.TangentCoord(b=b, signature=signature)
 
@@ -188,7 +184,7 @@ def _cut_plane(rng, n, m):
     """Random plane containing a direction orthogonal to the origin plane."""
     rows = manifold.hat_basis(manifold.haar_random_chart(n, m, rng))
     w = np.zeros(n + m, dtype=complex)
-    w[n:] = _complex_gaussian(rng, 1, m)[0]
+    w[n:] = manifold._complex_gaussian(rng, 1, m)[0]
     w /= np.linalg.norm(w)
     rows[n - 1] = w
     return manifold.Plane(rows)
@@ -305,7 +301,7 @@ def _prop_overlap_symmetry(rng, cfg, tol):
     sym = abs(ov - np.conj(manifold.overlap(z, zp)))
     p = manifold.chart_to_plane(z)
     q = manifold.chart_to_plane(zp)
-    t = _complex_gaussian(rng, cfg.n, cfg.n) + 2.0 * np.eye(cfg.n)
+    t = manifold._complex_gaussian(rng, cfg.n, cfg.n) + 2.0 * np.eye(cfg.n)
     scaled = manifold.Plane(t @ p.basis)
     inv = abs(manifold.cos_cayley_planes(scaled, q) - manifold.cos_cayley_planes(p, q))
     return max(sym - tol * max(1.0, abs(ov)), inv - tol)
@@ -407,7 +403,7 @@ def _prop_conjugate_classes(rng, cfg, tol):
             return 1.0
         top = verdict.angles.angles[:r]
         worst = max(worst, float(np.min(np.abs(np.diff(top)))) - tol)
-    boundary = loci.classify_conjugate(tc, np.pi / (2.0 * direction.h[0]))
+    boundary = loci.classify_conjugate(tc, loci.cut_time(direction))
     if boundary.label != "wong":
         return 1.0
     worst = max(worst, (np.pi / 2 - boundary.angles.max_angle) - tol)
@@ -447,7 +443,7 @@ def _prop_jacobian_spectrum(rng, cfg, tol):
     # half the time, so rank-deficient) at a pole-clear time, both signatures
     worst = -np.inf
     for signature in ("compact", "noncompact"):
-        b = _complex_gaussian(rng, cfg.n, cfg.m)
+        b = manifold._complex_gaussian(rng, cfg.n, cfg.m)
         if cfg.n > 1 and rng.random() < 0.5:
             b[rng.integers(cfg.n)] = 0.0
         tc = manifold.TangentCoord(b / np.linalg.norm(b), signature)

@@ -228,6 +228,53 @@ def test_cut_test_pairing_does_not_overflow(capsys):
         assert got["pairing_abs"] == 1.0 and got["max_angle"] == 0.0, n
 
 
+def test_chart_routes_refuse_overflowing_products(capsys):
+    # finite chart coordinates whose products overflow: exit 3 naming the
+    # overflow, nothing on stdout, and no numpy warning, which pytest makes
+    # an error here
+    big = '{"rows":1,"cols":1,"data":[[1e200,0]]}'
+    code, out, err = _run(capsys, "overlap", big, big)
+    assert (code, out) == (3, "") and "overflow" in err
+    zp = '{"rows":1,"cols":2,"data":[[1e300,0],[0,0]]}'
+    z = '{"rows":1,"cols":2,"data":[[1,0],[0,0]]}'
+    code, out, err = _run(capsys, "angles", zp, z)
+    assert (code, out) == (3, "") and "overflow" in err
+    code, out, _ = _run(capsys, "angles", zp, z, "--route", "svd")
+    assert code == 0
+    assert json.loads(out)["angles"] == pytest.approx([np.pi / 4], rel=1e-12)
+    # the Cayley distance reads the Gram pairing, which does not overflow
+    code, out, _ = _run(capsys, "dist", _mat(1e160 * np.eye(2)))
+    assert code == 0
+    assert json.loads(out) == {"geodesic": pytest.approx(np.pi / np.sqrt(2), rel=1e-12),
+                               "cayley": 1.5707963267948966}
+
+
+def test_numerical_failure_is_exit_3(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    code, out, err = _run(capsys, "log", _mat([[0.5]]))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: SVD did not converge")
+
+
+_B = '{"rows":2,"cols":2,"data":[[1.0,0.3],[0.5,0],[0.2,0.1],[0.9,0]]}'
+
+
+@pytest.mark.parametrize("b, flags, code", [
+    (_B, ["--t", "0.8"], 0),
+    (_B, ["--t", "2.5", "--signature", "noncompact"], 0),
+    (_mat([[np.pi / 2]]), ["--t", "1"], 3),                # tan pole
+    (_B, ["--t", "14", "--signature", "noncompact"], 3),   # tanh rounds to 1
+    (_B, [], 0),                                           # exp's default --t of 1
+])
+def test_exp_is_the_chart_route_of_geodesic(b, flags, code, capsys):
+    got = _run(capsys, "exp", b, *flags)
+    want = _run(capsys, "geodesic", b, *(flags or ["--t", "1"]), "--route", "chart")
+    assert got == want and got[0] == code
+
+
 def test_noncompact_group_geodesic_far_out_stays_a_plane(capsys):
     # the unscaled (cosh | sinh) rows grew apart by e^22 at t = 30 and failed
     # the plane's rank test; the rescaled (1 | tanh) rows do not

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from grassgeo import kernel, manifold as mf
-from grassgeo.errors import NotInChartError
+from grassgeo.errors import NotInChartError, NumericalFailure
 
 
 def _unitary(rng, n):
@@ -43,6 +43,23 @@ def test_herm_eig_rejects_non_hermitian():
         kernel.herm_eig(np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex))
     with pytest.raises(ValueError):
         kernel.herm_eig(np.ones((2, 3), dtype=complex))
+
+
+def test_herm_eig_takes_entries_whose_squares_overflow():
+    a = 1e300 * np.array([[2.0, 1j], [-1j, 2.0]])
+    vals, _ = kernel.herm_eig(a)
+    assert vals == pytest.approx([3e300, 1e300], rel=1e-12)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        kernel.herm_eig(1e300 * np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex))
+
+
+def test_svd_nonconvergence_is_a_numerical_failure(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(NumericalFailure, match="SVD did not converge"):
+        kernel.svd(np.eye(2))
 
 
 def test_matrix_phi_identity_function_is_identity():

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from grassgeo import manifold as mf
-from grassgeo.errors import ChartEscapeError, DomainError, NotInChartError
+from grassgeo import kernel, manifold as mf
+from grassgeo.errors import ChartEscapeError, DomainError, NotInChartError, NumericalFailure
 
 
 def _rand_chart(rng, n, m):
@@ -97,6 +97,22 @@ def test_cos_cayley_planes_handles_any_basis_scaling():
     assert mf.cos_cayley_planes(p, q) == pytest.approx(mf.cos_cayley(zp, z), rel=1e-10)
 
 
+def test_cos_cayley_is_the_gram_pairing_of_the_hat_bases():
+    # one normalized pairing: the chart route reads the planes' Gram pairing
+    rng = np.random.default_rng(33)
+    for n, m in ((1, 1), (2, 3), (3, 2), (4, 4)):
+        z, zp = _rand_chart(rng, n, m), _rand_chart(rng, n, m)
+        want = mf.cos_cayley_planes(mf.chart_to_plane(zp), mf.chart_to_plane(z))
+        assert mf.cos_cayley(zp, z) == want
+    # so it answers where det(1 + Z Zp*) overflows: s e_i against e_i in n
+    # orthogonal copies of C^2 pairs to 2^(-n/2) as s grows
+    for n in (1, 2, 4):
+        zp = mf.ChartPoint(np.eye(n, n + 1, dtype=complex))
+        for s in (1e160, 1e300):
+            z = mf.ChartPoint(s * zp.z)
+            assert mf.cos_cayley(zp, z) == pytest.approx(2 ** (-n / 2), rel=1e-12)
+
+
 # ------------------------------------------------------------------ angles
 
 def test_angles_scalar_line_formula():
@@ -133,6 +149,23 @@ def test_angles_vanishing_overlap_needs_svd_route():
     zo = mf.ChartPoint(np.zeros((1, 1), dtype=complex))
     near = mf.stationary_angles_w(zo, z).max_angle
     assert abs(near - np.pi / 2) < 1e-6
+
+
+def test_chart_angle_route_refuses_only_what_floating_point_cannot_hold():
+    # Z = [[s, 1], [i, 2]] against Z' = 1: at s = 1e100 the Gram matrix
+    # 1 + ZZ* has entries of 1e200 and the route still answers, equal to the
+    # frame route on a row-scaled basis of the same plane; at s = 1e160 the
+    # product ZZ* overflows
+    zp = mf.ChartPoint(np.eye(2, dtype=complex))
+    z = mf.ChartPoint(np.array([[1e100, 1.0], [1j, 2.0]]))
+    rows = np.array([[1e-100, 0.0, 1.0, 1e-100], [0.0, 1.0, 1j, 2.0]])
+    want = mf.stationary_angles_svd(mf.chart_to_plane(zp), mf.Plane(rows)).angles
+    assert np.max(np.abs(mf.stationary_angles_w(zp, z).angles - want)) < 1e-12
+    big = mf.ChartPoint(np.array([[1e160, 1.0], [1j, 2.0]]))
+    with pytest.raises(DomainError, match="floating-point overflow"):
+        mf.stationary_angles_w(zp, big)
+    with pytest.raises(DomainError, match="floating-point overflow"):
+        mf.overlap(big, big)
 
 
 def test_angle_spectrum_is_sorted_and_clipped():
@@ -298,6 +331,21 @@ def test_haar_random_chart_solves_the_drawn_rows(n, m):
         stream = np.random.default_rng(seed)
         mf.haar_random_chart(n, m, stream)
         assert stream.standard_normal() == rng.standard_normal()
+
+
+def test_haar_random_chart_gives_up_after_64_draws_outside_the_chart(monkeypatch):
+    calls = []
+    monkeypatch.setattr(kernel, "rank_tol", lambda a: calls.append(a.shape) or 0)
+    rng = np.random.default_rng(34)
+    with pytest.raises(NumericalFailure, match="64 tries"):
+        mf.haar_random_chart(2, 3, rng)
+    assert calls == [(2, 2)] * 64
+    # each try drew its own rows
+    ref = np.random.default_rng(34)
+    for _ in range(64):
+        ref.standard_normal((2, 5))
+        ref.standard_normal((2, 5))
+    assert rng.standard_normal() == ref.standard_normal()
 
 
 def test_haar_line_angle_distribution_is_uniform_in_cos2():

@@ -206,7 +206,8 @@ def _escape_time(h):
 @pytest.mark.parametrize("shape, h, signature", [((2, 2), (0.8, 0.6), "compact"),
                                                  ((3, 5), (0.9, 0.7, 0.3), "compact"),
                                                  ((4, 6), (1.0, 0.7, 0.4, 0.2), "compact"),
-                                                 ((3, 5), (0.9, 0.7, 0.3), "noncompact")])
+                                                 ((3, 5), (0.9, 0.7, 0.3), "noncompact"),
+                                                 ((4, 2), (1.0, 0.4), "compact")])
 def test_scan_rows_equal_per_point_calls(shape, h, signature):
     # the stacked scan and the per-point API share one code path, so every
     # value must agree exactly, pole and escape rows included
