@@ -205,6 +205,20 @@ def test_cut_routes_do_not_overflow_on_large_bases(n):
             assert not loci.schubert_membership(plane, symbol, flag="perp")
 
 
+@pytest.mark.parametrize("shape, h", [((2, 2), (0.8, 0.6)), ((3, 5), (0.9, 0.7, 0.3)),
+                                      ((4, 2), (1.0, 0.4))])
+def test_origin_stacks_equal_the_general_stacks_on_a_scan(shape, h):
+    n, m = shape
+    res = kernel.svd(loci.cartan_to_tangent(loci.CartanDirection(np.array(h)), n, m).b)
+    bases = mf._geodesic_group_stack(res, np.linspace(0.3, 12.0, 41), "compact")
+    frames = kernel.svd(bases).v
+    origin = np.eye(n, n + m, dtype=complex)
+    general = mf._angles_of(frames.conj().swapaxes(-1, -2) @ kernel.svd(origin).v, n + m)
+    assert np.array_equal(mf._origin_frame_angles(frames), general)
+    assert np.array_equal(mf._origin_pairing_stack(bases),
+                          mf._cos_cayley_stack(bases, origin[None]))
+
+
 def _membership_every_condition(plane, symbol, flag):
     """schubert_membership without the dimension-count shortcut: one rank
     test for each of the n conditions."""
