@@ -16,9 +16,10 @@ differential of the chart exponential has a closed-form spectrum, the
 Daleckii-Krein divided differences of tan (tanh) at the singular values of
 t B (jacobian_spectrum); its zeros fall exactly at those radii, with the
 predicted multiplicities.  classify_conjugate and the scanner read their
-ratio from it.  A finite-difference Jacobian of the exponential
-(conjugate_test_jacobian) measures the same spectrum independently and is
-the route the verify suite checks it against.
+ratio from it, and their angles from the Cartan closed form in t h.  A
+finite-difference Jacobian of the exponential (conjugate_test_jacobian)
+measures the same spectrum independently and is the route the verify
+suite checks it against.
 """
 from __future__ import annotations
 
@@ -29,8 +30,8 @@ import numpy as np
 from . import kernel
 from .errors import ChartEscapeError, ConsistencyError, DomainError
 from .manifold import (AngleSpectrum, Plane, TangentCoord, _descending_angles, _exp0_stack,
-                       _geodesic_group_stack, _origin_frame_angles, _rng, _tanh_saturates,
-                       _unit_rows, tan_pole_distance)
+                       _finite_times, _origin_frame_angles, _rng, _tanh_saturates, _unit_rows,
+                       tan_pole_distance)
 
 ANGLE_TOL = 1e-6
 CAYLEY_TOL = 1e-9
@@ -349,7 +350,7 @@ def _fd_spectrum(tangent: TangentCoord, t: float) -> np.ndarray:
     """Descending singular values of the central-difference Jacobian of the
     chart map at t B, with _probe_clear's guard: ChartEscapeError near a tan
     pole, DomainError where a noncompact tanh saturates."""
-    bt = t * tangent.b
+    bt = _finite_times(t) * tangent.b
     step = float(_stencil_step(np.linalg.norm(bt)))
     svals = np.linalg.svd(bt, compute_uv=False)
     if not _probe_clear(svals[None], step, tangent.signature)[0]:
@@ -436,7 +437,7 @@ def jacobian_spectrum(tangent: TangentCoord, t) -> np.ndarray:
     where the finite-difference route raises ChartEscapeError, give nan
     rows; noncompact times whose chart image saturates raise DomainError.
     """
-    ts = np.asarray(t, dtype=float)
+    ts = _finite_times(t)
     st = ts.reshape(-1, 1) * kernel.svd(tangent.b).s
     return _spectrum_stack(st, tangent.shape, tangent.signature).reshape(ts.shape + (-1,))
 
@@ -453,19 +454,22 @@ class ConjugateClass:
 
 def _classify_stack(tangent: TangentCoord, ts: np.ndarray):
     """classify_conjugate at each time of the 1-D array ts, from one SVD of B:
-    labels (k,), angles (k, n) descending per row, Jacobian ratios (k,), and
-    the group-form row bases (k, n, n + m) the angles were read from."""
+    labels (k,), angles (k, n) descending per row, and Jacobian ratios (k,).
+    The angles are the Cartan closed form: t s folded into [0, pi/2] for each
+    singular value s of B, arctan(tanh(t s)) on the dual, and n - r zeros."""
     n, m = tangent.shape
     r = min(n, m)
     res = kernel.svd(tangent.b)
-    bases = _geodesic_group_stack(res, ts, tangent.signature)
-    angles = _descending_angles(_origin_frame_angles(kernel.svd(bases).v))
+    st = ts[:, None] * res.s
+    folded = (np.pi / 2 - tan_pole_distance(st) if tangent.signature == "compact"
+              else np.arctan(np.tanh(st)))
+    angles = _descending_angles(np.pad(folded, ((0, 0), (0, n - r))))
     wong = (angles[:, 0] >= np.pi / 2 - ANGLE_TOL) | (angles[:, r - 1] <= ANGLE_TOL)
     gaps = angles[:, :r - 1] - angles[:, 1:r]
     interior = np.min(gaps, axis=1, initial=np.inf) <= ANGLE_TOL
     labels = np.where(wong, "wong", np.where(interior, "interior", "none"))
-    spectrum = _spectrum_stack(ts[:, None] * res.s, (n, m), tangent.signature)
-    return labels, angles, spectrum[:, -1] / spectrum[:, 0], bases
+    spectrum = _spectrum_stack(st, (n, m), tangent.signature)
+    return labels, angles, spectrum[:, -1] / spectrum[:, 0]
 
 
 def classify_conjugate(tangent: TangentCoord, t: float) -> ConjugateClass:
@@ -477,8 +481,8 @@ def classify_conjugate(tangent: TangentCoord, t: float) -> ConjugateClass:
     precedence.  The extreme ratio of jacobian_spectrum at the same point is
     attached, or nan within 10 stencil steps of a tan pole, where the
     finite-difference route cannot read it.  This is the stacked scan path
-    on a stack of one.
+    on a stack of one; stationary_angles_svd of geodesic_group checks it.
     """
-    labels, angles, ratios, _ = _classify_stack(tangent, np.array([float(t)]))
+    labels, angles, ratios = _classify_stack(tangent, _finite_times(t).reshape(1))
     return ConjugateClass(label=str(labels[0]), angles=AngleSpectrum(angles[0]),
                           jacobian_ratio=float(ratios[0]))

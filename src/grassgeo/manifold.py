@@ -282,8 +282,8 @@ def stationary_angles_w(zp: ChartPoint, z: ChartPoint) -> AngleSpectrum:
     """Stationary angles from the eigenvalues of the chart product matrix
     W = (1+ZZ*)^-1 (1+ZZp*) (1+ZpZp*)^-1 (1+ZpZ*), whose spectrum is cos^2
     of the angles.  W is similar to the Hermitian G G* with
-    G = (1+ZZ*)^-1/2 (1+ZZp*) (1+ZpZp*)^-1/2, so the eigenvalues are computed
-    as squared singular values of G.  Requires a nonzero overlap.
+    G = (1+ZZ*)^-1/2 (1+ZZp*) (1+ZpZp*)^-1/2, so _angles_of reads the
+    cosines from G.  Requires a nonzero overlap.
     DomainError where a chart product overflows, or rounds to a nan or a
     division by zero.
     """
@@ -296,10 +296,7 @@ def stationary_angles_w(zp: ChartPoint, z: ChartPoint) -> AngleSpectrum:
         inv_sqrt_a = _inv_sqrt_gram(np.eye(n) + z.z @ z.z.conj().T)
         inv_sqrt_ap = _inv_sqrt_gram(np.eye(n) + zp.z @ zp.z.conj().T)
         g = inv_sqrt_a @ big_m @ inv_sqrt_ap
-        cos2 = np.clip(np.linalg.svd(g, compute_uv=False) ** 2, 0.0, 1.0)
-    # two n-planes in C^(n+m) meet in at least n - m dimensions
-    cos2[:max(0, n - z.shape[1])] = 1.0
-    return AngleSpectrum(np.arccos(np.sqrt(cos2)))
+        return AngleSpectrum(_angles_of(g, n + z.shape[1]))
 
 
 def _inv_sqrt_gram(a: np.ndarray) -> np.ndarray:
@@ -401,9 +398,17 @@ def log0(point: ChartPoint) -> TangentCoord:
     return TangentCoord(b=res.apply(vals), signature=point.signature)
 
 
+def _finite_times(t) -> np.ndarray:
+    """The time, or times, as a float array; ValueError unless all are finite."""
+    ts = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(ts)):
+        raise ValueError("times must be finite")
+    return ts
+
+
 def geodesic_chart(tangent: TangentCoord, t: float) -> ChartPoint:
     """Geodesic through the origin with initial velocity B, in the chart."""
-    return exp0(TangentCoord(b=t * tangent.b, signature=tangent.signature))
+    return exp0(TangentCoord(b=_finite_times(t) * tangent.b, signature=tangent.signature))
 
 
 def geodesic_group(tangent: TangentCoord, t: float) -> Plane:
@@ -418,24 +423,16 @@ def geodesic_group(tangent: TangentCoord, t: float) -> Plane:
     the rows grow apart like e^(t h) until they are numerically dependent.
     """
     res = kernel.svd(tangent.b)
-    return Plane(_geodesic_group_stack(res, np.array([float(t)]), tangent.signature)[0])
-
-
-def _geodesic_group_stack(res: kernel.SvdResult, ts: np.ndarray,
-                          signature: Signature) -> np.ndarray:
-    """geodesic_group's row bases at each time of the 1-D array ts, as a
-    (k, n, n + m) stack, from the SVD of B.  They need no rank test: the
-    compact rows are orthonormal, and the noncompact ones start with 1_n."""
-    st = ts[:, None] * res.s
-    if signature == "compact":
+    st = _finite_times(t) * res.s
+    if tangent.signature == "compact":
         co, si = np.cos(st), np.sin(st)
     else:
         co, si = np.ones_like(st), np.tanh(st)
     n = res.u.shape[0]
     # cos(t sqrt(BB*)) = 1_n + U (co - 1) U*: the orthogonal complement of the
     # column space of B carries co(0) = 1
-    left = np.eye(n, dtype=complex) + (res.u * (co - 1.0)[:, None, :]) @ res.u.conj().T
-    return np.concatenate([left, res.apply(si)], axis=-1)
+    left = np.eye(n, dtype=complex) + (res.u * (co - 1.0)) @ res.u.conj().T
+    return Plane(np.concatenate([left, res.apply(si)], axis=-1))
 
 
 def geodesic_residual(tangent: TangentCoord, t: float, step: float = 1e-3) -> float:

@@ -386,9 +386,11 @@ def _prop_conjugate_radii(rng, cfg, tol):
 
 @_property("conjugate-class-angles", loci.ANGLE_TOL, cap=8)
 def _prop_conjugate_classes(rng, cfg, tol):
+    # labels from classify_conjugate, margins from the group-form plane
     r = min(cfg.n, cfg.m)
     direction = _unit_direction(rng, r, min_gap=0.15, min_entry=0.2)
     tc = loci.cartan_to_tangent(direction, cfg.n, cfg.m)
+    origin = manifold.base_plane(cfg.n, cfg.m)
     worst = -np.inf
     if r > 1:
         pair_times = [par for par in
@@ -397,16 +399,16 @@ def _prop_conjugate_classes(rng, cfg, tol):
         testable = _testable_radii(pair_times, direction)
         if not testable:
             raise ConsistencyError("no probe-safe pair radius for the sampled direction")
-        par = testable[0]
-        verdict = loci.classify_conjugate(tc, par.t)
-        if verdict.label != "interior":
+        t = testable[0].t
+        if loci.classify_conjugate(tc, t).label != "interior":
             return 1.0
-        top = verdict.angles.angles[:r]
+        top = manifold.stationary_angles_svd(manifold.geodesic_group(tc, t), origin).angles[:r]
         worst = max(worst, float(np.min(np.abs(np.diff(top)))) - tol)
-    boundary = loci.classify_conjugate(tc, loci.cut_time(direction))
-    if boundary.label != "wong":
+    t = loci.cut_time(direction)
+    if loci.classify_conjugate(tc, t).label != "wong":
         return 1.0
-    worst = max(worst, (np.pi / 2 - boundary.angles.max_angle) - tol)
+    boundary = manifold.stationary_angles_svd(manifold.geodesic_group(tc, t), origin)
+    worst = max(worst, (np.pi / 2 - boundary.max_angle) - tol)
     return worst
 
 
@@ -470,9 +472,10 @@ def scan_conjugate(direction: loci.CartanDirection, t_range: tuple[float, float]
     """Sweep the geodesic with the given direction over a time grid.
 
     Each row records the Jacobian ratio, the two largest stationary angles
-    against the origin, the normalized overlap, the angle classification, and
-    the predicted radius (family, indices, winding) when one falls within
-    half a grid step.  Rows within 1e-3 of a tan pole are marked class
+    against the origin, the normalized overlap (the product of the angles'
+    cosines), the angle classification, and the predicted radius (family,
+    indices, winding) when one falls within half a grid step.  Rows within
+    1e-3 of a tan pole are marked class
     "pole" with an empty ratio; rows within 10 stencil steps of a pole keep
     their angle class and have an empty ratio.  The whole grid is evaluated
     as stacks through the code behind classify_conjugate.  ValueError,
@@ -500,8 +503,8 @@ def scan_conjugate(direction: loci.CartanDirection, t_range: tuple[float, float]
     pole = np.zeros(steps, dtype=bool)
     if signature == "compact":
         pole = np.min(manifold.tan_pole_distance(grid[:, None] * direction.h), axis=1) < 1e-3
-    labels, angles, ratios, bases = loci._classify_stack(tc, grid)
-    overlaps = manifold._origin_pairing_stack(bases)
+    labels, angles, ratios = loci._classify_stack(tc, grid)
+    overlaps = np.prod(np.cos(angles), axis=1)
     rows = []
     for i, t in enumerate(grid.tolist()):
         row = {

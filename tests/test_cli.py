@@ -275,6 +275,17 @@ def test_exp_is_the_chart_route_of_geodesic(b, flags, code, capsys):
     assert got == want and got[0] == code
 
 
+@pytest.mark.parametrize("t", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("argv", [["geodesic", "--route", "chart"],
+                                  ["geodesic", "--route", "group"],
+                                  ["geodesic", "--route", "group", "--signature", "noncompact"],
+                                  ["exp"]])
+def test_nonfinite_times_are_bad_input(argv, t, capsys):
+    # refused with one line on stderr: no numpy warning first, nothing on stdout
+    code, out, err = _run(capsys, argv[0], _mat([[0.5, 0.3]]), f"--t={t}", *argv[1:])
+    assert (code, out, err) == (2, "", "bad input: times must be finite\n")
+
+
 def test_noncompact_group_geodesic_far_out_stays_a_plane(capsys):
     # the unscaled (cosh | sinh) rows grew apart by e^22 at t = 30 and failed
     # the plane's rank test; the rescaled (1 | tanh) rows do not

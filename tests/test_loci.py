@@ -209,8 +209,8 @@ def test_cut_routes_do_not_overflow_on_large_bases(n):
                                       ((4, 2), (1.0, 0.4))])
 def test_origin_stacks_equal_the_general_stacks_on_a_scan(shape, h):
     n, m = shape
-    res = kernel.svd(loci.cartan_to_tangent(loci.CartanDirection(np.array(h)), n, m).b)
-    bases = mf._geodesic_group_stack(res, np.linspace(0.3, 12.0, 41), "compact")
+    tc = loci.cartan_to_tangent(loci.CartanDirection(np.array(h)), n, m)
+    bases = np.stack([mf.geodesic_group(tc, t).basis for t in np.linspace(0.3, 12.0, 41)])
     frames = kernel.svd(bases).v
     origin = np.eye(n, n + m, dtype=complex)
     general = mf._angles_of(frames.conj().swapaxes(-1, -2) @ kernel.svd(origin).v, n + m)
@@ -562,6 +562,20 @@ def test_classify_generic_time_is_none():
     d = loci.CartanDirection(np.array([0.8, 0.6]))
     tc = loci.cartan_to_tangent(d, 2, 2)
     assert loci.classify_conjugate(tc, 0.9).label == "none"
+
+
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("signature", ["compact", "noncompact"])
+def test_time_routes_refuse_nonfinite_times(t, signature):
+    # refused before any trig or SVD sees the time, so no RuntimeWarning
+    # and no LinAlgError escapes
+    tc = loci.cartan_to_tangent(loci.CartanDirection(np.array([0.8, 0.6])), 2, 3, signature)
+    for route in (mf.geodesic_chart, mf.geodesic_group, loci.jacobian_spectrum,
+                  loci.classify_conjugate, loci.conjugate_test_jacobian):
+        with pytest.raises(ValueError, match="times must be finite"):
+            route(tc, t)
+    with pytest.raises(ValueError, match="times must be finite"):
+        loci.jacobian_spectrum(tc, np.array([1.0, t]))
 
 
 def test_consistency_error_when_routes_disagree(monkeypatch):

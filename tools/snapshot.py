@@ -41,6 +41,8 @@ def _verify(seed, trials, n, m):
             "--m", str(m), "--no-timing", "--json", "-"]
 
 
+_GEO_B = _mat([[1.0 + 0.5j, 0.2 + 0.1j], [0.3, 0.9]])
+
 # (name, argv, expected exit code); "{csv}" in an argv stands for OUTDIR/<name>.csv
 CASES = (
     ("scan-2x2", ["conj-scan", "--h", "0.8,0.6", "--n", "2", "--m", "2", "--t0", "0.5",
@@ -67,6 +69,14 @@ CASES = (
                          "--lambda-max", "3"], 0),
     ("schubert-sample", ["schubert", "--symbol", "1,2", "--m", "2", "--sample",
                          "--seed", "5", "--flag", "chart"], 0),
+    # past the first tan pole of s_1 = 1.293 (t = 1.215), and far out on the dual
+    ("geodesic-chart-past-pole", ["geodesic", _GEO_B, "--t", "2.0"], 0),
+    ("geodesic-group-past-pole", ["geodesic", _GEO_B, "--t", "2.0", "--route", "group"], 0),
+    ("geodesic-group-noncompact-30", ["geodesic", _GEO_B, "--t", "30", "--route", "group",
+                                      "--signature", "noncompact"], 0),
+    ("geodesic-chart-inf", ["geodesic", _GEO_B, "--t", "inf"], 2),
+    ("geodesic-group-inf", ["geodesic", _GEO_B, "--t", "inf", "--route", "group"], 2),
+    ("exp-inf", ["exp", _GEO_B, "--t", "inf"], 2),
 )
 
 FILES = tuple(sorted([f"{name}.txt" for name, _, _ in CASES]
