@@ -195,8 +195,7 @@ def _cmd_verify(args) -> int:
         if args.json == "-":
             print(payload)
         else:
-            with open(args.json, "w") as fh:
-                fh.write(payload + "\n")
+            verify._write_file(args.json, payload + "\n")
     return 0 if report.passed else 1
 
 

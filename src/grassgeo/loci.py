@@ -30,8 +30,8 @@ import numpy as np
 from . import kernel
 from .errors import ChartEscapeError, ConsistencyError, DomainError
 from .manifold import (AngleSpectrum, Plane, TangentCoord, _descending_angles, _exp0_stack,
-                       _finite_times, _origin_frame_angles, _rng, _tanh_saturates, _unit_rows,
-                       tan_pole_distance)
+                       _finite_times, _origin_frame_angles, _rng, _sv_bound, _tanh_saturates,
+                       _unit_rows, tan_pole_distance)
 
 ANGLE_TOL = 1e-6
 CAYLEY_TOL = 1e-9
@@ -349,8 +349,10 @@ def _probe_clear(st: np.ndarray, step, signature: str) -> np.ndarray:
 def _fd_spectrum(tangent: TangentCoord, t: float) -> np.ndarray:
     """Descending singular values of the central-difference Jacobian of the
     chart map at t B, with _probe_clear's guard: ChartEscapeError near a tan
-    pole, DomainError where a noncompact tanh saturates."""
-    bt = _finite_times(t) * tangent.b
+    pole, DomainError where a noncompact tanh saturates.  The time guard
+    reads _sv_bound, since no SVD of B is at hand; where it refuses on that
+    bound, the stencil would reach a pole or a saturated tanh anyway."""
+    bt = _resolvable_times(t, _sv_bound(tangent.b)) * tangent.b
     step = float(_stencil_step(np.linalg.norm(bt)))
     svals = np.linalg.svd(bt, compute_uv=False)
     if not _probe_clear(svals[None], step, tangent.signature)[0]:
@@ -379,8 +381,9 @@ def conjugate_test_jacobian(tangent: TangentCoord, t: float) -> JacobianProbe:
     above it are flagged indeterminate so callers can re-probe at a nudged
     time.  Compact evaluation closer to a tan pole than the difference
     stencil can resolve raises ChartEscapeError; noncompact evaluation whose
-    stencil reaches a saturated tanh raises DomainError.  This is the
-    independent route to jacobian_spectrum's closed form.
+    stencil reaches a saturated tanh raises DomainError.  Times that
+    _resolvable_times refuses raise ValueError.  This is the independent
+    route to jacobian_spectrum's closed form.
     """
     svs = _fd_spectrum(tangent, t)
     ratio = float(svs[-1] / svs[0])
@@ -435,10 +438,12 @@ def jacobian_spectrum(tangent: TangentCoord, t) -> np.ndarray:
     t may be a scalar, giving a (2nm,) array, or a 1-D array of times,
     giving a (k, 2nm) stack.  Times within 10 stencil steps of a tan pole,
     where the finite-difference route raises ChartEscapeError, give nan
-    rows; noncompact times whose chart image saturates raise DomainError.
+    rows; noncompact times whose chart image saturates raise DomainError,
+    and times that _resolvable_times refuses raise ValueError.
     """
-    ts = _finite_times(t)
-    st = ts.reshape(-1, 1) * kernel.svd(tangent.b).s
+    s = kernel.svd(tangent.b).s
+    ts = _resolvable_times(t, s[0])
+    st = ts.reshape(-1, 1) * s
     return _spectrum_stack(st, tangent.shape, tangent.signature).reshape(ts.shape + (-1,))
 
 
@@ -452,18 +457,33 @@ class ConjugateClass:
     jacobian_ratio: float
 
 
-def _classify_stack(tangent: TangentCoord, ts: np.ndarray):
-    """classify_conjugate at each time of the 1-D array ts, from one SVD of B:
-    labels (k,), angles (k, n) descending per row, and Jacobian ratios (k,).
-    The angles are the Cartan closed form: t s folded into [0, pi/2] for each
-    singular value s of B, arctan(tanh(t s)) on the dual, and n - r zeros."""
+def _resolvable_times(t, h1: float) -> np.ndarray:
+    """_finite_times(t, h1), for h1 the velocity's largest singular value or
+    a bound on it, which also refuses, with ValueError, times where
+    neighbouring doubles of t h1 lie farther apart than ANGLE_TOL (from
+    |t h1| of about 2^33): angles and spectra read there would be rounding
+    noise."""
+    ts = _finite_times(t, h1)
+    reach = float(np.max(np.abs(ts), initial=0.0)) * float(h1)
+    if np.spacing(reach) > ANGLE_TOL:
+        raise ValueError(f"t * h_1 = {reach:.6g} is too large: neighbouring doubles there "
+                         f"are {np.spacing(reach):.3g} apart, coarser than the angle "
+                         f"threshold {ANGLE_TOL:g}")
+    return ts
+
+
+def _classify_stack(tangent: TangentCoord, s: np.ndarray, ts: np.ndarray):
+    """classify_conjugate at each time of the 1-D array ts, from the
+    singular values s of B (kernel.svd): labels (k,), angles (k, n)
+    descending per row, and Jacobian ratios (k,).  The angles are the Cartan
+    closed form: t s folded into [0, pi/2] for each singular value s,
+    arctan(tanh(t s)) on the dual, and n - r zeros."""
     n, m = tangent.shape
     r = min(n, m)
-    res = kernel.svd(tangent.b)
-    st = ts[:, None] * res.s
+    st = ts[:, None] * s
     folded = (np.pi / 2 - tan_pole_distance(st) if tangent.signature == "compact"
               else np.arctan(np.tanh(st)))
-    angles = _descending_angles(np.pad(folded, ((0, 0), (0, n - r))))
+    angles = _descending_angles(np.concatenate([folded, np.zeros((ts.size, n - r))], axis=1))
     wong = (angles[:, 0] >= np.pi / 2 - ANGLE_TOL) | (angles[:, r - 1] <= ANGLE_TOL)
     gaps = angles[:, :r - 1] - angles[:, 1:r]
     interior = np.min(gaps, axis=1, initial=np.inf) <= ANGLE_TOL
@@ -482,7 +502,11 @@ def classify_conjugate(tangent: TangentCoord, t: float) -> ConjugateClass:
     attached, or nan within 10 stencil steps of a tan pole, where the
     finite-difference route cannot read it.  This is the stacked scan path
     on a stack of one; stationary_angles_svd of geodesic_group checks it.
+    ValueError where _resolvable_times refuses t, as the scan refuses its
+    grid.
     """
-    labels, angles, ratios = _classify_stack(tangent, _finite_times(t).reshape(1))
+    s = kernel.svd(tangent.b).s
+    ts = _resolvable_times(t, s[0]).reshape(1)
+    labels, angles, ratios = _classify_stack(tangent, s, ts)
     return ConjugateClass(label=str(labels[0]), angles=AngleSpectrum(angles[0]),
                           jacobian_ratio=float(ratios[0]))

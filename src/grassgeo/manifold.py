@@ -398,17 +398,33 @@ def log0(point: ChartPoint) -> TangentCoord:
     return TangentCoord(b=res.apply(vals), signature=point.signature)
 
 
-def _finite_times(t) -> np.ndarray:
-    """The time, or times, as a float array; ValueError unless all are finite."""
+def _finite_times(t, scale: float) -> np.ndarray:
+    """The time, or times, as a float array.  ValueError unless every time is
+    finite and so is its product with scale, the velocity's largest singular
+    value or, where no SVD is at hand, _sv_bound of it: refused here, an
+    overflowing t B would reach numpy as inf."""
     ts = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(ts)):
         raise ValueError("times must be finite")
+    # a product of Python floats overflows to inf without a numpy warning
+    top = float(np.max(np.abs(ts), initial=0.0))
+    if not np.isfinite(top * float(scale)):
+        raise ValueError(f"time {top:g} is too large: its product with the velocity's "
+                         f"scale {float(scale):.6g} overflows")
     return ts
+
+
+def _sv_bound(b: np.ndarray) -> float:
+    """sqrt(nm) times the largest entry modulus of b, a bound on its largest
+    singular value.  The largest entry alone is not one: at t = 3.3e307 the
+    entries of t (5, 3) are finite while the SVD of it reads inf."""
+    return float(np.abs(b).max()) * float(np.sqrt(b.size))
 
 
 def geodesic_chart(tangent: TangentCoord, t: float) -> ChartPoint:
     """Geodesic through the origin with initial velocity B, in the chart."""
-    return exp0(TangentCoord(b=_finite_times(t) * tangent.b, signature=tangent.signature))
+    ts = _finite_times(t, _sv_bound(tangent.b))
+    return exp0(TangentCoord(b=ts * tangent.b, signature=tangent.signature))
 
 
 def geodesic_group(tangent: TangentCoord, t: float) -> Plane:
@@ -423,7 +439,7 @@ def geodesic_group(tangent: TangentCoord, t: float) -> Plane:
     the rows grow apart like e^(t h) until they are numerically dependent.
     """
     res = kernel.svd(tangent.b)
-    st = _finite_times(t) * res.s
+    st = _finite_times(t, res.s[0]) * res.s
     if tangent.signature == "compact":
         co, si = np.cos(st), np.sin(st)
     else:

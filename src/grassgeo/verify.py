@@ -10,7 +10,10 @@ execution order.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
+import stat
 import time
 from dataclasses import dataclass
 
@@ -474,27 +477,21 @@ def scan_conjugate(direction: loci.CartanDirection, t_range: tuple[float, float]
     Each row records the Jacobian ratio, the two largest stationary angles
     against the origin, the normalized overlap (the product of the angles'
     cosines), the angle classification, and the predicted radius (family,
-    indices, winding) when one falls within half a grid step.  Rows within
+    indices, winding) of the nearest radius within half a grid step, the
+    first in sorted order among radii at the same distance.  Rows within
     1e-3 of a tan pole are marked class
     "pole" with an empty ratio; rows within 10 stencil steps of a pole keep
     their angle class and have an empty ratio.  The whole grid is evaluated
     as stacks through the code behind classify_conjugate.  ValueError,
     before any stacked call: lambda_max below 1, for either signature, and a
-    grid reaching so far (t1 h_1 from about 2^33) that neighbouring doubles
-    of t h_1 lie farther apart than loci.ANGLE_TOL, where the rows' angles
-    would be noise.
+    grid reaching so far that loci._resolvable_times refuses t1.
     """
     t0, t1 = float(t_range[0]), float(t_range[1])
     if not (steps >= 2 and np.isfinite(t1) and t1 > t0 > 0.0):
         raise ValueError("need steps >= 2 and finite 0 < t0 < t1")
     if lambda_max < 1:
         raise ValueError("lambda_max must be at least 1")
-    # np.spacing of an overflowed product is nan, which fails the test too
-    reach = t1 * float(direction.h[0])
-    if not np.spacing(reach) <= loci.ANGLE_TOL:
-        raise ValueError(f"t1 * h_1 = {reach:.6g} is too large: neighbouring doubles there "
-                         f"are {np.spacing(reach):.3g} apart, coarser than the angle "
-                         f"threshold {loci.ANGLE_TOL:g}")
+    loci._resolvable_times(t1, direction.h[0])
     tc = loci.cartan_to_tangent(direction, n, m, signature)
     params = (loci.tangent_conjugate_params(direction, n, m, lambda_max)
               if signature == "compact" else [])
@@ -503,8 +500,10 @@ def scan_conjugate(direction: loci.CartanDirection, t_range: tuple[float, float]
     pole = np.zeros(steps, dtype=bool)
     if signature == "compact":
         pole = np.min(manifold.tan_pole_distance(grid[:, None] * direction.h), axis=1) < 1e-3
-    labels, angles, ratios = loci._classify_stack(tc, grid)
+    labels, angles, ratios = loci._classify_stack(tc, kernel.svd(tc.b).s, grid)
     overlaps = np.prod(np.cos(angles), axis=1)
+    match = (_nearest_radius(np.array([par.t for par in params]), grid, half_step).tolist()
+             if params else [-1] * steps)
     rows = []
     for i, t in enumerate(grid.tolist()):
         row = {
@@ -516,9 +515,8 @@ def scan_conjugate(direction: loci.CartanDirection, t_range: tuple[float, float]
             "overlap_abs": float(overlaps[i]),
             "class": "pole" if pole[i] else str(labels[i]),
         }
-        near = [par for par in params if abs(par.t - t) <= half_step]
-        if near:
-            par = min(near, key=lambda c: abs(c.t - t))
+        if match[i] >= 0:
+            par = params[match[i]]
             row["family"], row["p"], row["lambda"] = par.family, par.p, par.lam
             row["q"] = par.q if par.q is not None else ""
         if not pole[i] and np.isfinite(ratios[i]):
@@ -527,11 +525,68 @@ def scan_conjugate(direction: loci.CartanDirection, t_range: tuple[float, float]
     return rows
 
 
+def _nearest_radius(ts: np.ndarray, grid: np.ndarray, half_step: float) -> np.ndarray:
+    """For each grid time t, the index into the ascending radii ts of the
+    radius nearest t if it lies within half_step, else -1; among radii at
+    the same rounded distance |ts[k] - t|, the first in order.
+
+    Rounded distances do not increase with k below t and do not decrease
+    from the first radius at or above t, so the nearest lie on either side of
+    that radius's searchsorted position, and the ties below t form a run
+    that ends next to it.  The run is walked back to its first radius: equal
+    radii, and distinct radii below t / 2 whose differences from t round to
+    the same double, both tie.
+    """
+    above = np.searchsorted(ts, grid)
+    below = above - 1
+    top = ts.size - 1
+    d_above = np.where(above <= top, ts[np.minimum(above, top)] - grid, np.inf)
+    d_below = np.where(below >= 0, grid - ts[below], np.inf)
+    lower = d_below <= d_above
+    pick = np.where(lower, below, above)
+    dist = np.where(lower, d_below, d_above)
+    while True:
+        prev = pick - 1
+        tied = lower & (prev >= 0) & (grid - ts[prev] == dist)
+        if not tied.any():
+            return np.where(dist <= half_step, pick, -1)
+        pick[tied] = prev[tied]
+
+
+def _write_file(path: str, text: str) -> None:
+    """Write text to path, overwriting an existing file in place.
+
+    The file is opened without O_TRUNC, written, and then cut to the length
+    written.  Truncating a file to zero and writing it again makes ext4
+    (auto_da_alloc, its default) write the data back when the file is
+    closed, which cost more than a whole short scan; overwriting in place
+    and cutting the end does not.  Opening the existing file keeps its
+    inode, the symlink that led to it and its mode bits, as truncation by
+    open() did.  The cut comes in finally and at the bytes written so far,
+    so no tail of a longer earlier file survives, even a failed write.  Only
+    a regular file is cut: a pipe, terminal or /dev/null has no tail, and
+    ftruncate fails on it.
+    """
+    data = memoryview(text.encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    written = 0
+    try:
+        while written < len(data):
+            written += os.write(fd, data[written:])
+    finally:
+        try:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
+
+
 def write_scan_csv(rows: list[dict], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SCAN_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    buf = io.StringIO(newline="")
+    writer = csv.DictWriter(buf, fieldnames=SCAN_COLUMNS)
+    writer.writeheader()
+    writer.writerows(rows)
+    _write_file(path, buf.getvalue())
 
 
 def report_json(report: SuiteReport, include_timing: bool = True) -> str:

@@ -1,4 +1,9 @@
 import json
+import os
+import pathlib
+import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -180,6 +185,61 @@ def test_conj_scan_writes_csv(tmp_path, capsys):
     assert header == "t,family,p,q,lambda,min_jac_sv,max_angle,second_angle,overlap_abs,class"
 
 
+def _scan_argv(out, steps):
+    return ["conj-scan", "--h", "0.8,0.6", "--n", "2", "--m", "2", "--t0", "0.5",
+            "--t1", "9", "--steps", str(steps), "--out", str(out)]
+
+
+def test_outputs_are_overwritten_whole(tmp_path, capsys):
+    # a long output and then a short one to the same path leave exactly the
+    # short one: the file is written in place and cut, with no stale tail
+    path, fresh = tmp_path / "scan.csv", tmp_path / "fresh.csv"
+    assert _run(capsys, *_scan_argv(path, 400))[0] == 0
+    longer = path.stat().st_size
+    assert _run(capsys, *_scan_argv(path, 3))[0] == 0
+    assert _run(capsys, *_scan_argv(fresh, 3))[0] == 0
+    assert path.read_bytes() == fresh.read_bytes() and path.stat().st_size < longer
+    report, fresh = tmp_path / "report.json", tmp_path / "fresh.json"
+    for trials, out in ((3, report), (1, report), (1, fresh)):
+        code, _, _ = _run(capsys, "verify", "--seed", "1", "--trials", str(trials),
+                          "--no-timing", "--json", str(out))
+        assert code == 0
+        if trials == 3:
+            longer = report.stat().st_size
+    assert report.read_bytes() == fresh.read_bytes() and report.stat().st_size < longer
+    json.loads(report.read_text())
+
+
+def test_outputs_keep_symlinks_and_mode(tmp_path, capsys):
+    target, link, fresh = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "fresh.csv"
+    target.write_text("stale\n" * 100000)
+    target.chmod(0o640)
+    link.symlink_to(target)
+    assert _run(capsys, *_scan_argv(link, 3))[0] == 0
+    assert _run(capsys, *_scan_argv(fresh, 3))[0] == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_bytes() == fresh.read_bytes()
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
+def test_outputs_to_files_that_cannot_be_cut(tmp_path, capsys):
+    # character devices and pipes are written but not truncated
+    assert _run(capsys, *_scan_argv("/dev/null", 3))[0] == 0
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-m", "grassgeo.cli", *_scan_argv("/dev/stdout", 3)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    assert lines[0] == "t,family,p,q,lambda,min_jac_sv,max_angle,second_angle,overlap_abs,class"
+    assert [line.split(",")[0] for line in lines[1:4]] == ["0.5", "4.75", "9.0"]
+    assert json.loads("\n".join(lines[4:])) == {"rows": 3, "out": "/dev/stdout"}
+    # a directory, or a path in a missing directory, is still bad input
+    for out in (tmp_path, tmp_path / "missing" / "scan.csv"):
+        code, stdout, err = _run(capsys, *_scan_argv(out, 3))
+        assert (code, stdout) == (2, "") and err.startswith("bad input")
+
+
 def test_verify_subcommand_exit_and_stability(capsys):
     # with --json -, stdout carries the JSON report and stderr the text report
     code, out1, err1 = _run(capsys, "verify", "--seed", "42", "--trials", "3",
@@ -284,6 +344,17 @@ def test_nonfinite_times_are_bad_input(argv, t, capsys):
     # refused with one line on stderr: no numpy warning first, nothing on stdout
     code, out, err = _run(capsys, argv[0], _mat([[0.5, 0.3]]), f"--t={t}", *argv[1:])
     assert (code, out, err) == (2, "", "bad input: times must be finite\n")
+
+
+@pytest.mark.parametrize("route", ["chart", "group"])
+def test_overflowing_times_are_bad_input(route, capsys):
+    # 1e308 is finite, but its product with the velocity is not: refused
+    # with one line on stderr, before numpy can warn about the overflow
+    code, out, err = _run(capsys, "geodesic", '{"rows":1,"cols":2,"data":[[5,0],[3,0]]}',
+                          "--t", "1e308", "--route", route)
+    assert (code, out) == (2, "")
+    assert err.startswith("bad input: time 1e+308 is too large") and "overflows" in err
+    assert err.count("\n") == 1
 
 
 def test_noncompact_group_geodesic_far_out_stays_a_plane(capsys):

@@ -578,6 +578,24 @@ def test_time_routes_refuse_nonfinite_times(t, signature):
         loci.jacobian_spectrum(tc, np.array([1.0, t]))
 
 
+@pytest.mark.parametrize("signature", ["compact", "noncompact"])
+def test_time_routes_refuse_overflowing_and_unresolvable_times(signature):
+    # t = 1e308 times the velocity's scale overflows: refused before numpy
+    # meets the inf, so no RuntimeWarning
+    tc = loci.cartan_to_tangent(loci.CartanDirection(np.array([5.0, 3.0])), 2, 3, signature)
+    for route in (mf.geodesic_chart, mf.geodesic_group, loci.jacobian_spectrum,
+                  loci.classify_conjugate, loci.conjugate_test_jacobian):
+        with pytest.raises(ValueError, match="overflows"):
+            route(tc, 1e308)
+    # at t = 2^40 neighbouring doubles of t h_1 are 1.2e-4 apart, coarser than
+    # ANGLE_TOL: refused as the scan refuses such a grid
+    tc = loci.cartan_to_tangent(loci.CartanDirection(np.array([0.8, 0.6])), 2, 2, signature)
+    for route in (loci.jacobian_spectrum, loci.classify_conjugate, loci.conjugate_test_jacobian):
+        for t in (2.0**40, -2.0**40, 1e308):
+            with pytest.raises(ValueError, match="too large"):
+                route(tc, t)
+
+
 def test_consistency_error_when_routes_disagree(monkeypatch):
     # force the disagreement path with an absurd angle tolerance
     rng = np.random.default_rng(45)

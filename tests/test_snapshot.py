@@ -25,6 +25,11 @@ def test_snapshot_writes_every_output_with_its_exit_code(tmp_path):
         # output paths are written relative to the snapshot, so snapshots
         # from two checkouts compare with diff -r
         assert str(tmp_path) not in text
+        if "{csv}" in argv:
+            # written over a longer filler, which must leave no tail
+            csv_text = (tmp_path / f"{name}.csv").read_text()
+            assert csv_text.startswith("t,family,") and "stale" not in csv_text
+            assert len(csv_text) < len(tool.STALE)
     library = (tmp_path / "library.txt").read_text().splitlines()
     assert len(library) == 450
     kinds = {line.split()[0] for line in library}

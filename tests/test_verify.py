@@ -298,6 +298,54 @@ def test_scan_and_classify_read_one_svd_and_build_no_plane(monkeypatch):
     assert calls == {"svd": 2, "plane": 1}
 
 
+def _reference_radius(params, t, half_step):
+    """The scan's matching rule, written out: the nearest radius within half
+    a grid step, the first in sorted order among equal distances."""
+    near = [par for par in params if abs(par.t - t) <= half_step]
+    return min(near, key=lambda c: abs(c.t - t)) if near else None
+
+
+@pytest.mark.parametrize("shape, h, signature, lambda_max", [
+    ((2, 3), (0.8, 0.4), "compact", 2),     # t1minus(1,2) and t3(2) both at pi/0.4
+    ((1, 1), (1.0,), "compact", 2),
+    ((6, 8), (1.0, 0.85, 0.7, 0.5, 0.35, 0.2), "compact", 2),
+    ((3, 5), (0.9, 0.7, 0.3), "noncompact", 2),
+    # t3(2) and t1minus(1,2) one ulp apart: at t = 31 their distances round
+    # to the same double, and the lower one is the first
+    ((2, 3), (0.7, float(np.nextafter(0.35, 1.0))), "compact", 1),
+])
+def test_scan_matches_each_row_to_the_nearest_radius(shape, h, signature, lambda_max):
+    n, m = shape
+    d = loci.CartanDirection(np.array(h))
+    # the dual has no radii; its grids stay short of where tanh saturates
+    params = (loci.tangent_conjugate_params(d, n, m, lambda_max)
+              if signature == "compact" else [])
+    radii = sorted({par.t for par in params})
+    grids = ([(0.3, 20.0, 77), (0.3, 40.0, 2000), (31.0, 200.0, 2), (0.05, 60.0, 3)]
+             if params else [(0.2, 8.0, 100), (0.1, 10.0, 2)])
+    # grids starting and ending on radii, on midpoints between neighbours,
+    # and with a radius exactly half a step (1/16) from its two grid points
+    for a, b in zip(radii[::7], radii[3::7]):
+        grids += [(a, b, 2), (a, b, 9)]
+    mids = [0.5 * (a + b) for a, b in zip(radii, radii[1:])]
+    for a, b in zip(mids[::5], mids[2::5]):
+        grids += [(a, b, 2), (a, b, 3), (a, b, 11)]
+    grids += [(r - 0.0625, r + 0.0625, 2) for r in radii[::3] if r > 0.0625]
+    matched = edge = 0
+    for t0, t1, steps in grids:
+        rows = verify.scan_conjugate(d, (t0, t1), steps, n, m, signature=signature,
+                                     lambda_max=lambda_max)
+        half_step = 0.5 * (rows[1]["t"] - rows[0]["t"])
+        for row in rows:
+            par = _reference_radius(params, row["t"], half_step)
+            want = (("", "", "", "") if par is None else
+                    (par.family, par.p, "" if par.q is None else par.q, par.lam))
+            assert (row["family"], row["p"], row["q"], row["lambda"]) == want, (t0, t1, steps)
+            matched += par is not None
+            edge += par is not None and abs(par.t - row["t"]) == half_step
+    assert (matched > 0) == (edge > 0) == bool(params)
+
+
 def test_scan_input_validation():
     d = loci.CartanDirection(np.array([1.0]))
     with pytest.raises(ValueError):

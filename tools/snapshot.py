@@ -5,8 +5,10 @@
 Runs a fixed set of CLI commands in process, with their exit codes, and a
 seeded dump of library answers, against the package under this checkout's
 src/.  Each CLI case writes OUTDIR/<name>.txt holding its exit code, stdout
-and stderr; conj-scan cases also write OUTDIR/<name>.csv.  The library dump
-is OUTDIR/library.txt.  Snapshots taken from two checkouts compare with
+and stderr; conj-scan cases also write OUTDIR/<name>.csv, over a file first
+filled with STALE, which is longer than any of them, so a tail left behind
+by the writer shows.  The library dump is OUTDIR/library.txt.  Snapshots
+taken from two checkouts compare with
 
     diff -r OLD NEW
 
@@ -77,7 +79,14 @@ CASES = (
     ("geodesic-chart-inf", ["geodesic", _GEO_B, "--t", "inf"], 2),
     ("geodesic-group-inf", ["geodesic", _GEO_B, "--t", "inf", "--route", "group"], 2),
     ("exp-inf", ["exp", _GEO_B, "--t", "inf"], 2),
+    # finite, but t times the velocity's scale overflows
+    ("geodesic-chart-overflow", ["geodesic", _mat([[5, 3]]), "--t", "1e308"], 2),
+    ("geodesic-group-overflow", ["geodesic", _mat([[5, 3]]), "--t", "1e308",
+                                 "--route", "group"], 2),
 )
+
+# about 1 MB; the largest scan CSV is about 43 kB
+STALE = "stale filler that a shorter scan CSV must not leave behind\n" * 16384
 
 FILES = tuple(sorted([f"{name}.txt" for name, _, _ in CASES]
                      + [f"{name}.csv" for name, argv, _ in CASES if "{csv}" in argv]
@@ -86,6 +95,8 @@ FILES = tuple(sorted([f"{name}.txt" for name, _, _ in CASES]
 
 def run_case(outdir: Path, name: str, argv: list[str]) -> int:
     csv_path = str(outdir / f"{name}.csv")
+    if "{csv}" in argv:
+        Path(csv_path).write_text(STALE)
     argv = [csv_path if a == "{csv}" else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
