@@ -7,7 +7,10 @@ normalized Gram pairing |det A[:, :n]| / sqrt(det A A*) of a row basis A with
 O, which is the overlap of the plane's coherent state with |0>; the two
 answers must agree.  By Cauchy-Binet that pairing equals the normalized
 pairing of the Pluecker vectors; the verify suite's cauchy-binet-pairing
-property checks the identity with the explicit minor enumeration.
+property checks the identity with the explicit minor enumeration.  The
+locus is also the Schubert variety of cut_locus_symbol, whose one nontrivial
+condition (schubert_membership) is the rank of the leading n x n block of
+the basis with its rows scaled to a largest modulus of 1.
 
 Conjugate points along a geodesic with Cartan direction h (the singular
 values of the velocity) occur at an explicit list of radii built from sums,
@@ -123,28 +126,27 @@ def schubert_membership(plane: Plane, symbol: SchubertSymbol,
                         flag: str = "standard") -> bool:
     """Whether the plane satisfies every incidence condition of the symbol.
 
-    dim(X intersect V_p) is read off as n + p - kernel.rank_tol of the basis
-    rows, each scaled so that its largest entry has modulus 1 (_unit_rows),
-    stacked on the first p flag vectors.  The scaling keeps the plane and
-    puts its rows on the scale of the unit flag vectors, so the verdict does
-    not depend on the basis scale.  A condition with w_i = m is
-    skipped: there p = m + i + 1 and the rank of the stack is at most
-    N = n + m, so the meet is at least i + 1 for every plane and flag.  Of
-    the n conditions of cut_locus_symbol only the first is computed.
+    Every flag is spanned by coordinate vectors: V_p by the unit vectors of
+    the columns S = order[:p].  Stacked under a row basis A, those unit rows
+    clear the columns in S, so rank [A; E_S] = p + rank A[:, S^c] and
+    dim(X intersect V_p) = n - rank A[:, S^c], an n x (N - p) test.  The
+    rank is kernel.rank_tol of the basis rows scaled to a largest modulus of
+    1 (_unit_rows), so the verdict does not depend on the basis scale.  A
+    condition with w_i = m is skipped: there N - p = n - i - 1 columns are
+    left, so the meet is at least i + 1 for every plane and flag.  Of the n
+    conditions of cut_locus_symbol only the first is computed, and against
+    the perp flag it is the rank of the plane's leading n x n block.
     """
     n, m = symbol.n, symbol.m
     if plane.basis.shape != (n, n + m):
         raise ValueError(f"plane shape {plane.basis.shape} does not match symbol ({n},{n + m})")
     order = flag_order(symbol, flag)
-    eye = np.eye(n + m, dtype=complex)
     rows = _unit_rows(plane.basis)
     for i in range(n):
         if symbol.w[i] == m:
             continue
         p = symbol.w[i] + i + 1
-        stacked = np.vstack([rows, eye[list(order[:p])]])
-        meet = n + p - kernel.rank_tol(stacked)
-        if meet < i + 1:
+        if n - kernel.rank_tol(rows[:, list(order[p:])]) < i + 1:
             return False
     return True
 
@@ -392,11 +394,12 @@ def conjugate_test_jacobian(tangent: TangentCoord, t: float) -> JacobianProbe:
                          indeterminate=CONJUGATE_TOL <= ratio < 10.0 * CONJUGATE_TOL)
 
 
-def _spectrum_stack(st: np.ndarray, shape: tuple[int, int], signature: str) -> np.ndarray:
-    """jacobian_spectrum for each row of st, the singular values of t B over
-    a stack of times, as a (k, 2nm) array; rows that _probe_clear rejects
-    are nan."""
-    n, m = shape
+def _spectrum_stack(st: np.ndarray, signature: str) -> np.ndarray:
+    """The 2r^2 distinct divided differences of jacobian_spectrum, unsorted,
+    for each row of st, the r singular values of t B over a stack of times,
+    as a (k, 2r^2) array; rows that _probe_clear rejects are nan.  The
+    values g(x_a)/x_a sit at [r^2::r + 1]; jacobian_spectrum adds their
+    2|m - n| copies, which neither extreme needs."""
     clear = _probe_clear(st, _stencil_step(np.linalg.norm(st, axis=-1)), signature)
     x = st[clear]
     fn, c = (np.sin, np.cos) if signature == "compact" else (np.sinh, np.cosh)
@@ -408,12 +411,10 @@ def _spectrum_stack(st: np.ndarray, shape: tuple[int, int], signature: str) -> n
     vals = fn(y) / y
     vals[zero] = 1.0
     cx = c(x)
+    vals /= cx[:, None, :, None] * cx[:, None, None, :]
     r = x.shape[-1]
-    vals = np.abs(vals / (cx[:, None, :, None] * cx[:, None, None, :])).reshape(-1, 2 * r * r)
-    # g(x_a)/x_a, the plus diagonal, has 2|m - n| more copies
-    extra = np.tile(vals[:, r * r::r + 1], 2 * abs(m - n))
-    out = np.full((st.shape[0], 2 * n * m), np.nan)
-    out[clear] = -np.sort(-np.concatenate([vals, extra], axis=-1), axis=-1)
+    out = np.full((st.shape[0], 2 * r * r), np.nan)
+    out[clear] = np.abs(vals).reshape(-1, 2 * r * r)
     return out
 
 
@@ -441,10 +442,13 @@ def jacobian_spectrum(tangent: TangentCoord, t) -> np.ndarray:
     rows; noncompact times whose chart image saturates raise DomainError,
     and times that _resolvable_times refuses raise ValueError.
     """
+    n, m = tangent.shape
     s = kernel.svd(tangent.b).s
     ts = _resolvable_times(t, s[0])
-    st = ts.reshape(-1, 1) * s
-    return _spectrum_stack(st, tangent.shape, tangent.signature).reshape(ts.shape + (-1,))
+    vals = _spectrum_stack(ts.reshape(-1, 1) * s, tangent.signature)
+    # g(x_a)/x_a, the plus diagonal, has 2|m - n| more copies
+    extra = np.tile(vals[:, s.size ** 2::s.size + 1], 2 * abs(m - n))
+    return -np.sort(-np.concatenate([vals, extra], axis=-1), axis=-1).reshape(ts.shape + (-1,))
 
 
 @dataclass(slots=True)
@@ -488,8 +492,8 @@ def _classify_stack(tangent: TangentCoord, s: np.ndarray, ts: np.ndarray):
     gaps = angles[:, :r - 1] - angles[:, 1:r]
     interior = np.min(gaps, axis=1, initial=np.inf) <= ANGLE_TOL
     labels = np.where(wong, "wong", np.where(interior, "interior", "none"))
-    spectrum = _spectrum_stack(st, (n, m), tangent.signature)
-    return labels, angles, spectrum[:, -1] / spectrum[:, 0]
+    spectrum = _spectrum_stack(st, tangent.signature)
+    return labels, angles, np.min(spectrum, axis=1) / np.max(spectrum, axis=1)
 
 
 def classify_conjugate(tangent: TangentCoord, t: float) -> ConjugateClass:

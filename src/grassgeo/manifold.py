@@ -19,6 +19,7 @@ every angle route reads.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -31,6 +32,9 @@ Signature = Literal["compact", "noncompact"]
 
 POLE_TOL = 1e-9
 OVERLAP_TOL = 1e-12
+# bytes of the (C(N, n), n, n) complex stack plucker may build: 45 MB at
+# 8x10, 218 MB at 9x11, 1.03 GB at 10x12
+PLUCKER_MAX_BYTES = 1 << 28
 
 
 def _check_signature(signature: str) -> str:
@@ -469,8 +473,16 @@ def geodesic_residual(tangent: TangentCoord, t: float, step: float = 1e-3) -> fl
 
 
 def plucker(plane: Plane) -> PluckerVector:
-    """All n x n minors of the row basis, over lexicographic column n-tuples."""
+    """All n x n minors of the row basis, over lexicographic column n-tuples.
+
+    ValueError, before anything is allocated, when the stack of the
+    C(N, n) leading blocks would pass PLUCKER_MAX_BYTES."""
     n, big_n = plane.basis.shape
+    count = math.comb(big_n, n)
+    nbytes = count * n * n * np.dtype(complex).itemsize
+    if nbytes > PLUCKER_MAX_BYTES:
+        raise ValueError(f"plucker: C({big_n}, {n}) = {count} minors need a {nbytes}-byte "
+                         f"stack, over the {PLUCKER_MAX_BYTES}-byte cap")
     indices = tuple(itertools.combinations(range(big_n), n))
     cols = np.asarray(indices, dtype=int)
     # det(A[:, c]) = det(A.T[c]) and the stacked form evaluates all minors at once

@@ -14,6 +14,7 @@ import io
 import json
 import os
 import stat
+import sys
 import time
 from dataclasses import dataclass
 
@@ -565,10 +566,22 @@ def _write_file(path: str, text: str) -> None:
     open() did.  The cut comes in finally and at the bytes written so far,
     so no tail of a longer earlier file survives, even a failed write.  Only
     a regular file is cut: a pipe, terminal or /dev/null has no tail, and
-    ftruncate fails on it.
+    ftruncate fails on it.  A path open on the same file as standard output,
+    such as /dev/stdout, is written through sys.stdout instead, after what
+    was printed before and with nothing cut: a descriptor of its own would
+    start at offset 0 and overwrite that output.
     """
-    data = memoryview(text.encode())
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        to_stdout = os.path.sameopenfile(fd, sys.stdout.fileno())
+    except (AttributeError, OSError, ValueError):
+        to_stdout = False  # sys.stdout has no descriptor, as under output capture
+    if to_stdout:
+        os.close(fd)
+        sys.stdout.write(text)
+        sys.stdout.flush()
+        return
+    data = memoryview(text.encode())
     written = 0
     try:
         while written < len(data):

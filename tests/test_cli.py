@@ -101,6 +101,23 @@ def test_plucker_uses_one_based_tuples(capsys):
     assert got["coords"][k] == pytest.approx([-a.real, -a.imag])
 
 
+def test_plucker_and_verify_refuse_a_minor_stack_over_the_cap(capsys, monkeypatch):
+    det = np.linalg.det
+
+    def guarded(a):
+        # the chart and angle routes take determinants of stacks of one
+        assert np.ndim(a) < 3 or np.shape(a)[0] < 1000, "the minor stack was built"
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", guarded)
+    code, out, err = _run(capsys, "plucker", _mat(np.zeros((12, 14))))
+    assert (code, out) == (2, "") and "C(26, 12) = 9657700 minors" in err
+    code, out, err = _run(capsys, "verify", "--seed", "1", "--trials", "1", "--n", "12",
+                          "--m", "14", "--no-timing")
+    assert code == 2 and "all properties passed" not in out
+    assert err.startswith("bad input: plucker: C(26, 12) = 9657700 minors")
+
+
 def test_geodesic_group_route_shape(capsys):
     b = _mat([[0.8, 0.0], [0.0, 0.6]])
     code, out, _ = _run(capsys, "geodesic", b, "--t", str(np.pi / 1.6),
@@ -238,6 +255,30 @@ def test_outputs_to_files_that_cannot_be_cut(tmp_path, capsys):
     for out in (tmp_path, tmp_path / "missing" / "scan.csv"):
         code, stdout, err = _run(capsys, *_scan_argv(out, 3))
         assert (code, stdout) == (2, "") and err.startswith("bad input")
+
+
+def test_outputs_to_stdout_redirected_to_a_file_keep_their_order(tmp_path):
+    # /dev/stdout opened anew would start at offset 0 of the redirect target
+    # and overwrite what was printed before it, or be overwritten after it
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    verify_argv = ["verify", "--seed", "1", "--trials", "1", "--no-timing", "--json"]
+    outputs = []
+    for argv in (_scan_argv("/dev/stdout", 3), verify_argv + ["/dev/stdout"],
+                 verify_argv + ["-"]):
+        target = tmp_path / f"out{len(outputs)}.txt"
+        with open(target, "w") as fh:
+            done = subprocess.run([sys.executable, "-m", "grassgeo.cli", *argv], stdout=fh,
+                                  stderr=subprocess.PIPE, text=True,
+                                  env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+        outputs.append((done.returncode, target.read_text(), done.stderr))
+    (code, scan, err), (vcode, report, verr), (_, payload, text) = outputs
+    assert (code, err, vcode, verr) == (0, "", 0, "")
+    lines = scan.splitlines()
+    assert lines[0] == "t,family,p,q,lambda,min_jac_sv,max_angle,second_angle,overlap_abs,class"
+    assert [line.split(",")[0] for line in lines[1:4]] == ["0.5", "4.75", "9.0"]
+    assert json.loads("\n".join(lines[4:])) == {"rows": 3, "out": "/dev/stdout"}
+    # the text report and then the JSON, each as verify --json - writes them
+    assert report == text + payload
 
 
 def test_verify_subcommand_exit_and_stability(capsys):

@@ -265,9 +265,9 @@ def test_schubert_membership_skips_conditions_that_always_hold(monkeypatch):
     plane = mf.haar_random_plane(6, 8, np.random.default_rng(61))
     monkeypatch.setattr(kernel, "rank_tol", counted)
     assert not loci.schubert_membership(plane, loci.cut_locus_symbol(6, 8), flag="perp")
-    assert calls == [(14, 14)]
+    assert calls == [(6, 6)]
     assert loci.schubert_membership(plane, loci.SchubertSymbol(w=(8,) * 6, m=8))
-    assert calls == [(14, 14)]
+    assert calls == [(6, 6)]
 
 
 @pytest.mark.parametrize("n, m", [(2, 1), (3, 5), (6, 8)])
@@ -288,6 +288,54 @@ def test_schubert_membership_does_not_depend_on_the_basis_scale(n, m):
                                                 flag=flag) == want, (scale, flag)
     # the origin plane is outside the cut locus, the built plane inside it
     assert {("perp", False), ("perp", True)} <= verdicts
+
+
+def _membership_by_columns(plane, symbol, flag):
+    """Every condition, none skipped, as n - rank_tol of the unit-row
+    columns outside V_p, taken in ascending order."""
+    n, big_n = plane.basis.shape
+    rows = mf._unit_rows(plane.basis)
+    order = loci.flag_order(symbol, flag)
+    for i in range(n):
+        outside = sorted(set(range(big_n)) - set(order[:symbol.w[i] + i + 1]))
+        if n - kernel.rank_tol(rows[:, outside]) < i + 1:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (2, 3), (3, 5), (4, 2), (6, 8), (7, 9)])
+def test_schubert_membership_reads_the_columns_outside_the_flag_space(n, m):
+    # Haar planes whose last row has its leading block scaled by 1e-12 to
+    # 1e-6, then the whole basis by 1e-3 to 1e3: for the cut symbol against
+    # the perp flag the verdicts straddle the rank threshold
+    rng = np.random.default_rng(71 + 10 * n + m)
+    symbols = [loci.cut_locus_symbol(n, m)]
+    symbols += [loci.SchubertSymbol(w=tuple(int(v) for v in np.sort(rng.integers(0, m + 1, n))),
+                                    m=m) for _ in range(3)]
+    cut_verdicts = set()
+    for eps in np.geomspace(1e-12, 1e-6, 25):
+        basis = mf.haar_random_plane(n, m, rng).basis.copy()
+        basis[n - 1, :n] *= eps
+        plane = mf.Plane(basis * rng.uniform(1e-3, 1e3))
+        for symbol in symbols:
+            for flag in ("standard", "perp", "chart"):
+                want = _membership_by_columns(plane, symbol, flag)
+                assert loci.schubert_membership(plane, symbol, flag=flag) == want
+        cut_verdicts.add(_membership_by_columns(plane, symbols[0], "perp"))
+    assert cut_verdicts == {True, False}
+
+
+@pytest.mark.parametrize("trailing", [[1.0], [1j, 0.5], [1.0, 1.0, 1.0],
+                                      [0.6 + 0.8j, -0.3, 0.2j, 1.0]])
+def test_schubert_cut_boundary_is_the_rank_threshold_on_the_leading_entry(trailing):
+    # a row (a, trailing) whose largest trailing modulus is 1: the Schubert
+    # route reads it in the cut locus exactly when |a| is at most RANK_TOL,
+    # whatever the trailing entries; the stacked (n + p) x N rule read 1.5e-9
+    # as in the locus next to a single trailing 1
+    symbol = loci.cut_locus_symbol(1, len(trailing))
+    for lead, member in ((1.5e-9, False), (5e-10, True)):
+        plane = mf.Plane(np.array([[lead, *trailing]]))
+        assert loci.schubert_membership(plane, symbol, flag="perp") == member, lead
 
 
 def test_cut_time_equal_entries():

@@ -300,6 +300,23 @@ def test_plucker_pairing_is_cauchy_binet_overlap():
         assert pair == pytest.approx(mf.overlap(zp, z), rel=1e-10)
 
 
+def test_plucker_refuses_a_stack_over_the_cap_before_building_it(monkeypatch):
+    def unreachable(a):
+        raise AssertionError("the minor stack was built")
+
+    monkeypatch.setattr(np.linalg, "det", unreachable)
+    # 9,657,700 blocks of 12 x 12: 22 GB
+    with pytest.raises(ValueError, match=r"C\(26, 12\) = 9657700 minors need a "
+                                         r"22251340800-byte stack"):
+        mf.plucker(mf.base_plane(12, 14))
+
+
+def test_plucker_runs_at_8x10():
+    vec = mf.plucker(mf.base_plane(8, 10))
+    assert vec.coords.shape == (43758,)
+    assert vec.coords[0] == 1.0 and not np.any(vec.coords[1:])
+
+
 def test_plucker_pairing_shape_mismatch():
     a = mf.plucker(mf.base_plane(1, 1))
     b = mf.plucker(mf.base_plane(1, 2))

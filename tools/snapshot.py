@@ -66,6 +66,13 @@ CASES = (
     ("cut-test-generic", ["cut-test", _mat([[1, 0.2, 0.3j], [0.1, 1, -0.4]])], 0),
     ("cut-test-routes-disagree", ["cut-test", _mat([[1e-7, 1]])], 3),
     ("cut-test-dependent-rows", ["cut-test", _mat([[1, 2, 3], [2, 4, 6]])], 2),
+    # near the cut locus, where the routes' thresholds differ: the Schubert
+    # route reads the unit-row leading block's rank at RANK_TOL = 1e-9
+    ("cut-test-near-1.5e-9", ["cut-test", _mat([[1.5e-9, 1]])], 0),
+    ("cut-test-near-5e-10", ["cut-test", _mat([[5e-10, 1]])], 0),
+    ("cut-test-near-3x5", ["cut-test", _mat([[1, 0.2, 0, 0.3, 0, 0.1j, 0, 0],
+                                             [0, 1, 0.4j, 0, 0.5, 0, 0, 0.2],
+                                             [2e-9, 0, 3e-9j, 0.6, 1, 0.3, -0.8, 0.5j]])], 0),
     ("conj-params-2x2", ["conj-params", "--h", "0.8,0.6", "--n", "2", "--m", "2"], 0),
     ("conj-params-2x3", ["conj-params", "--h", "0.9,0.4", "--n", "2", "--m", "3",
                          "--lambda-max", "3"], 0),
