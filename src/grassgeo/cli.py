@@ -5,14 +5,16 @@ with data flat in row-major order, or a bare data list plus --n/--m.  An
 argument starting with @ names a file holding the same JSON.  Complex scalars
 come back as {"value": [re, im]}.
 
-Exit codes: 0 success, 1 failed verification, 2 bad input, 3 geometric error
-(outside chart, vanishing overlap, inconsistent routes).
+Exit codes: 0 success, 1 failed verification or an output pipe closed early,
+2 bad input (also input too large to allocate), 3 geometric error (outside
+chart, vanishing overlap, inconsistent routes).
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -310,7 +312,11 @@ def main(argv=None) -> int:
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except BrokenPipeError:
+        # the reader left: stdout flushes into devnull at exit; 1 is Python's EPIPE status
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (ValueError, KeyError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2
 

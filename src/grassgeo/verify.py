@@ -9,8 +9,6 @@ execution order.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 import stat
@@ -498,32 +496,23 @@ def scan_conjugate(direction: loci.CartanDirection, t_range: tuple[float, float]
               if signature == "compact" else [])
     grid = np.linspace(t0, t1, steps)
     half_step = 0.5 * (grid[1] - grid[0])
-    pole = np.zeros(steps, dtype=bool)
-    if signature == "compact":
-        pole = np.min(manifold.tan_pole_distance(grid[:, None] * direction.h), axis=1) < 1e-3
+    pole = (np.min(manifold.tan_pole_distance(grid[:, None] * direction.h), axis=1) < 1e-3
+            if signature == "compact" else np.zeros(steps, dtype=bool))
     labels, angles, ratios = loci._classify_stack(tc, kernel.svd(tc.b).s, grid)
     overlaps = np.prod(np.cos(angles), axis=1)
-    match = (_nearest_radius(np.array([par.t for par in params]), grid, half_step).tolist()
-             if params else [-1] * steps)
-    rows = []
-    for i, t in enumerate(grid.tolist()):
-        row = {
-            "t": t,
-            "family": "", "p": "", "q": "", "lambda": "",
-            "min_jac_sv": "",
-            "max_angle": float(angles[i, 0]),
-            "second_angle": float(angles[i, 1]) if n > 1 else "",
-            "overlap_abs": float(overlaps[i]),
-            "class": "pole" if pole[i] else str(labels[i]),
-        }
-        if match[i] >= 0:
+    family, p, q, lam = ([""] * steps for _ in range(4))
+    if params:
+        match = _nearest_radius(np.array([par.t for par in params]), grid, half_step)
+        for i in np.flatnonzero(match >= 0).tolist():
             par = params[match[i]]
-            row["family"], row["p"], row["lambda"] = par.family, par.p, par.lam
-            row["q"] = par.q if par.q is not None else ""
-        if not pole[i] and np.isfinite(ratios[i]):
-            row["min_jac_sv"] = float(ratios[i])
-        rows.append(row)
-    return rows
+            family[i], p[i], lam[i] = par.family, par.p, par.lam
+            q[i] = par.q if par.q is not None else ""
+    # an object array holds Python floats, so the blanks can sit beside them
+    jac = np.where(~pole & np.isfinite(ratios), ratios.astype(object), "").tolist()
+    second = angles[:, 1].tolist() if n > 1 else [""] * steps
+    cols = (grid.tolist(), family, p, q, lam, jac, angles[:, 0].tolist(), second,
+            overlaps.tolist(), np.where(pole, "pole", labels).tolist())
+    return [dict(zip(SCAN_COLUMNS, vals)) for vals in zip(*cols)]
 
 
 def _nearest_radius(ts: np.ndarray, grid: np.ndarray, half_step: float) -> np.ndarray:
@@ -595,11 +584,16 @@ def _write_file(path: str, text: str) -> None:
 
 
 def write_scan_csv(rows: list[dict], path: str) -> None:
-    buf = io.StringIO(newline="")
-    writer = csv.DictWriter(buf, fieldnames=SCAN_COLUMNS)
-    writer.writeheader()
-    writer.writerows(rows)
-    _write_file(path, buf.getvalue())
+    """Write scan rows to path as the bytes csv.DictWriter writes in the
+    default dialect: CRLF line ends, and no quoting, which floats, ints and
+    the fixed family and class labels never need.  A row whose keys are not
+    exactly SCAN_COLUMNS raises ValueError before anything is written."""
+    columns = set(SCAN_COLUMNS)
+    for i, row in enumerate(rows):
+        if row.keys() != columns:
+            raise ValueError(f"scan row {i} has columns {sorted(row)}, not {list(SCAN_COLUMNS)}")
+    lines = [",".join([str(row[c]) for c in SCAN_COLUMNS]) for row in rows]
+    _write_file(path, "\r\n".join([",".join(SCAN_COLUMNS), *lines, ""]))
 
 
 def report_json(report: SuiteReport, include_timing: bool = True) -> str:

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from grassgeo import cli, kernel, manifold as mf
+from grassgeo import cli, kernel, manifold as mf, verify
 
 
 def _run(capsys, *argv):
@@ -279,6 +279,41 @@ def test_outputs_to_stdout_redirected_to_a_file_keep_their_order(tmp_path):
     assert json.loads("\n".join(lines[4:])) == {"rows": 3, "out": "/dev/stdout"}
     # the text report and then the JSON, each as verify --json - writes them
     assert report == text + payload
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_exit_1_and_no_message():
+    # 20,000 scan rows (~2 MB) overflow the pipe buffer, so the scan is still
+    # writing when the reader leaves after one line; verify writes nothing
+    # until its suite has run, so its pipe is closed before the first write
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    verify_argv = ["verify", "--seed", "1", "--trials", "1", "--no-timing",
+                   "--json", "/dev/stdout"]
+    for argv, lines_read in ((_scan_argv("/dev/stdout", 20000), 1), (verify_argv, 0)):
+        with subprocess.Popen([sys.executable, "-m", "grassgeo.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=dict(os.environ, PYTHONPATH=str(src))) as proc:
+            try:
+                if lines_read:
+                    assert proc.stdout.readline().startswith(b"t,family,")
+                proc.stdout.close()
+                _, err = proc.communicate(timeout=120)
+            finally:
+                proc.kill()
+        assert (proc.returncode, err) == (1, b""), argv[0]
+
+
+def test_a_grid_too_large_to_allocate_is_bad_input(monkeypatch, capsys):
+    # numpy raises MemoryError when asked for the grid; the stand-in raises
+    # it without attempting the allocation
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+    monkeypatch.setattr(verify.np, "linspace", refuse)
+    code, out, err = _run(capsys, "conj-scan", "--h", "0.8", "--n", "1", "--m", "1",
+                          "--t0", "0.5", "--t1", "0.9", "--steps", "10000000000000",
+                          "--out", "/dev/null")
+    assert (code, out) == (2, "")
+    assert err == "bad input: Unable to allocate 72.8 TiB for an array\n"
 
 
 def test_verify_subcommand_exit_and_stability(capsys):

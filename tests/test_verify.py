@@ -2,6 +2,7 @@ import ast
 import csv
 import importlib
 import importlib.util
+import io
 import json
 import pathlib
 import sys
@@ -248,6 +249,33 @@ def test_scan_rows_equal_per_point_calls(shape, h, signature):
                 assert row["min_jac_sv"] == verdict.jacobian_ratio
     if compact:
         assert classes == {"pole", "escape"}
+
+
+def test_scan_csv_is_what_the_csv_module_writes(tmp_path):
+    # rows with a blank second angle, a pole row (family t2, blank q and
+    # ratio), a non-pole row with a blank ratio, and the dual signature
+    one = loci.CartanDirection(np.array([1.0]))
+    wide = loci.CartanDirection(np.array([0.9, 0.7, 0.3]))
+    escape = _escape_time(wide.h)
+    scans = [verify.scan_conjugate(one, (0.3, 20.0), 77, 1, 1),
+             verify.scan_conjugate(one, (1.0708, 2.0708), 11, 1, 2),
+             verify.scan_conjugate(wide, (escape - 0.2, escape + 0.2), 9, 3, 5),
+             verify.scan_conjugate(wide, (0.2, 8.0), 100, 3, 5, signature="noncompact")]
+    assert any(r["class"] == "pole" and r["q"] == "" for r in scans[1])
+    assert any(r["class"] != "pole" and r["min_jac_sv"] == "" for r in scans[2])
+    out = tmp_path / "scan.csv"
+    for rows in scans:
+        assert {type(v) for row in rows for v in row.values()} <= {float, int, str}
+        buf = io.StringIO(newline="")
+        writer = csv.DictWriter(buf, fieldnames=verify.SCAN_COLUMNS)
+        writer.writeheader()
+        writer.writerows(rows)
+        verify.write_scan_csv(rows, str(out))
+        assert out.read_bytes() == buf.getvalue().encode()
+    row = scans[0][0]
+    for bad in ({**row, "extra": 1.0}, {k: v for k, v in row.items() if k != "q"}):
+        with pytest.raises(ValueError, match="scan row 1 has columns"):
+            verify.write_scan_csv([row, bad], str(out))
 
 
 @pytest.mark.parametrize("shape, h", [((2, 2), (0.8, 0.6)), ((3, 5), (0.95, 0.7, 0.4)),

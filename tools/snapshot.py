@@ -58,6 +58,9 @@ CASES = (
                   "--t0", "0.3", "--t1", "20", "--steps", "200", "--out", "{csv}"], 0),
     ("scan-1x1", ["conj-scan", "--h", "1.0", "--n", "1", "--m", "1", "--t0", "0.3",
                   "--t1", "20", "--steps", "77", "--out", "{csv}"], 0),
+    # the row at t = 1.5708 is a pole row: family t2, blank q and min_jac_sv
+    ("scan-1x2-pole", ["conj-scan", "--h", "1.0", "--n", "1", "--m", "2", "--t0", "1.0708",
+                       "--t1", "2.0708", "--steps", "11", "--out", "{csv}"], 0),
     ("verify-42-30-3x4", _verify(42, 30, 3, 4), 0),
     ("verify-7-40-2x2", _verify(7, 40, 2, 2), 0),
     ("verify-1-5-3x2", _verify(1, 5, 3, 2), 0),
