@@ -13,12 +13,13 @@ condition (schubert_membership) is the rank of the leading n x n block of
 the basis with its rows scaled to a largest modulus of 1.
 
 Conjugate points along a geodesic with Cartan direction h (the singular
-values of the velocity) occur at an explicit list of radii built from sums,
-differences, doubles, and plain reciprocals of the h entries.  The
-differential of the chart exponential has a closed-form spectrum, the
+values of the velocity) occur at the radii lam pi / |alpha(h)| over the
+restricted roots alpha, listed with their multiplicities in _root_table.
+The differential of the chart exponential has a closed-form spectrum, the
 Daleckii-Krein divided differences of tan (tanh) at the singular values of
-t B (jacobian_spectrum); its zeros fall exactly at those radii, with the
-predicted multiplicities.  classify_conjugate and the scanner read their
+t B (jacobian_spectrum), read off the same table; its zeros fall exactly at
+those radii, with the predicted multiplicities.  classify_conjugate and the
+scanner read their
 ratio from it, and their angles from the Cartan closed form in t h.  A
 finite-difference Jacobian of the exponential (conjugate_test_jacobian)
 measures the same spectrum independently and is the route the verify
@@ -26,17 +27,17 @@ suite checks it against.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernel
 from .errors import ChartEscapeError, ConsistencyError, DomainError
-from .manifold import (AngleSpectrum, Plane, TangentCoord, _descending_angles, _exp0_stack,
-                       _finite_times, _origin_frame_angles, _rng, _sv_bound, _tanh_saturates,
-                       _unit_rows, tan_pole_distance)
+from .manifold import (ANGLE_TOL, AngleSpectrum, Plane, TangentCoord, _descending_angles,
+                       _exp0_stack, _origin_frame_angles, _resolvable_times, _rng, _sv_bound,
+                       _tanh_saturates, _unit_rows, tan_pole_distance)
 
-ANGLE_TOL = 1e-6
 CAYLEY_TOL = 1e-9
 CONJUGATE_TOL = 1e-3
 PAIRING_TOL = 1e-8
@@ -267,42 +268,59 @@ class ConjugateParam:
     multiplicity: int
 
 
-def tangent_conjugate_params(direction: CartanDirection, n: int, m: int,
-                             lambda_max: int = 2) -> list[ConjugateParam]:
-    """All predicted conjugate radii along the compact geodesic with the given
-    direction, for windings 1..lambda_max, sorted by time.
+@functools.cache
+def _root_table(n: int, m: int):
+    """The positive restricted roots of Gr(n, n+m) (Helgason, Ch. X), once per
+    shape, as rows (family, a, b, sign, multiplicity) by a, for the root
+    alpha(x) = x_a + sign x_b on x padded with x_r = 0, r = min(n, m):
+    e_a +/- e_b (t1plus, t1minus; a < b < r; 2), 2 e_a (t2; b = a; 1) and,
+    if n != m, e_a (t3; b = r; 2|m - n|).  Then the a, b, sign and
+    multiplicity columns as read-only arrays, run on with the r zero weights
+    (a, a, -1, 1) of the Cartan subspace, so the multiplicities sum to 2nm."""
+    r = min(n, m)
+    rows = []
+    for a in range(r):
+        rows += [(fam, a, b, sign, 2) for b in range(a + 1, r)
+                 for fam, sign in (("t1plus", 1.0), ("t1minus", -1.0))]
+        rows += [("t2", a, a, 1.0, 1)] + [("t3", a, r, 1.0, 2 * abs(m - n))] * (n != m)
+    cols = [np.array(col) for col in zip(*rows, *[("", a, a, -1.0, 1) for a in range(r)])]
+    for col in cols[1:]:
+        col.flags.writeable = False
+    return (tuple(rows), *cols[1:])
 
-    Pair families (1 <= p < q <= r, multiplicity 2 each):
-        lam pi / (h_p + h_q)   and   lam pi / (h_p - h_q)
-    Single families (1 <= p <= r):
-        lam pi / (2 h_p) with multiplicity 1, and, when n != m,
-        lam pi / h_p with multiplicity 2 |m - n|.
-    A direction shorter than min(n, m) is padded with zeros to that length:
-    the implicit zero entries pair with the given ones.  Vanishing
-    denominators contribute nothing.
-    """
-    if lambda_max < 1:
-        raise ValueError("lambda_max must be at least 1")
+
+def _root_lengths(direction: CartanDirection, n: int, m: int):
+    """The rows of _root_table(n, m) and |alpha(h)| for each root and zero
+    weight, on the direction padded with zeros to length min(n, m) + 1."""
     r = min(n, m)
     if direction.r > r:
         raise ValueError(f"direction has {direction.r} entries but rank is {r}")
-    h = np.zeros(r)
-    h[:direction.r] = direction.h
-    out: list[ConjugateParam] = []
-    for lam in range(1, lambda_max + 1):
-        for p in range(r):
-            for q in range(p + 1, r):
-                for fam, den in (("t1plus", h[p] + h[q]), ("t1minus", h[p] - h[q])):
-                    if abs(den) >= DENOM_TOL:
-                        out.append(ConjugateParam(family=fam, p=p + 1, q=q + 1, lam=lam,
-                                                  t=lam * np.pi / abs(den), multiplicity=2))
-            if h[p] >= DENOM_TOL:
-                out.append(ConjugateParam(family="t2", p=p + 1, q=None, lam=lam,
-                                          t=lam * np.pi / (2.0 * h[p]), multiplicity=1))
-                if n != m:
-                    out.append(ConjugateParam(family="t3", p=p + 1, q=None, lam=lam,
-                                              t=lam * np.pi / h[p],
-                                              multiplicity=2 * abs(m - n)))
+    h = np.concatenate([direction.h, np.zeros(r + 1 - direction.r)])
+    rows, a, b, sign, _ = _root_table(n, m)
+    return rows, np.abs(h[a] + sign * h[b])
+
+
+def tangent_conjugate_params(direction: CartanDirection, n: int, m: int,
+                             lambda_max: int = 2) -> list[ConjugateParam]:
+    """All predicted conjugate radii along the compact geodesic with the given
+    direction, for windings 1..lambda_max, sorted stably by time: lam pi over
+    |alpha(h)| for each root alpha of _root_table, in the table's order.
+
+    Pairs 1 <= p < q <= r: lam pi / (h_p + h_q) and lam pi / (h_p - h_q),
+    multiplicity 2 each.  Singles 1 <= p <= r: lam pi / (2 h_p),
+    multiplicity 1, and, when n != m, lam pi / h_p, multiplicity 2 |m - n|.
+    A direction shorter than min(n, m) is padded with zeros to that length:
+    the implicit zero entries pair with the given ones.  Roots with
+    |alpha(h)| below DENOM_TOL contribute nothing.
+    """
+    if lambda_max < 1:
+        raise ValueError("lambda_max must be at least 1")
+    rows, lengths = _root_lengths(direction, n, m)
+    r = min(n, m)
+    roots = [(row, den) for row, den in zip(rows, lengths) if den >= DENOM_TOL]
+    out = [ConjugateParam(family=fam, p=a + 1, q=b + 1 if a < b < r else None, lam=lam,
+                          t=lam * np.pi / den, multiplicity=mult)
+           for lam in range(1, lambda_max + 1) for (fam, a, b, _, mult), den in roots]
     out.sort(key=lambda c: c.t)
     return out
 
@@ -310,11 +328,12 @@ def tangent_conjugate_params(direction: CartanDirection, n: int, m: int,
 def coverage_limit(direction: CartanDirection, n: int, m: int,
                    lambda_max: int = 2) -> float:
     """Smallest conjugate time the winding cap misses: the first radius that
-    winding lambda_max + 1 would add.  Scans past this limit run into radii
-    absent from the capped list."""
-    extra = [c.t for c in tangent_conjugate_params(direction, n, m, lambda_max + 1)
-             if c.lam == lambda_max + 1]
-    return min(extra) if extra else np.inf
+    winding lambda_max + 1 would add, on the largest root, 2 h_1 (inf below
+    DENOM_TOL).  Scans past this limit run into radii absent from the list."""
+    if lambda_max < 0:
+        raise ValueError("lambda_max must be at least 0")
+    top = np.max(_root_lengths(direction, n, m)[1])
+    return (lambda_max + 1) * np.pi / top if top >= DENOM_TOL else np.inf
 
 
 @dataclass(slots=True)
@@ -394,27 +413,22 @@ def conjugate_test_jacobian(tangent: TangentCoord, t: float) -> JacobianProbe:
                          indeterminate=CONJUGATE_TOL <= ratio < 10.0 * CONJUGATE_TOL)
 
 
-def _spectrum_stack(st: np.ndarray, signature: str) -> np.ndarray:
-    """The 2r^2 distinct divided differences of jacobian_spectrum, unsorted,
-    for each row of st, the r singular values of t B over a stack of times,
-    as a (k, 2r^2) array; rows that _probe_clear rejects are nan.  The
-    values g(x_a)/x_a sit at [r^2::r + 1]; jacobian_spectrum adds their
-    2|m - n| copies, which neither extreme needs."""
+def _spectrum_stack(st: np.ndarray, signature: str, n: int, m: int) -> np.ndarray:
+    """The distinct values of jacobian_spectrum, unsorted, for each row of st,
+    the r singular values of t B over a stack of times, one column per root
+    and zero weight of _root_table(n, m); rows that _probe_clear rejects are
+    nan.  Per root, |S(alpha(x))| / (c(x_a) c(x_b)) on x padded with
+    x_r = 0, c(0) = 1; then the r flat values S(0) / c(x_a)^2."""
     clear = _probe_clear(st, _stencil_step(np.linalg.norm(st, axis=-1)), signature)
-    x = st[clear]
     fn, c = (np.sin, np.cos) if signature == "compact" else (np.sinh, np.cosh)
-    # y[:, 0, a, b] = x_a - x_b and y[:, 1, a, b] = x_a + x_b: each pair a != b
-    # appears twice, as the divided differences should, and a = b once
-    y = np.stack([x[:, :, None] - x[:, None, :], x[:, :, None] + x[:, None, :]], axis=1)
-    zero = y == 0.0
-    y[zero] = 1.0
-    vals = fn(y) / y
-    vals[zero] = 1.0
+    _, a, b, sign, mult = _root_table(n, m)
+    x = np.concatenate([st[clear], np.zeros((np.count_nonzero(clear), 1))], axis=1)
+    y = x[:, a] + sign * x[:, b]
+    vals = np.divide(fn(y), y, out=np.ones_like(y), where=y != 0.0)
     cx = c(x)
-    vals /= cx[:, None, :, None] * cx[:, None, None, :]
-    r = x.shape[-1]
-    out = np.full((st.shape[0], 2 * r * r), np.nan)
-    out[clear] = np.abs(vals).reshape(-1, 2 * r * r)
+    vals /= cx[:, a] * cx[:, b]
+    out = np.full((st.shape[0], mult.size), np.nan)
+    out[clear] = np.abs(vals)
     return out
 
 
@@ -426,15 +440,13 @@ def jacobian_spectrum(tangent: TangentCoord, t) -> np.ndarray:
     The map commutes with B -> U B V* for unitary U, V, which act
     orthogonally on real coordinates, so the spectrum depends only on the
     singular values x of t B.  It consists of the Daleckii-Krein divided
-    differences of g = tan (tanh for the noncompact dual): g'(x_i) once,
-    g(x_i)/x_i 1 + 2|m - n| times, and (g(x_i) -/+ g(x_j))/(x_i -/+ x_j)
-    twice each for i < j, 2nm values in all.  Since
-    tan a -/+ tan b = sin(a -/+ b)/(cos a cos b), and likewise for tanh with
-    sinh and cosh, each value is |S(x_a -/+ x_b)/(c(x_a) c(x_b))| with
-    S(y) = sin(y)/y (sinh(y)/y) and c = cos (cosh).  That form has no
-    cancellation, so coincident and zero x are exact.  A zero of
-    S(t alpha) on a root alpha, a sum or difference of the entries of the
-    direction, is a conjugate point.
+    differences of g = tan (tanh for the noncompact dual), repeated by the
+    multiplicities of _root_table, 2nm values in all: g'(x_a) per zero
+    weight and (g(x_a) + sign g(x_b))/alpha(x) per root, with x_r = 0.  As
+    tan a -/+ tan b = sin(a -/+ b)/(cos a cos b), and likewise for tanh, each
+    is |S(alpha(x))/(c(x_a) c(x_b))| with S(y) = sin(y)/y (sinh(y)/y) and
+    c = cos (cosh), with no cancellation, so coincident and zero x are
+    exact.  A zero of S(t alpha(h)) is a conjugate point.
 
     t may be a scalar, giving a (2nm,) array, or a 1-D array of times,
     giving a (k, 2nm) stack.  Times within 10 stencil steps of a tan pole,
@@ -445,10 +457,9 @@ def jacobian_spectrum(tangent: TangentCoord, t) -> np.ndarray:
     n, m = tangent.shape
     s = kernel.svd(tangent.b).s
     ts = _resolvable_times(t, s[0])
-    vals = _spectrum_stack(ts.reshape(-1, 1) * s, tangent.signature)
-    # g(x_a)/x_a, the plus diagonal, has 2|m - n| more copies
-    extra = np.tile(vals[:, s.size ** 2::s.size + 1], 2 * abs(m - n))
-    return -np.sort(-np.concatenate([vals, extra], axis=-1), axis=-1).reshape(ts.shape + (-1,))
+    vals = _spectrum_stack(ts.reshape(-1, 1) * s, tangent.signature, n, m)
+    vals = np.repeat(vals, _root_table(n, m)[-1], axis=-1)  # by multiplicity
+    return -np.sort(-vals, axis=-1).reshape(ts.shape + (-1,))
 
 
 @dataclass(slots=True)
@@ -459,21 +470,6 @@ class ConjugateClass:
     label: str
     angles: AngleSpectrum
     jacobian_ratio: float
-
-
-def _resolvable_times(t, h1: float) -> np.ndarray:
-    """_finite_times(t, h1), for h1 the velocity's largest singular value or
-    a bound on it, which also refuses, with ValueError, times where
-    neighbouring doubles of t h1 lie farther apart than ANGLE_TOL (from
-    |t h1| of about 2^33): angles and spectra read there would be rounding
-    noise."""
-    ts = _finite_times(t, h1)
-    reach = float(np.max(np.abs(ts), initial=0.0)) * float(h1)
-    if np.spacing(reach) > ANGLE_TOL:
-        raise ValueError(f"t * h_1 = {reach:.6g} is too large: neighbouring doubles there "
-                         f"are {np.spacing(reach):.3g} apart, coarser than the angle "
-                         f"threshold {ANGLE_TOL:g}")
-    return ts
 
 
 def _classify_stack(tangent: TangentCoord, s: np.ndarray, ts: np.ndarray):
@@ -492,7 +488,7 @@ def _classify_stack(tangent: TangentCoord, s: np.ndarray, ts: np.ndarray):
     gaps = angles[:, :r - 1] - angles[:, 1:r]
     interior = np.min(gaps, axis=1, initial=np.inf) <= ANGLE_TOL
     labels = np.where(wong, "wong", np.where(interior, "interior", "none"))
-    spectrum = _spectrum_stack(st, tangent.signature)
+    spectrum = _spectrum_stack(st, tangent.signature, n, m)
     return labels, angles, np.min(spectrum, axis=1) / np.max(spectrum, axis=1)
 
 

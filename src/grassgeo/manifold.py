@@ -30,6 +30,7 @@ from .errors import ChartEscapeError, DomainError, NotInChartError, NumericalFai
 
 Signature = Literal["compact", "noncompact"]
 
+ANGLE_TOL = 1e-6
 POLE_TOL = 1e-9
 OVERLAP_TOL = 1e-12
 # bytes of the (C(N, n), n, n) complex stack plucker may build: 45 MB at
@@ -402,19 +403,25 @@ def log0(point: ChartPoint) -> TangentCoord:
     return TangentCoord(b=res.apply(vals), signature=point.signature)
 
 
-def _finite_times(t, scale: float) -> np.ndarray:
+def _resolvable_times(t, scale: float) -> np.ndarray:
     """The time, or times, as a float array.  ValueError unless every time is
-    finite and so is its product with scale, the velocity's largest singular
-    value or, where no SVD is at hand, _sv_bound of it: refused here, an
-    overflowing t B would reach numpy as inf."""
+    finite, and so is its product with scale (the velocity's largest
+    singular value, or _sv_bound of it where no SVD is at hand), and
+    neighbouring doubles of that product lie within ANGLE_TOL, below about
+    2^33: else t B reaches numpy as inf, or points and angles are noise."""
     ts = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(ts)):
         raise ValueError("times must be finite")
     # a product of Python floats overflows to inf without a numpy warning
     top = float(np.max(np.abs(ts), initial=0.0))
-    if not np.isfinite(top * float(scale)):
+    reach = top * float(scale)
+    if not np.isfinite(reach):
         raise ValueError(f"time {top:g} is too large: its product with the velocity's "
                          f"scale {float(scale):.6g} overflows")
+    if np.spacing(reach) > ANGLE_TOL:
+        raise ValueError(f"t * h_1 = {reach:.6g} is too large: neighbouring doubles there "
+                         f"are {np.spacing(reach):.3g} apart, coarser than the angle "
+                         f"threshold {ANGLE_TOL:g}")
     return ts
 
 
@@ -427,7 +434,7 @@ def _sv_bound(b: np.ndarray) -> float:
 
 def geodesic_chart(tangent: TangentCoord, t: float) -> ChartPoint:
     """Geodesic through the origin with initial velocity B, in the chart."""
-    ts = _finite_times(t, _sv_bound(tangent.b))
+    ts = _resolvable_times(t, _sv_bound(tangent.b))
     return exp0(TangentCoord(b=ts * tangent.b, signature=tangent.signature))
 
 
@@ -443,7 +450,7 @@ def geodesic_group(tangent: TangentCoord, t: float) -> Plane:
     the rows grow apart like e^(t h) until they are numerically dependent.
     """
     res = kernel.svd(tangent.b)
-    st = _finite_times(t, res.s[0]) * res.s
+    st = _resolvable_times(t, res.s[0]) * res.s
     if tangent.signature == "compact":
         co, si = np.cos(st), np.sin(st)
     else:

@@ -395,9 +395,8 @@ def _prop_conjugate_classes(rng, cfg, tol):
     origin = manifold.base_plane(cfg.n, cfg.m)
     worst = -np.inf
     if r > 1:
-        pair_times = [par for par in
-                      loci.tangent_conjugate_params(direction, cfg.n, cfg.m, 1)
-                      if par.family in ("t1plus", "t1minus")]
+        pair_times = [par for par in loci.tangent_conjugate_params(direction, cfg.n, cfg.m, 1)
+                      if par.q is not None]
         testable = _testable_radii(pair_times, direction)
         if not testable:
             raise ConsistencyError("no probe-safe pair radius for the sampled direction")
@@ -483,14 +482,14 @@ def scan_conjugate(direction: loci.CartanDirection, t_range: tuple[float, float]
     their angle class and have an empty ratio.  The whole grid is evaluated
     as stacks through the code behind classify_conjugate.  ValueError,
     before any stacked call: lambda_max below 1, for either signature, and a
-    grid reaching so far that loci._resolvable_times refuses t1.
+    grid reaching so far that manifold._resolvable_times refuses t1.
     """
     t0, t1 = float(t_range[0]), float(t_range[1])
     if not (steps >= 2 and np.isfinite(t1) and t1 > t0 > 0.0):
         raise ValueError("need steps >= 2 and finite 0 < t0 < t1")
     if lambda_max < 1:
         raise ValueError("lambda_max must be at least 1")
-    loci._resolvable_times(t1, direction.h[0])
+    manifold._resolvable_times(t1, direction.h[0])
     tc = loci.cartan_to_tangent(direction, n, m, signature)
     params = (loci.tangent_conjugate_params(direction, n, m, lambda_max)
               if signature == "compact" else [])

@@ -393,6 +393,44 @@ def test_coverage_limit_worked_direction():
         3 * np.pi / 1.6, rel=1e-12)
 
 
+ROOT_SHAPES = [(1, 1), (1, 3), (2, 2), (3, 2), (3, 5), (5, 3), (4, 6), (8, 10)]
+
+
+@pytest.mark.parametrize("n, m", ROOT_SHAPES)
+def test_root_table_counts_the_real_dimension(n, m):
+    # r flat values and the roots with their multiplicities span the 2nm real
+    # coordinates; a generic direction has every root nonzero
+    r = min(n, m)
+    rng = np.random.default_rng(100 * n + m)
+    direction = loci.CartanDirection(np.sort(rng.uniform(0.2, 1.0, r))[::-1])
+    params = loci.tangent_conjugate_params(direction, n, m, 1)
+    assert r + sum(c.multiplicity for c in params) == 2 * n * m
+    tc = loci.cartan_to_tangent(direction, n, m)
+    # a pole-clear time; at n != m the e_a roots are in the spectrum too
+    t = next(t for t in rng.uniform(0.3, 3.0, 100)
+             if np.min(mf.tan_pole_distance(t * direction.h)) > 0.1)
+    spectrum = loci.jacobian_spectrum(tc, t)
+    assert spectrum.shape == (2 * n * m,)
+    assert loci.classify_conjugate(tc, t).jacobian_ratio == spectrum[-1] / spectrum[0]
+
+
+@pytest.mark.parametrize("n, m", ROOT_SHAPES)
+def test_coverage_limit_is_the_first_radius_of_the_next_winding(n, m):
+    rng = np.random.default_rng(200 * n + m)
+    for k in range(6):
+        # full-length directions, and short ones padded with zeros
+        r = min(n, m) if k % 2 == 0 else int(rng.integers(1, min(n, m) + 1))
+        direction = loci.CartanDirection(np.sort(rng.uniform(0.05, 2.0, r))[::-1])
+        for lam in (1, 2, 3):
+            want = min(c.t for c in loci.tangent_conjugate_params(direction, n, m, lam + 1)
+                       if c.lam == lam + 1)
+            assert loci.coverage_limit(direction, n, m, lam) == want
+    # a vanishing direction has no radius in any winding
+    assert loci.coverage_limit(loci.CartanDirection(np.zeros(1)), n, m) == np.inf
+    with pytest.raises(ValueError, match="lambda_max"):
+        loci.coverage_limit(direction, n, m, -1)
+
+
 def test_direction_validation():
     with pytest.raises(ValueError):
         loci.CartanDirection(np.array([0.3, 0.8]))
@@ -638,7 +676,8 @@ def test_time_routes_refuse_overflowing_and_unresolvable_times(signature):
     # at t = 2^40 neighbouring doubles of t h_1 are 1.2e-4 apart, coarser than
     # ANGLE_TOL: refused as the scan refuses such a grid
     tc = loci.cartan_to_tangent(loci.CartanDirection(np.array([0.8, 0.6])), 2, 2, signature)
-    for route in (loci.jacobian_spectrum, loci.classify_conjugate, loci.conjugate_test_jacobian):
+    for route in (mf.geodesic_chart, mf.geodesic_group, loci.jacobian_spectrum,
+                  loci.classify_conjugate, loci.conjugate_test_jacobian):
         for t in (2.0**40, -2.0**40, 1e308):
             with pytest.raises(ValueError, match="too large"):
                 route(tc, t)

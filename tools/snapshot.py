@@ -79,6 +79,8 @@ CASES = (
     ("conj-params-2x2", ["conj-params", "--h", "0.8,0.6", "--n", "2", "--m", "2"], 0),
     ("conj-params-2x3", ["conj-params", "--h", "0.9,0.4", "--n", "2", "--m", "3",
                          "--lambda-max", "3"], 0),
+    # t1minus(1,2) and t3(2) tie at pi/0.4: tied radii keep the root order
+    ("conj-params-3x2-tie", ["conj-params", "--h", "0.8,0.4", "--n", "3", "--m", "2"], 0),
     ("schubert-sample", ["schubert", "--symbol", "1,2", "--m", "2", "--sample",
                          "--seed", "5", "--flag", "chart"], 0),
     # past the first tan pole of s_1 = 1.293 (t = 1.215), and far out on the dual
@@ -93,6 +95,9 @@ CASES = (
     ("geodesic-chart-overflow", ["geodesic", _mat([[5, 3]]), "--t", "1e308"], 2),
     ("geodesic-group-overflow", ["geodesic", _mat([[5, 3]]), "--t", "1e308",
                                  "--route", "group"], 2),
+    # finite product, but neighbouring doubles of it lie far past ANGLE_TOL
+    ("geodesic-chart-1e200", ["geodesic", _mat([[5, 3]]), "--t", "1e200"], 2),
+    ("geodesic-group-1e200", ["geodesic", _mat([[5, 3]]), "--t", "1e200", "--route", "group"], 2),
 )
 
 # about 1 MB; the largest scan CSV is about 43 kB
