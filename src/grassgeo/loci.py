@@ -34,8 +34,8 @@ import numpy as np
 
 from . import kernel
 from .errors import ChartEscapeError, ConsistencyError, DomainError
-from .manifold import (ANGLE_TOL, AngleSpectrum, Plane, TangentCoord, _descending_angles,
-                       _exp0_stack, _origin_frame_angles, _resolvable_times, _rng, _sv_bound,
+from .manifold import (ANGLE_TOL, AngleSpectrum, Plane, TangentCoord, _angles_of,
+                       _descending_angles, _exp0_stack, _resolvable_times, _rng,
                        _tanh_saturates, _unit_rows, tan_pole_distance)
 
 CAYLEY_TOL = 1e-9
@@ -194,7 +194,9 @@ def cut_locus_test(plane: Plane) -> LocusVerdict:
     Disagreement between the routes raises ConsistencyError rather than
     picking a side.
     """
-    max_angle = float(np.max(_origin_frame_angles(plane.frame[None])))
+    # LAPACK's frame of O is exactly (1_n | 0)^T, so V* times it is exactly
+    # the leading n rows of the frame V, conjugate-transposed
+    max_angle = float(np.max(_angles_of(plane.frame[:plane.n].conj().T, plane.big_n)))
     by_angle = max_angle >= np.pi / 2 - ANGLE_TOL
 
     pairing = plane.origin_pairing
@@ -371,12 +373,12 @@ def _fd_spectrum(tangent: TangentCoord, t: float) -> np.ndarray:
     """Descending singular values of the central-difference Jacobian of the
     chart map at t B, with _probe_clear's guard: ChartEscapeError near a tan
     pole, DomainError where a noncompact tanh saturates.  The time guard
-    reads _sv_bound, since no SVD of B is at hand; where it refuses on that
-    bound, the stencil would reach a pole or a saturated tanh anyway."""
-    bt = _resolvable_times(t, _sv_bound(tangent.b)) * tangent.b
+    reads the largest singular value of B, as geodesic_group's does."""
+    s = np.linalg.svd(tangent.b, compute_uv=False)
+    ts = _resolvable_times(t, s[0])
+    bt = ts * tangent.b
     step = float(_stencil_step(np.linalg.norm(bt)))
-    svals = np.linalg.svd(bt, compute_uv=False)
-    if not _probe_clear(svals[None], step, tangent.signature)[0]:
+    if not _probe_clear(np.abs(ts) * s[None], step, tangent.signature)[0]:
         raise ChartEscapeError("evaluation point too close to a tan pole for finite differences")
     n, m = tangent.shape
 

@@ -117,11 +117,16 @@ class Plane:
 
     @property
     def origin_pairing(self) -> float:
-        """cos_cayley_planes against the origin plane, read from the leading
-        block by _origin_pairing_stack; computed once per plane."""
+        """cos_cayley_planes against the origin plane O, read from the
+        leading block: |det A[:, :n]| / sqrt(det A A*), on _unit_rows(A),
+        computed once per plane.  The same numbers, since the rows of O are
+        already unit rows, A O* is exactly the leading block and det(O O*)
+        is exactly 1."""
         if self._origin_pairing is None:
-            object.__setattr__(self, "_origin_pairing",
-                               float(_origin_pairing_stack(self.basis[None])[0]))
+            a = _unit_rows(self.basis)
+            gram = np.linalg.det(a @ a.conj().T).real
+            pairing = min(float(abs(np.linalg.det(a[:, :self.n])) / np.sqrt(gram)), 1.0)
+            object.__setattr__(self, "_origin_pairing", pairing)
         return self._origin_pairing
 
     @property
@@ -229,13 +234,13 @@ def overlap(zp: ChartPoint, z: ChartPoint) -> complex:
 
 def cos_cayley(zp: ChartPoint, z: ChartPoint) -> float:
     """Normalized overlap magnitude in [0, 1] for compact chart points: the
-    overflow-free Gram pairing _cos_cayley_stack of their hat bases."""
+    overflow-free Gram pairing _cos_cayley of their hat bases."""
     _check_pair(zp, z)
     if z.signature != "compact":
         raise DomainError(
             "the Cayley distance comes from the projective embedding of the "
             "compact space; the noncompact normalized overlap is not a cosine")
-    return float(_cos_cayley_stack(hat_basis(zp)[None], hat_basis(z)[None])[0])
+    return _cos_cayley(hat_basis(zp), hat_basis(z))
 
 
 def cayley_distance(zp: ChartPoint, z: ChartPoint) -> float:
@@ -251,36 +256,23 @@ def cos_cayley_planes(p: Plane, q: Plane) -> float:
     """
     if p.basis.shape != q.basis.shape:
         raise ValueError(f"shape mismatch: {p.basis.shape} vs {q.basis.shape}")
-    return float(_cos_cayley_stack(p.basis[None], q.basis[None])[0])
+    return _cos_cayley(p.basis, q.basis)
 
 
 def _unit_rows(a: np.ndarray) -> np.ndarray:
-    """Each row of a basis, or of a stack of them, scaled to a largest
-    modulus of 1: the same plane, on the scale of unit vectors.  (A row norm
-    would overflow from entries of about 1e154.)"""
-    return a / np.abs(a).max(axis=-1, keepdims=True)
+    """Each row of a basis scaled to a largest modulus of 1: the same plane,
+    on the scale of unit vectors.  (A row norm would overflow from entries
+    of about 1e154.)"""
+    return a / np.abs(a).max(axis=1, keepdims=True)
 
 
-def _cos_cayley_stack(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """cos_cayley_planes over (k, n, N) stacks of row bases; q may be a stack
-    of one, paired with every member of p.  The ratio does not change when a
+def _cos_cayley(p: np.ndarray, q: np.ndarray) -> float:
+    """cos_cayley_planes of two row bases.  The ratio does not change when a
     row is scaled; on _unit_rows no determinant overflows."""
     p, q = _unit_rows(p), _unit_rows(q)
-    qh = q.conj().swapaxes(-1, -2)
-    num = np.abs(np.linalg.det(p @ qh))
-    den = np.sqrt(np.linalg.det(p @ p.conj().swapaxes(-1, -2)).real * np.linalg.det(q @ qh).real)
-    return np.minimum(num / den, 1.0)
-
-
-def _origin_pairing_stack(p: np.ndarray) -> np.ndarray:
-    """_cos_cayley_stack against the origin plane O, read from each basis's
-    leading block: |det A[:, :n]| / sqrt(det A A*), on _unit_rows(A).  The
-    same numbers, since the rows of O are already unit rows, A O* is exactly
-    the leading block and det(O O*) is exactly 1."""
-    n = p.shape[-2]
-    p = _unit_rows(p)
-    gram = np.linalg.det(p @ p.conj().swapaxes(-1, -2)).real
-    return np.minimum(np.abs(np.linalg.det(p[..., :n])) / np.sqrt(gram), 1.0)
+    num = abs(np.linalg.det(p @ q.conj().T))
+    den = np.sqrt(np.linalg.det(p @ p.conj().T).real * np.linalg.det(q @ q.conj().T).real)
+    return min(float(num / den), 1.0)
 
 
 def stationary_angles_w(zp: ChartPoint, z: ChartPoint) -> AngleSpectrum:
@@ -318,23 +310,13 @@ def stationary_angles_svd(p: Plane, q: Plane) -> AngleSpectrum:
     return AngleSpectrum(_angles_of(p.frame.conj().T @ q.frame, p.big_n))
 
 
-def _origin_frame_angles(f: np.ndarray) -> np.ndarray:
-    """The angles of stationary_angles_svd against the origin plane O, from a
-    (k, N, n) stack of frames, without forming O's frame.  LAPACK's SVD of
-    the basis (1_n | 0) of O is exactly (1_n, 1, (1_n | 0)), so O's frame is
-    exactly (1_n | 0)^T, V* times it is exactly the leading n rows of V
-    conjugate-transposed, and the angles are the same numbers."""
-    n = f.shape[-1]
-    return _angles_of(f[..., :n, :].conj().swapaxes(-1, -2), f.shape[-2])
-
-
 def _angles_of(cross: np.ndarray, big_n: int) -> np.ndarray:
-    """Angles whose cosines are the singular values of the (k, n, n), or
-    (n, n), products V1* V2 of orthonormal frames of n-planes in C^N."""
+    """Angles whose cosines are the singular values of the n x n product
+    V1* V2 of orthonormal frames of two n-planes in C^N."""
     n = cross.shape[-1]
     cos = np.clip(np.linalg.svd(cross, compute_uv=False), 0.0, 1.0)
     # two n-planes in C^N meet in at least 2n - N dimensions
-    cos[..., :max(0, 2 * n - big_n)] = 1.0
+    cos[:max(0, 2 * n - big_n)] = 1.0
     return np.arccos(cos)
 
 
@@ -406,9 +388,9 @@ def log0(point: ChartPoint) -> TangentCoord:
 def _resolvable_times(t, scale: float) -> np.ndarray:
     """The time, or times, as a float array.  ValueError unless every time is
     finite, and so is its product with scale (the velocity's largest
-    singular value, or _sv_bound of it where no SVD is at hand), and
-    neighbouring doubles of that product lie within ANGLE_TOL, below about
-    2^33: else t B reaches numpy as inf, or points and angles are noise."""
+    singular value), and neighbouring doubles of that product lie within
+    ANGLE_TOL, below about 2^33: else t B reaches numpy as inf, or points
+    and angles are noise."""
     ts = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(ts)):
         raise ValueError("times must be finite")
@@ -425,16 +407,9 @@ def _resolvable_times(t, scale: float) -> np.ndarray:
     return ts
 
 
-def _sv_bound(b: np.ndarray) -> float:
-    """sqrt(nm) times the largest entry modulus of b, a bound on its largest
-    singular value.  The largest entry alone is not one: at t = 3.3e307 the
-    entries of t (5, 3) are finite while the SVD of it reads inf."""
-    return float(np.abs(b).max()) * float(np.sqrt(b.size))
-
-
 def geodesic_chart(tangent: TangentCoord, t: float) -> ChartPoint:
     """Geodesic through the origin with initial velocity B, in the chart."""
-    ts = _resolvable_times(t, _sv_bound(tangent.b))
+    ts = _resolvable_times(t, kernel.svd(tangent.b).s[0])
     return exp0(TangentCoord(b=ts * tangent.b, signature=tangent.signature))
 
 

@@ -192,7 +192,7 @@ def _cut_plane(rng, n, m):
     return manifold.Plane(rows)
 
 
-def _unit_direction(rng, r, min_gap=0.0, min_entry=0.0):
+def _unit_direction(rng, r, min_gap, min_entry):
     for _ in range(256):
         h = np.sort(np.abs(rng.standard_normal(r)))[::-1]
         h /= np.linalg.norm(h)

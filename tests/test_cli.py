@@ -433,6 +433,17 @@ def test_overflowing_times_are_bad_input(route, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("t", ["1e200", "1e308"])
+def test_chart_and_group_routes_print_the_same_time_refusal(t, capsys):
+    # both time guards read the velocity's largest singular value, sqrt(34)
+    # for B = (5, 3), so the refusal names the same reach and scale
+    b = '{"rows":1,"cols":2,"data":[[5,0],[3,0]]}'
+    chart = _run(capsys, "geodesic", b, "--t", t, "--route", "chart")
+    group = _run(capsys, "geodesic", b, "--t", t, "--route", "group")
+    assert chart == group and chart[:2] == (2, "")
+    assert ("t * h_1 = 5.83095e+200" if t == "1e200" else "scale 5.83095") in chart[2]
+
+
 def test_noncompact_group_geodesic_far_out_stays_a_plane(capsys):
     # the unscaled (cosh | sinh) rows grew apart by e^22 at t = 30 and failed
     # the plane's rank test; the rescaled (1 | tanh) rows do not

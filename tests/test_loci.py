@@ -138,21 +138,29 @@ def _origin_test_planes(rng, n, m):
             mf.Plane(mix @ built.basis)]
 
 
-@pytest.mark.parametrize("n, m", [(1, 4), (3, 5), (6, 8), (3, 2), (4, 1)])
+# Cartan directions of the geodesic_group scan planes, by shape
+_SCAN_H = {(2, 2): (0.8, 0.6), (3, 5): (0.9, 0.7, 0.3), (4, 2): (1.0, 0.4)}
+
+
+@pytest.mark.parametrize("n, m", [(1, 4), (3, 5), (6, 8), (3, 2), (4, 1), (2, 2), (4, 2)])
 def test_origin_cut_routes_equal_the_general_routes(n, m):
     # cut_locus_test and cayley_cut_check read the leading block of the
     # plane's own basis; the numbers must be exactly those of the general
-    # routes against an explicit origin plane
+    # routes against an explicit origin plane, on built, Haar and
+    # unnormalized planes and along a geodesic_group scan
     rng = np.random.default_rng(53 + n + m)
     origin = mf.base_plane(n, m)
-    for _ in range(4):
-        for plane in _origin_test_planes(rng, n, m):
-            verdict = loci.cut_locus_test(plane)
-            cos = mf.cos_cayley_planes(plane, origin)
-            assert verdict.max_angle == mf.stationary_angles_svd(plane, origin).max_angle
-            assert verdict.pairing_abs == cos
-            arccos = float(np.arccos(np.clip(cos, 0.0, 1.0)))
-            assert loci.cayley_cut_check(plane) == (arccos >= np.pi / 2 - loci.CAYLEY_TOL)
+    planes = [plane for _ in range(4) for plane in _origin_test_planes(rng, n, m)]
+    h = _SCAN_H.get((n, m), np.linspace(1.0, 0.2, min(n, m)))
+    tc = loci.cartan_to_tangent(loci.CartanDirection(np.array(h)), n, m)
+    planes += [mf.geodesic_group(tc, t) for t in np.linspace(0.3, 12.0, 41)]
+    for plane in planes:
+        verdict = loci.cut_locus_test(plane)
+        cos = mf.cos_cayley_planes(plane, origin)
+        assert verdict.max_angle == mf.stationary_angles_svd(plane, origin).max_angle
+        assert verdict.pairing_abs == cos
+        arccos = float(np.arccos(np.clip(cos, 0.0, 1.0)))
+        assert loci.cayley_cut_check(plane) == (arccos >= np.pi / 2 - loci.CAYLEY_TOL)
 
 
 def test_planes_are_factored_once(monkeypatch):
@@ -168,8 +176,8 @@ def test_planes_are_factored_once(monkeypatch):
 
     monkeypatch.setattr(kernel, "svd", counted("svd", kernel.svd))
     monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
-    monkeypatch.setattr(mf, "_origin_pairing_stack",
-                        counted("pairing", mf._origin_pairing_stack))
+    # the origin pairing is the one reader of _unit_rows on these routes
+    monkeypatch.setattr(mf, "_unit_rows", counted("pairing", mf._unit_rows))
     rng = np.random.default_rng(71)
     for n, m in ((1, 4), (3, 5), (6, 8)):
         built = _cut_plane(rng, n, m)
@@ -203,20 +211,6 @@ def test_cut_routes_do_not_overflow_on_large_bases(n):
             assert verdict.pairing_abs == mf.cos_cayley_planes(plane, origin) == 1.0
             assert not loci.cayley_cut_check(plane)
             assert not loci.schubert_membership(plane, symbol, flag="perp")
-
-
-@pytest.mark.parametrize("shape, h", [((2, 2), (0.8, 0.6)), ((3, 5), (0.9, 0.7, 0.3)),
-                                      ((4, 2), (1.0, 0.4))])
-def test_origin_stacks_equal_the_general_stacks_on_a_scan(shape, h):
-    n, m = shape
-    tc = loci.cartan_to_tangent(loci.CartanDirection(np.array(h)), n, m)
-    bases = np.stack([mf.geodesic_group(tc, t).basis for t in np.linspace(0.3, 12.0, 41)])
-    frames = kernel.svd(bases).v
-    origin = np.eye(n, n + m, dtype=complex)
-    general = mf._angles_of(frames.conj().swapaxes(-1, -2) @ kernel.svd(origin).v, n + m)
-    assert np.array_equal(mf._origin_frame_angles(frames), general)
-    assert np.array_equal(mf._origin_pairing_stack(bases),
-                          mf._cos_cayley_stack(bases, origin[None]))
 
 
 def _membership_every_condition(plane, symbol, flag):

@@ -44,6 +44,12 @@ def _verify(seed, trials, n, m):
 
 
 _GEO_B = _mat([[1.0 + 0.5j, 0.2 + 0.1j], [0.3, 0.9]])
+# chart points inside the noncompact ball too, so both signatures read them
+_ZP = _mat([[0.3 + 0.1j, -0.2, 0.05j], [0.1, 0.25 - 0.1j, 0.2]])
+_Z = _mat([[-0.1, 0.4j, 0.2 + 0.2j], [0.35, 0.05, -0.15j]])
+# 3 x 2: two 3-planes in C^5 share a line, so one angle is pinned to 0
+_ZP_TALL = _mat([[0.5, 0.2j], [-0.3 + 0.1j, 0.4], [0.1, -0.6]])
+_Z_TALL = _mat([[0.2j, -0.1], [0.7, 0.3 - 0.2j], [0.05, 0.45]])
 
 # (name, argv, expected exit code); "{csv}" in an argv stands for OUTDIR/<name>.csv
 CASES = (
@@ -81,6 +87,15 @@ CASES = (
                          "--lambda-max", "3"], 0),
     # t1minus(1,2) and t3(2) tie at pi/0.4: tied radii keep the root order
     ("conj-params-3x2-tie", ["conj-params", "--h", "0.8,0.4", "--n", "3", "--m", "2"], 0),
+    ("angles-w-compact", ["angles", _ZP, _Z], 0),
+    ("angles-svd-compact", ["angles", _ZP, _Z, "--route", "svd"], 0),
+    ("angles-w-noncompact", ["angles", _ZP, _Z, "--signature", "noncompact"], 0),
+    ("angles-svd-noncompact", ["angles", _ZP, _Z, "--route", "svd",
+                               "--signature", "noncompact"], 0),
+    ("angles-svd-3x2", ["angles", _ZP_TALL, _Z_TALL, "--route", "svd"], 0),
+    # the cayley distance reads cos_cayley against the origin chart point
+    ("dist-compact", ["dist", _Z], 0),
+    ("overlap-compact", ["overlap", _ZP, _Z], 0),
     ("schubert-sample", ["schubert", "--symbol", "1,2", "--m", "2", "--sample",
                          "--seed", "5", "--flag", "chart"], 0),
     # past the first tan pole of s_1 = 1.293 (t = 1.215), and far out on the dual
