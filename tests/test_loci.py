@@ -138,29 +138,39 @@ def _origin_test_planes(rng, n, m):
             mf.Plane(mix @ built.basis)]
 
 
-# Cartan directions of the geodesic_group scan planes, by shape
-_SCAN_H = {(2, 2): (0.8, 0.6), (3, 5): (0.9, 0.7, 0.3), (4, 2): (1.0, 0.4)}
-
-
-@pytest.mark.parametrize("n, m", [(1, 4), (3, 5), (6, 8), (3, 2), (4, 1), (2, 2), (4, 2)])
+@pytest.mark.parametrize("n, m", [(1, 4), (3, 5), (6, 8), (3, 2), (4, 1)])
 def test_origin_cut_routes_equal_the_general_routes(n, m):
     # cut_locus_test and cayley_cut_check read the leading block of the
     # plane's own basis; the numbers must be exactly those of the general
-    # routes against an explicit origin plane, on built, Haar and
-    # unnormalized planes and along a geodesic_group scan
+    # routes against an explicit origin plane
     rng = np.random.default_rng(53 + n + m)
     origin = mf.base_plane(n, m)
-    planes = [plane for _ in range(4) for plane in _origin_test_planes(rng, n, m)]
-    h = _SCAN_H.get((n, m), np.linspace(1.0, 0.2, min(n, m)))
+    for _ in range(4):
+        for plane in _origin_test_planes(rng, n, m):
+            verdict = loci.cut_locus_test(plane)
+            cos = mf.cos_cayley_planes(plane, origin)
+            assert verdict.max_angle == mf.stationary_angles_svd(plane, origin).max_angle
+            assert verdict.pairing_abs == cos
+            arccos = float(np.arccos(np.clip(cos, 0.0, 1.0)))
+            assert loci.cayley_cut_check(plane) == (arccos >= np.pi / 2 - loci.CAYLEY_TOL)
+
+
+@pytest.mark.parametrize("shape, h", [((2, 2), (0.8, 0.6)), ((3, 5), (0.9, 0.7, 0.3)),
+                                      ((4, 2), (1.0, 0.4))])
+def test_origin_stacks_equal_the_general_stacks_on_a_scan(shape, h):
+    # along a geodesic_group scan, the whole angle spectrum read from the
+    # leading rows of the plane's frame, and the cached origin pairing, are
+    # bit for bit those of the general routes against an explicit origin
+    n, m = shape
     tc = loci.cartan_to_tangent(loci.CartanDirection(np.array(h)), n, m)
-    planes += [mf.geodesic_group(tc, t) for t in np.linspace(0.3, 12.0, 41)]
-    for plane in planes:
-        verdict = loci.cut_locus_test(plane)
-        cos = mf.cos_cayley_planes(plane, origin)
-        assert verdict.max_angle == mf.stationary_angles_svd(plane, origin).max_angle
-        assert verdict.pairing_abs == cos
-        arccos = float(np.arccos(np.clip(cos, 0.0, 1.0)))
-        assert loci.cayley_cut_check(plane) == (arccos >= np.pi / 2 - loci.CAYLEY_TOL)
+    origin = mf.base_plane(n, m)
+    for t in np.linspace(0.3, 12.0, 41):
+        plane = mf.geodesic_group(tc, t)
+        by_origin = mf.AngleSpectrum(mf._angles_of(plane.frame[:n].conj().T, n + m))
+        general = mf.stationary_angles_svd(plane, origin)
+        assert np.array_equal(by_origin.angles, general.angles)
+        assert loci.cut_locus_test(plane).max_angle == general.max_angle
+        assert plane.origin_pairing == mf.cos_cayley_planes(plane, origin)
 
 
 def test_planes_are_factored_once(monkeypatch):
