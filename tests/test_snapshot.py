@@ -31,6 +31,8 @@ def test_snapshot_writes_every_output_with_its_exit_code(tmp_path):
             assert csv_text.startswith("t,family,") and "stale" not in csv_text
             assert len(csv_text) < len(tool.STALE)
     library = (tmp_path / "library.txt").read_text().splitlines()
-    assert len(library) == 450
+    assert len(library) == 1165
     kinds = {line.split()[0] for line in library}
-    assert kinds == {"plane", "chart", "plane-to-chart", "classify"}
+    assert kinds == {"plane", "chart", "plane-to-chart", "classify", "residual", "fd-ratio",
+                     "spectrum", "class", "geo-group", "geo-chart", "log-exp", "distance",
+                     "overlap", "bad-signature"}

@@ -28,7 +28,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from grassgeo import cli, loci, manifold  # noqa: E402
+from grassgeo import cli, loci, manifold, verify  # noqa: E402
 from grassgeo.errors import GeometryError  # noqa: E402
 
 
@@ -113,6 +113,29 @@ CASES = (
     # finite product, but neighbouring doubles of it lie far past ANGLE_TOL
     ("geodesic-chart-1e200", ["geodesic", _mat([[5, 3]]), "--t", "1e200"], 2),
     ("geodesic-group-1e200", ["geodesic", _mat([[5, 3]]), "--t", "1e200", "--route", "group"], 2),
+    # the dual side of the chart commands: no cayley field in dist, the
+    # minus sign in overlap, artanh in log
+    ("dist-noncompact", ["dist", _Z, "--signature", "noncompact"], 0),
+    ("overlap-noncompact", ["overlap", _ZP, _Z, "--signature", "noncompact"], 0),
+    ("log-compact", ["log", _Z], 0),
+    ("log-noncompact", ["log", _Z, "--signature", "noncompact"], 0),
+    ("exp-compact-0.7", ["exp", _GEO_B, "--t", "0.7"], 0),
+    ("exp-noncompact-0.7", ["exp", _GEO_B, "--t", "0.7", "--signature", "noncompact"], 0),
+    # tanh(30 s_1) rounds to 1: the dual chart saturates
+    ("exp-noncompact-saturated", ["exp", _GEO_B, "--t", "30", "--signature", "noncompact"], 3),
+    # a singular value of pi/2 sits on the first tan pole
+    ("exp-compact-pole", ["exp", _mat([[np.pi / 2, 0]])], 3),
+    ("geodesic-chart-noncompact", ["geodesic", _GEO_B, "--t", "2.0",
+                                   "--signature", "noncompact"], 0),
+    ("angles-noncompact-outside-ball", ["angles", _ZP, _mat([[1.2, 0, 0], [0, 0.1, 0]]),
+                                        "--signature", "noncompact"], 3),
+    ("scan-2x2-noncompact", ["conj-scan", "--h", "0.8,0.6", "--n", "2", "--m", "2",
+                             "--t0", "0.5", "--t1", "9", "--steps", "60",
+                             "--signature", "noncompact", "--out", "{csv}"], 0),
+    # the stencil reaches a saturated tanh before anything is written
+    ("scan-1x2-noncompact-saturates", ["conj-scan", "--h", "1.0", "--n", "1", "--m", "2",
+                                       "--t0", "1", "--t1", "40", "--steps", "40",
+                                       "--signature", "noncompact", "--out", "/dev/null"], 3),
 )
 
 # about 1 MB; the largest scan CSV is about 43 kB
@@ -153,7 +176,9 @@ def _cut_basis(rng, n, m) -> np.ndarray:
 
 def library_lines() -> list[str]:
     """Seeded library answers: cut verdicts, pairings and Schubert answers on
-    Haar and built cut planes, chart draws, and classify_conjugate probes."""
+    Haar and built cut planes, chart draws, classify_conjugate probes,
+    geodesic and Jacobian answers on both signatures, overlaps, and the
+    refusal of unknown signatures."""
     lines = []
     rng = np.random.default_rng(20261018)
     shapes = ((1, 4), (2, 2), (2, 5), (3, 5), (4, 6), (6, 8), (3, 2))
@@ -200,6 +225,77 @@ def library_lines() -> list[str]:
         except GeometryError as exc:
             got = type(exc).__name__
         lines.append(f"classify {k} {n}x{m} t={t!r} {got}")
+    lines += _tangent_lines(rng) + _signature_lines(rng)
+    return lines
+
+
+def _answer(func) -> str:
+    """The floats func returns, or the name of the GeometryError it raises."""
+    try:
+        return _floats(func())
+    except GeometryError as exc:
+        return type(exc).__name__
+
+
+def _tangent_lines(rng) -> list[str]:
+    """Geodesic and Jacobian answers on seeded tangents from 1x1 to 4x6, on
+    both signatures, at a random time, at the first tan pole of the top
+    singular value, and far out, where the dual chart saturates."""
+    lines = []
+    shapes = ((1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 5), (4, 6))
+    for k in range(42):
+        n, m = shapes[k % len(shapes)]
+        b = manifold._complex_gaussian(rng, n, m)
+        b *= rng.uniform(0.3, 1.5) / np.linalg.svd(b, compute_uv=False)[0]
+        t = (float(rng.uniform(0.2, 3.0)), np.pi / (2.0 * np.linalg.svd(b, compute_uv=False)[0]),
+             25.0)[k % 3]
+        for signature in ("compact", "noncompact"):
+            tc = manifold.TangentCoord(b=b, signature=signature)
+            answers = {
+                "residual": lambda: manifold.geodesic_residual(tc, t),
+                "fd-ratio": lambda: loci.conjugate_test_jacobian(tc, t).ratio,
+                "spectrum": lambda: loci.jacobian_spectrum(tc, t),
+                "class": lambda: _classify_floats(loci.classify_conjugate(tc, t)),
+                "geo-group": lambda: manifold.geodesic_group(tc, t).basis.view(np.float64),
+                "geo-chart": lambda: manifold.geodesic_chart(tc, t).z.view(np.float64),
+                "log-exp": lambda: manifold.log0(manifold.exp0(tc)).b.view(np.float64),
+                "distance": lambda: manifold.geodesic_distance0(manifold.exp0(tc)),
+            }
+            for kind, func in answers.items():
+                lines.append(f"{kind} {k} {n}x{m} {signature} t={t!r} {_answer(func)}")
+    return lines
+
+
+def _classify_floats(cls) -> list[float]:
+    return [float(cls.label == label) for label in ("wong", "interior", "none")] + [
+        cls.jacobian_ratio, *cls.angles.angles]
+
+
+def _signature_lines(rng) -> list[str]:
+    """overlap and cos_cayley on chart points of both signatures, and the
+    refusal of a signature that is neither."""
+    lines = []
+    for k in range(14):
+        n, m = (1 + k % 3, 1 + k % 5)
+        for signature in ("compact", "noncompact"):
+            zp, z = (manifold.exp0(manifold.TangentCoord(
+                b=0.4 * manifold._complex_gaussian(rng, n, m), signature=signature))
+                for _ in range(2))
+            lines.append(f"overlap {k} {n}x{m} {signature} "
+                         f"{_answer(lambda: manifold.overlap(zp, z).real)} "
+                         f"{_answer(lambda: manifold.overlap(zp, z).imag)} "
+                         f"cos_cayley={_answer(lambda: manifold.cos_cayley(zp, z))}")
+    for bad in ("dual", "Compact", "", ["compact"], None):
+        for name, func in (("chart", lambda: manifold.ChartPoint(np.zeros((1, 1)), bad)),
+                           ("tangent", lambda: manifold.TangentCoord(np.zeros((1, 1)), bad)),
+                           ("scan", lambda: verify.scan_conjugate(
+                               loci.CartanDirection([1.0]), (0.5, 1.0), 2, 1, 1, bad))):
+            try:
+                func()
+                got = "accepted"
+            except ValueError as exc:
+                got = f"ValueError: {exc}"
+            lines.append(f"bad-signature {name} {bad!r} {got}")
     return lines
 
 
