@@ -99,8 +99,8 @@ def _cmd_overlap(args) -> int:
 def _cmd_dist(args) -> int:
     point = _chart(args, args.z)
     out = {"geodesic": manifold.geodesic_distance0(point)}
-    if args.signature == "compact":
-        origin = manifold.ChartPoint(z=np.zeros(point.shape), signature="compact")
+    if manifold._check_signature(point.signature).compact:
+        origin = manifold.ChartPoint(z=np.zeros(point.shape))
         out["cayley"] = manifold.cayley_distance(point, origin)
     _emit(out)
     return 0

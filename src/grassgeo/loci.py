@@ -35,8 +35,8 @@ import numpy as np
 from . import kernel
 from .errors import ChartEscapeError, ConsistencyError, DomainError
 from .manifold import (ANGLE_TOL, AngleSpectrum, Plane, TangentCoord, _angles_of,
-                       _descending_angles, _exp0_stack, _resolvable_times, _rng,
-                       _tanh_saturates, _unit_rows, tan_pole_distance)
+                       _check_signature, _descending_angles, _exp0_stack,
+                       _resolvable_times, _rng, _unit_rows)
 
 CAYLEY_TOL = 1e-9
 CONJUGATE_TOL = 1e-3
@@ -355,18 +355,16 @@ def _stencil_step(fro):
     return 1e-5 * np.maximum(1.0, fro)
 
 
-def _probe_clear(st: np.ndarray, step, signature: str) -> np.ndarray:
-    """Where the chart map can be differentiated, for each row of st, the
-    singular values of t B over a stack of times, with stencil half-width
-    step per row.  Compact rows within 10 steps of a tan pole are not clear:
-    neither Jacobian route reports a ratio there.  A noncompact row whose
+def _probe_clear(st: np.ndarray, step, sig) -> np.ndarray:
+    """Where the chart map of the signature record sig can be differentiated,
+    for each row of st, the singular values of t B over a stack of times, with
+    stencil half-width step per row.  Rows within 10 steps of a tan pole are
+    not clear: neither Jacobian route reports a ratio there.  A row whose
     stencil reaches a saturated tanh raises DomainError."""
-    if signature == "compact":
-        return np.min(tan_pole_distance(st), axis=-1) >= 10.0 * step
-    if np.any(_tanh_saturates(np.max(st, axis=-1) + step)):
+    if sig.saturates(st.max(-1) + step).any():
         raise DomainError("noncompact chart saturates within the difference stencil: "
                           "tanh of a singular value of t B rounds to 1")
-    return np.ones(st.shape[:-1], dtype=bool)
+    return sig.pole_distance(st).min(-1) >= 10.0 * step
 
 
 def _fd_spectrum(tangent: TangentCoord, t: float) -> np.ndarray:
@@ -378,7 +376,7 @@ def _fd_spectrum(tangent: TangentCoord, t: float) -> np.ndarray:
     ts = _resolvable_times(t, s[0])
     bt = ts * tangent.b
     step = float(_stencil_step(np.linalg.norm(bt)))
-    if not _probe_clear(np.abs(ts) * s[None], step, tangent.signature)[0]:
+    if not _probe_clear(np.abs(ts) * s[None], step, _check_signature(tangent.signature))[0]:
         raise ChartEscapeError("evaluation point too close to a tan pole for finite differences")
     n, m = tangent.shape
 
@@ -415,19 +413,19 @@ def conjugate_test_jacobian(tangent: TangentCoord, t: float) -> JacobianProbe:
                          indeterminate=CONJUGATE_TOL <= ratio < 10.0 * CONJUGATE_TOL)
 
 
-def _spectrum_stack(st: np.ndarray, signature: str, n: int, m: int) -> np.ndarray:
-    """The distinct values of jacobian_spectrum, unsorted, for each row of st,
-    the r singular values of t B over a stack of times, one column per root
-    and zero weight of _root_table(n, m); rows that _probe_clear rejects are
-    nan.  Per root, |S(alpha(x))| / (c(x_a) c(x_b)) on x padded with
-    x_r = 0, c(0) = 1; then the r flat values S(0) / c(x_a)^2."""
-    clear = _probe_clear(st, _stencil_step(np.linalg.norm(st, axis=-1)), signature)
-    fn, c = (np.sin, np.cos) if signature == "compact" else (np.sinh, np.cosh)
+def _spectrum_stack(st: np.ndarray, sig, n: int, m: int) -> np.ndarray:
+    """The distinct values of jacobian_spectrum on the signature record sig,
+    unsorted, for each row of st, the r singular values of t B over a stack of
+    times, one column per root and zero weight of _root_table(n, m); rows that
+    _probe_clear rejects are nan.  Per root, |S(alpha(x))| / (c(x_a) c(x_b))
+    on x padded with x_r = 0, with S(y) = sn(y)/y, c = cs and c(0) = 1; then
+    the r flat values S(0) / c(x_a)^2."""
+    clear = _probe_clear(st, _stencil_step(np.linalg.norm(st, axis=-1)), sig)
     _, a, b, sign, mult = _root_table(n, m)
     x = np.concatenate([st[clear], np.zeros((np.count_nonzero(clear), 1))], axis=1)
     y = x[:, a] + sign * x[:, b]
-    vals = np.divide(fn(y), y, out=np.ones_like(y), where=y != 0.0)
-    cx = c(x)
+    vals = np.divide(sig.sn(y), y, out=np.ones_like(y), where=y != 0.0)
+    cx = sig.cs(x)
     vals /= cx[:, a] * cx[:, b]
     out = np.full((st.shape[0], mult.size), np.nan)
     out[clear] = np.abs(vals)
@@ -459,7 +457,7 @@ def jacobian_spectrum(tangent: TangentCoord, t) -> np.ndarray:
     n, m = tangent.shape
     s = kernel.svd(tangent.b).s
     ts = _resolvable_times(t, s[0])
-    vals = _spectrum_stack(ts.reshape(-1, 1) * s, tangent.signature, n, m)
+    vals = _spectrum_stack(ts.reshape(-1, 1) * s, _check_signature(tangent.signature), n, m)
     vals = np.repeat(vals, _root_table(n, m)[-1], axis=-1)  # by multiplicity
     return -np.sort(-vals, axis=-1).reshape(ts.shape + (-1,))
 
@@ -478,19 +476,18 @@ def _classify_stack(tangent: TangentCoord, s: np.ndarray, ts: np.ndarray):
     """classify_conjugate at each time of the 1-D array ts, from the
     singular values s of B (kernel.svd): labels (k,), angles (k, n)
     descending per row, and Jacobian ratios (k,).  The angles are the Cartan
-    closed form: t s folded into [0, pi/2] for each singular value s,
-    arctan(tanh(t s)) on the dual, and n - r zeros."""
+    closed form: the signature's fold of t s for each singular value s (into
+    [0, pi/2]; arctan(tanh(t s)) on the dual), and n - r zeros."""
     n, m = tangent.shape
     r = min(n, m)
+    sig = _check_signature(tangent.signature)
     st = ts[:, None] * s
-    folded = (np.pi / 2 - tan_pole_distance(st) if tangent.signature == "compact"
-              else np.arctan(np.tanh(st)))
-    angles = _descending_angles(np.concatenate([folded, np.zeros((ts.size, n - r))], axis=1))
+    angles = _descending_angles(np.concatenate([sig.fold(st), np.zeros((ts.size, n - r))], axis=1))
     wong = (angles[:, 0] >= np.pi / 2 - ANGLE_TOL) | (angles[:, r - 1] <= ANGLE_TOL)
     gaps = angles[:, :r - 1] - angles[:, 1:r]
     interior = np.min(gaps, axis=1, initial=np.inf) <= ANGLE_TOL
     labels = np.where(wong, "wong", np.where(interior, "interior", "none"))
-    spectrum = _spectrum_stack(st, tangent.signature, n, m)
+    spectrum = _spectrum_stack(st, sig, n, m)
     return labels, angles, np.min(spectrum, axis=1) / np.max(spectrum, axis=1)
 
 

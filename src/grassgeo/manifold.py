@@ -4,8 +4,8 @@ Points on the Grassmannian of n-planes in C^(n+m) are handled in the affine
 chart around the origin plane O = span(e_1 .. e_n): a plane in the chart has
 a unique row basis (1_n | Z) with Z an n x m complex matrix.  The signature
 tag selects between the compact space and its noncompact dual (the bounded
-domain of Z with all singular values below one); formulas differ only by the
-circular/hyperbolic trig pair and a sign epsilon.
+domain of Z with all singular values below one); every formula and chart
+guard reads what differs between them from one _Signature record.
 
 Geodesics through O come in two equivalent forms: the chart form
 Z(t) = B ta(t sqrt(B*B)) / sqrt(B*B) with ta = tan or tanh, and the group
@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -38,10 +38,51 @@ OVERLAP_TOL = 1e-12
 PLUCKER_MAX_BYTES = 1 << 28
 
 
-def _check_signature(signature: str) -> str:
-    if signature not in ("compact", "noncompact"):
-        raise ValueError(f"signature must be 'compact' or 'noncompact', got {signature!r}")
-    return signature
+def tan_pole_distance(s: np.ndarray) -> np.ndarray:
+    """Distance from each value to the nearest pole of tan (pi/2 + k pi)."""
+    frac = np.mod(np.asarray(s, dtype=float) / np.pi, 1.0)
+    return np.abs(frac - 0.5) * np.pi
+
+
+@dataclass(frozen=True, slots=True)
+class _Signature:
+    """What a signature selects (Helgason, Ch. V): the eps of 1 + eps Z Z*, the
+    chart's spectral function ta and its inverse ata, the sn/cs pair of the
+    Jacobian spectrum, geodesic_group's (co, si), the fold of t s to its
+    angle, the tan pole distance, and whether ta saturates to the boundary."""
+
+    compact: bool
+    eps: float
+    ta: Callable
+    ata: Callable
+    sn: Callable
+    cs: Callable
+    group: Callable
+    fold: Callable
+    pole_distance: Callable
+    saturates: Callable
+
+
+_SIGNATURES = {
+    "compact": _Signature(
+        True, 1.0, np.tan, np.arctan, np.sin, np.cos, lambda st: (np.cos(st), np.sin(st)),
+        lambda st: np.pi / 2 - tan_pole_distance(st), tan_pole_distance,
+        lambda s: np.False_),
+    # tanh has no poles; where it rounds to 1 or to the last double below it,
+    # a chart image cannot be told from the boundary of the bounded domain
+    "noncompact": _Signature(
+        False, -1.0, np.tanh, np.arctanh, np.sinh, np.cosh,
+        lambda st: (np.ones_like(st), np.tanh(st)), lambda st: np.arctan(np.tanh(st)),
+        lambda s: np.full(np.shape(s), np.inf),
+        lambda s: np.tanh(s) >= np.nextafter(1.0, 0.0)),
+}
+
+
+def _check_signature(signature: str) -> _Signature:
+    """The record of a signature; ValueError unless it is compact or noncompact."""
+    if isinstance(signature, str) and signature in _SIGNATURES:
+        return _SIGNATURES[signature]
+    raise ValueError(f"signature must be 'compact' or 'noncompact', got {signature!r}")
 
 
 def _check_ball(z: np.ndarray) -> None:
@@ -62,8 +103,7 @@ class ChartPoint:
 
     def __post_init__(self):
         self.z = kernel.as_complex_matrix(self.z, "z")
-        _check_signature(self.signature)
-        if self.signature == "noncompact":
+        if not _check_signature(self.signature).compact:
             _check_ball(self.z)
 
     @property
@@ -226,17 +266,16 @@ def overlap(zp: ChartPoint, z: ChartPoint) -> complex:
     DomainError where the product or its determinant overflows.
     """
     _check_pair(zp, z)
-    n = z.shape[0]
-    sign = 1.0 if z.signature == "compact" else -1.0
+    eps = _check_signature(z.signature).eps
     with np.errstate(call=_chart_overflow, over="call", invalid="call", divide="call"):
-        return complex(np.linalg.det(np.eye(n) + sign * (z.z @ zp.z.conj().T)))
+        return complex(np.linalg.det(np.eye(z.shape[0]) + eps * (z.z @ zp.z.conj().T)))
 
 
 def cos_cayley(zp: ChartPoint, z: ChartPoint) -> float:
     """Normalized overlap magnitude in [0, 1] for compact chart points: the
     overflow-free Gram pairing _cos_cayley of their hat bases."""
     _check_pair(zp, z)
-    if z.signature != "compact":
+    if not _check_signature(z.signature).compact:
         raise DomainError(
             "the Cayley distance comes from the projective embedding of the "
             "compact space; the noncompact normalized overlap is not a cosine")
@@ -320,19 +359,6 @@ def _angles_of(cross: np.ndarray, big_n: int) -> np.ndarray:
     return np.arccos(cos)
 
 
-def tan_pole_distance(s: np.ndarray) -> np.ndarray:
-    """Distance from each value to the nearest pole of tan (pi/2 + k pi)."""
-    frac = np.mod(np.asarray(s, dtype=float) / np.pi, 1.0)
-    return np.abs(frac - 0.5) * np.pi
-
-
-def _tanh_saturates(s) -> np.ndarray:
-    """Whether tanh of each value rounds to 1 or to the last double below it:
-    a noncompact chart image there cannot be told from the boundary of the
-    bounded domain."""
-    return np.tanh(s) >= np.nextafter(1.0, 0.0)
-
-
 def exp0(tangent: TangentCoord) -> ChartPoint:
     """Chart coordinate of the geodesic exponential at the origin.
 
@@ -357,32 +383,25 @@ def _exp0_stack(b: np.ndarray, signature: Signature) -> np.ndarray:
     within 1e-9 of a tan pole (compact), and ChartEscapeError where tanh of
     a singular value saturates (noncompact).
     """
+    sig = _check_signature(signature)
     res = kernel.svd(b)
-    if signature == "compact":
-        if res.s.size and float(np.min(tan_pole_distance(res.s))) < POLE_TOL:
-            raise ChartEscapeError(
-                "geodesic meets the polar divisor (tan pole); use geodesic_group")
-        vals = np.tan(res.s)
-    else:
-        vals = np.tanh(res.s)
-        if np.any(_tanh_saturates(res.s)):
-            raise ChartEscapeError(
-                "noncompact chart saturates: tanh of a singular value rounds to 1, "
-                "so the image cannot be told from the boundary; use geodesic_group "
-                "(--route group)")
-    return res.apply(vals)
+    if res.s.size and float(sig.pole_distance(res.s).min()) < POLE_TOL:
+        raise ChartEscapeError("geodesic meets the polar divisor (tan pole); use geodesic_group")
+    if sig.saturates(res.s).any():
+        raise ChartEscapeError(
+            "noncompact chart saturates: tanh of a singular value rounds to 1, "
+            "so the image cannot be told from the boundary; use geodesic_group "
+            "(--route group)")
+    return res.apply(sig.ta(res.s))
 
 
 def log0(point: ChartPoint) -> TangentCoord:
     """Inverse of exp0 on the chart: arctan / artanh of the singular values."""
+    sig = _check_signature(point.signature)
     res = kernel.svd(point.z)
-    if point.signature == "compact":
-        vals = np.arctan(res.s)
-    else:
-        if res.s.size and float(res.s[0]) >= 1.0:
-            raise DomainError("noncompact log needs all singular values below 1")
-        vals = np.arctanh(res.s)
-    return TangentCoord(b=res.apply(vals), signature=point.signature)
+    if not sig.compact and res.s.size and float(res.s[0]) >= 1.0:
+        raise DomainError("noncompact log needs all singular values below 1")
+    return TangentCoord(b=res.apply(sig.ata(res.s)), signature=point.signature)
 
 
 def _resolvable_times(t, scale: float) -> np.ndarray:
@@ -425,11 +444,7 @@ def geodesic_group(tangent: TangentCoord, t: float) -> Plane:
     the rows grow apart like e^(t h) until they are numerically dependent.
     """
     res = kernel.svd(tangent.b)
-    st = _resolvable_times(t, res.s[0]) * res.s
-    if tangent.signature == "compact":
-        co, si = np.cos(st), np.sin(st)
-    else:
-        co, si = np.ones_like(st), np.tanh(st)
+    co, si = _check_signature(tangent.signature).group(_resolvable_times(t, res.s[0]) * res.s)
     n = res.u.shape[0]
     # cos(t sqrt(BB*)) = 1_n + U (co - 1) U*: the orthogonal complement of the
     # column space of B carries co(0) = 1
@@ -448,7 +463,7 @@ def geodesic_residual(tangent: TangentCoord, t: float, step: float = 1e-3) -> fl
     zp = geodesic_chart(tangent, t + step).z
     zdd = (zp - 2.0 * z0 + zm) / step**2
     zd = (zp - zm) / (2.0 * step)
-    eps = 1.0 if tangent.signature == "compact" else -1.0
+    eps = _check_signature(tangent.signature).eps
     n = z0.shape[0]
     core = np.linalg.solve(np.eye(n) + eps * (z0 @ z0.conj().T), zd)
     return float(np.linalg.norm(zdd - 2.0 * eps * (zd @ z0.conj().T) @ core))

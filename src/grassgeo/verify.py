@@ -208,10 +208,10 @@ def _pole_safe_time(rng, tc, t_max):
     """A time drawn from (0.1, t_max) where the compact chart stays
     _POLE_CLEARANCE clear of every tan pole; the first draw for the dual."""
     svals = np.linalg.svd(tc.b, compute_uv=False)
+    pole_distance = manifold._check_signature(tc.signature).pole_distance
     for _ in range(64):
         t = rng.uniform(0.1, t_max)
-        if (tc.signature == "noncompact"
-                or float(np.min(manifold.tan_pole_distance(t * svals))) > _POLE_CLEARANCE):
+        if float(np.min(pole_distance(t * svals))) > _POLE_CLEARANCE:
             return t
     raise ConsistencyError("no pole-safe time found")
 
@@ -491,12 +491,11 @@ def scan_conjugate(direction: loci.CartanDirection, t_range: tuple[float, float]
         raise ValueError("lambda_max must be at least 1")
     manifold._resolvable_times(t1, direction.h[0])
     tc = loci.cartan_to_tangent(direction, n, m, signature)
-    params = (loci.tangent_conjugate_params(direction, n, m, lambda_max)
-              if signature == "compact" else [])
+    sig = manifold._check_signature(signature)
+    params = loci.tangent_conjugate_params(direction, n, m, lambda_max) if sig.compact else []
     grid = np.linspace(t0, t1, steps)
     half_step = 0.5 * (grid[1] - grid[0])
-    pole = (np.min(manifold.tan_pole_distance(grid[:, None] * direction.h), axis=1) < 1e-3
-            if signature == "compact" else np.zeros(steps, dtype=bool))
+    pole = np.min(sig.pole_distance(grid[:, None] * direction.h), axis=1) < 1e-3
     labels, angles, ratios = loci._classify_stack(tc, kernel.svd(tc.b).s, grid)
     overlaps = np.prod(np.cos(angles), axis=1)
     family, p, q, lam = ([""] * steps for _ in range(4))

@@ -408,3 +408,24 @@ def test_noncompact_chart_point_must_stay_in_ball():
 def test_chart_point_rejects_bad_signature():
     with pytest.raises(ValueError):
         mf.ChartPoint(np.zeros((1, 1), dtype=complex), signature="spherical")
+
+
+@pytest.mark.parametrize("signature", ["compact", "noncompact"])
+def test_signature_record_members_agree(signature):
+    sig = mf._check_signature(signature)
+    assert sig.compact == (signature == "compact")
+    # the principal branch of arctan, and a wider grid clear of the tan poles
+    x = np.linspace(-1.4, 1.4, 57)
+    assert sig.ata(sig.ta(x)) == pytest.approx(x, rel=1e-13, abs=1e-15)
+    st = np.linspace(0.0, 6.0, 241)
+    st = st[mf.tan_pole_distance(st) > 0.05]
+    assert sig.ta(st) == pytest.approx(sig.sn(st) / sig.cs(st), rel=1e-14, abs=1e-15)
+    co, si = sig.group(st)
+    assert si / co == pytest.approx(sig.ta(st), rel=1e-14, abs=1e-15)
+    assert sig.fold(st) == pytest.approx(np.arctan(np.abs(sig.ta(st))), rel=1e-13, abs=1e-15)
+    assert float(sig.pole_distance(np.pi / 2)) == (0.0 if sig.compact else np.inf)
+    assert bool(sig.saturates(20.0)) is not sig.compact
+    assert not np.any(sig.saturates(st))
+    # the sign of 1 + eps Z Z*, as overlap reads it
+    z = mf.ChartPoint(np.array([[0.5 + 0j]]), signature)
+    assert mf.overlap(z, z) == pytest.approx(1.0 + sig.eps * 0.25, rel=1e-15)

@@ -40,6 +40,20 @@ def test_every_private_helper_is_used_outside_its_definition():
     assert unused == []
 
 
+def test_no_comparison_reads_a_signature_string():
+    # what differs between the compact space and its dual is read from the
+    # signature records of manifold, never by comparing the tag
+    tags = ("compact", "noncompact")
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Compare)
+             and any(isinstance(sub, ast.Constant) and sub.value in tags
+                     for operand in (node.left, *node.comparators)
+                     for sub in ast.walk(operand))]
+    assert found == []
+
+
 def test_loc_tool_counts_every_module(tmp_path):
     done = subprocess.run([sys.executable, str(TOOL)], capture_output=True, text=True,
                           timeout=60)
