@@ -386,7 +386,8 @@ def _exp0_stack(b: np.ndarray, signature: Signature) -> np.ndarray:
     sig = _check_signature(signature)
     res = kernel.svd(b)
     if res.s.size and float(sig.pole_distance(res.s).min()) < POLE_TOL:
-        raise ChartEscapeError("geodesic meets the polar divisor (tan pole); use geodesic_group")
+        raise ChartEscapeError("geodesic meets the polar divisor (tan pole); use "
+                               "geodesic_group (--route group)")
     if sig.saturates(res.s).any():
         raise ChartEscapeError(
             "noncompact chart saturates: tanh of a singular value rounds to 1, "

@@ -480,6 +480,17 @@ def test_noncompact_chart_saturation_points_to_the_group_route(capsys):
     assert "below 1" not in err
 
 
+@pytest.mark.parametrize("command", ["exp", "geodesic"])
+def test_compact_tan_pole_points_to_the_group_route(command, capsys):
+    # the refusal names the CLI route that reaches the pole, as the dual's does
+    b = _mat([[np.pi / 2, 0]])
+    code, out, err = _run(capsys, command, b, "--t", "1")
+    assert (code, out) == (3, "")
+    assert "tan pole" in err and "geodesic_group" in err and "--route group" in err
+    code, out, _ = _run(capsys, "geodesic", b, "--t", "1", "--route", "group")
+    assert code == 0 and json.loads(out)["rows"] == 1
+
+
 # ------------------------------------------------------ exit-code contract
 
 _EXTREME = (-0.0, 1e-300, 19.5, 1e300, float("inf"), float("nan"), -1.5, np.pi / 2)
