@@ -219,22 +219,24 @@ def library_lines() -> list[str]:
         # coincidence when r > 1), or a random time
         t = (np.pi / (2.0 * h[0]), np.pi / (h[0] + h[-1]),
              float(rng.uniform(0.2, 6.0)))[k % 3]
-        try:
-            cls = loci.classify_conjugate(tc, t)
-            got = f"{cls.label} {cls.jacobian_ratio!r} {_floats(cls.angles.angles)}"
-        except GeometryError as exc:
-            got = type(exc).__name__
+        got = _answer(lambda: _class_text(loci.classify_conjugate(tc, t)))
         lines.append(f"classify {k} {n}x{m} t={t!r} {got}")
     lines += _tangent_lines(rng) + _signature_lines(rng)
     return lines
 
 
 def _answer(func) -> str:
-    """The floats func returns, or the name of the GeometryError it raises."""
+    """What func returns, as text (floats by repr), or the name of the
+    GeometryError it raises."""
     try:
-        return _floats(func())
+        out = func()
     except GeometryError as exc:
         return type(exc).__name__
+    return out if isinstance(out, str) else _floats(out)
+
+
+def _class_text(cls) -> str:
+    return f"{cls.label} {cls.jacobian_ratio!r} {_floats(cls.angles.angles)}"
 
 
 def _tangent_lines(rng) -> list[str]:
@@ -247,15 +249,15 @@ def _tangent_lines(rng) -> list[str]:
         n, m = shapes[k % len(shapes)]
         b = manifold._complex_gaussian(rng, n, m)
         b *= rng.uniform(0.3, 1.5) / np.linalg.svd(b, compute_uv=False)[0]
-        t = (float(rng.uniform(0.2, 3.0)), np.pi / (2.0 * np.linalg.svd(b, compute_uv=False)[0]),
-             25.0)[k % 3]
+        pole = np.pi / (2.0 * np.linalg.svd(b, compute_uv=False)[0])
+        t = (float(rng.uniform(0.2, 3.0)), pole, 25.0)[k % 3]
         for signature in ("compact", "noncompact"):
             tc = manifold.TangentCoord(b=b, signature=signature)
             answers = {
                 "residual": lambda: manifold.geodesic_residual(tc, t),
                 "fd-ratio": lambda: loci.conjugate_test_jacobian(tc, t).ratio,
                 "spectrum": lambda: loci.jacobian_spectrum(tc, t),
-                "class": lambda: _classify_floats(loci.classify_conjugate(tc, t)),
+                "class": lambda: _class_text(loci.classify_conjugate(tc, t)),
                 "geo-group": lambda: manifold.geodesic_group(tc, t).basis.view(np.float64),
                 "geo-chart": lambda: manifold.geodesic_chart(tc, t).z.view(np.float64),
                 "log-exp": lambda: manifold.log0(manifold.exp0(tc)).b.view(np.float64),
@@ -264,11 +266,6 @@ def _tangent_lines(rng) -> list[str]:
             for kind, func in answers.items():
                 lines.append(f"{kind} {k} {n}x{m} {signature} t={t!r} {_answer(func)}")
     return lines
-
-
-def _classify_floats(cls) -> list[float]:
-    return [float(cls.label == label) for label in ("wong", "interior", "none")] + [
-        cls.jacobian_ratio, *cls.angles.angles]
 
 
 def _signature_lines(rng) -> list[str]:
@@ -281,9 +278,8 @@ def _signature_lines(rng) -> list[str]:
             zp, z = (manifold.exp0(manifold.TangentCoord(
                 b=0.4 * manifold._complex_gaussian(rng, n, m), signature=signature))
                 for _ in range(2))
-            lines.append(f"overlap {k} {n}x{m} {signature} "
-                         f"{_answer(lambda: manifold.overlap(zp, z).real)} "
-                         f"{_answer(lambda: manifold.overlap(zp, z).imag)} "
+            pairing = np.array([manifold.overlap(zp, z)]).view(np.float64)
+            lines.append(f"overlap {k} {n}x{m} {signature} {_floats(pairing)} "
                          f"cos_cayley={_answer(lambda: manifold.cos_cayley(zp, z))}")
     for bad in ("dual", "Compact", "", ["compact"], None):
         for name, func in (("chart", lambda: manifold.ChartPoint(np.zeros((1, 1)), bad)),
