@@ -49,7 +49,7 @@ class _Signature(NamedTuple):
     chart's spectral function ta and its inverse ata, the sn/cs pair of the
     Jacobian spectrum, geodesic_group's (co, si), the fold of t s to its
     angle, the tan pole distance, and whether ta saturates to the boundary.
-    Immutable, and built at import in a seventh of a frozen dataclass's time."""
+    Immutable, and quicker to build at import than a frozen dataclass."""
 
     compact: bool
     eps: float
