@@ -13,8 +13,10 @@ taken from two checkouts compare with
     diff -r OLD NEW
 
 and an empty diff means the two give the same numbers, verdicts and exit
-codes on every case.  Exits 1 if any case's exit code is not the one listed
-in CASES, after writing every file.
+codes on every case.  Each warning a CLI case raises is recorded, not
+printed, and ends that case's stderr as one "warning: <Category>: <message>"
+line, with no file path.  Exits 1 if any case's exit code is not the one
+listed in CASES, after writing every file.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ import contextlib
 import io
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +85,12 @@ CASES = (
     ("cut-test-near-3x5", ["cut-test", _mat([[1, 0.2, 0, 0.3, 0, 0.1j, 0, 0],
                                              [0, 1, 0.4j, 0, 0.5, 0, 0, 0.2],
                                              [2e-9, 0, 3e-9j, 0.6, 1, 0.3, -0.8, 0.5j]])], 0),
+    ("cut-test-near-5e-9", ["cut-test", _mat([[5e-9, 1]])], 0),
+    # three angles of arccos(1e-3): the pairing is their cosine product, 1e-9
+    ("cut-test-near-3x5-cosines-1e-3", ["cut-test", _mat(np.hstack(
+        [1e-3 * np.eye(3), np.sqrt(1 - 1e-6) * np.eye(3, 5)]))], 3),
+    # well-formed, but its unit-row Gram determinant rounds to 0
+    ("cut-test-near-dependent-2x3", ["cut-test", _mat([[1e-8, 0, 1], [0, 1e-8, 1]])], 3),
     ("conj-params-2x2", ["conj-params", "--h", "0.8,0.6", "--n", "2", "--m", "2"], 0),
     ("conj-params-2x3", ["conj-params", "--h", "0.9,0.4", "--n", "2", "--m", "3",
                          "--lambda-max", "3"], 0),
@@ -95,6 +104,8 @@ CASES = (
     ("angles-svd-3x2", ["angles", _ZP_TALL, _Z_TALL, "--route", "svd"], 0),
     # the cayley distance reads cos_cayley against the origin chart point
     ("dist-compact", ["dist", _Z], 0),
+    # near-parallel rows: cos_cayley to the origin is about 4.5e-9
+    ("dist-near-parallel", ["dist", _mat([[1e8, 1e8], [1e8, 1e8 + 1]])], 0),
     ("overlap-compact", ["overlap", _ZP, _Z], 0),
     ("schubert-sample", ["schubert", "--symbol", "1,2", "--m", "2", "--sample",
                          "--seed", "5", "--flag", "chart"], 0),
@@ -152,11 +163,14 @@ def run_case(outdir: Path, name: str, argv: list[str]) -> int:
         Path(csv_path).write_text(STALE)
     argv = [csv_path if a == "{csv}" else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
         code = cli.main(argv)
     stdout = out.getvalue().replace(csv_path, f"{name}.csv")
+    warned = "".join(f"warning: {w.category.__name__}: {w.message}\n" for w in caught)
     (outdir / f"{name}.txt").write_text(
-        f"exit: {code}\n--- stdout\n{stdout}--- stderr\n{err.getvalue()}")
+        f"exit: {code}\n--- stdout\n{stdout}--- stderr\n{err.getvalue()}{warned}")
     return code
 
 
