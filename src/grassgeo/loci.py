@@ -2,15 +2,15 @@
 
 The cut locus of the origin plane O in the compact space is the set of planes
 with a stationary angle of pi/2, equivalently the planes whose overlap with O
-vanishes.  Membership is decided twice, by the angle spectrum and by the
-normalized Gram pairing |det A[:, :n]| / sqrt(det A A*) of a row basis A with
-O, which is the overlap of the plane's coherent state with |0>; the two
-answers must agree.  By Cauchy-Binet that pairing equals the normalized
-pairing of the Pluecker vectors; the verify suite's cauchy-binet-pairing
-property checks the identity with the explicit minor enumeration.  The
-locus is also the Schubert variety of cut_locus_symbol, whose one nontrivial
-condition (schubert_membership) is the rank of the leading n x n block of
-the basis with its rows scaled to a largest modulus of 1.
+vanishes: the planes whose leading n x n block is singular.  Every cut route
+reads that block at kernel.RANK_TOL.  cut_locus_test reads its singular
+values in the plane's orthonormal frame, the cosines of the angles against
+O; cayley_cut_check its |det| there, their product, which is the overlap of
+the plane's coherent state with |0> and by Cauchy-Binet the normalized
+Pluecker pairing (the verify suite's cauchy-binet-pairing property checks
+the identity); schubert_membership, the one nontrivial condition of the
+Schubert variety of cut_locus_symbol, its rank in the raw basis with the
+rows scaled to a largest modulus of 1.
 
 Conjugate points along a geodesic with Cartan direction h (the singular
 values of the velocity) occur at the radii lam pi / |alpha(h)| over the
@@ -34,13 +34,12 @@ import numpy as np
 
 from . import kernel
 from .errors import ChartEscapeError, ConsistencyError, DomainError
-from .manifold import (ANGLE_TOL, AngleSpectrum, Plane, TangentCoord, _angles_of,
-                       _check_signature, _descending_angles, _exp0_stack,
-                       _resolvable_times, _rng, _unit_rows)
+from .manifold import (ANGLE_TOL, AngleSpectrum, Plane, TangentCoord, _check_signature,
+                       _cosines_of, _descending_angles, _exp0_stack, _resolvable_times,
+                       _rng, _unit_rows)
 
-CAYLEY_TOL = 1e-9
 CONJUGATE_TOL = 1e-3
-PAIRING_TOL = 1e-8
+PAIRING_TOL = 1e-12
 DENOM_TOL = 1e-12
 
 
@@ -170,7 +169,7 @@ def schubert_generic_sample(symbol: SchubertSymbol, seed=None,
 
 @dataclass(slots=True)
 class LocusVerdict:
-    """Outcome of the two-route cut locus test."""
+    """Outcome of the cut locus test, with the pairing it checked."""
 
     in_locus: bool
     max_angle: float
@@ -180,42 +179,32 @@ class LocusVerdict:
 def cut_locus_test(plane: Plane) -> LocusVerdict:
     """Decide whether a plane lies in the cut locus of the origin.
 
-    Route one reads the largest stationary angle against the origin plane;
-    route two reads the normalized Gram pairing with the origin,
-    |det A[:, :n]| / sqrt(det A A*) for a row basis A: the coherent-state
-    overlap with |0>, and by Cauchy-Binet the normalized Pluecker pairing.
-    Both routes read the plane's own leading block and build no origin
-    plane: the angles are the arccos of the singular values of the leading
-    n x n block of the plane's frame, and the pairing is the plane's cached
-    origin_pairing.  The values equal stationary_angles_svd and
-    cos_cayley_planes against base_plane(n, m) bit for bit.  The plane is in
-    the locus when the angle reaches pi/2 within ANGLE_TOL, equivalently
-    when the pairing falls to PAIRING_TOL.
-    Disagreement between the routes raises ConsistencyError rather than
-    picking a side.
+    The cosines of the angles against the origin plane are the singular
+    values of the leading n x n block of the plane's frame, and its
+    origin_pairing is |det| of that block; the largest angle and the pairing
+    equal stationary_angles_svd and cos_cayley_planes against
+    base_plane(n, m) bit for bit.  The plane is in the locus when the block
+    is singular by kernel.numerical_rank of the cosines: cos theta_max <=
+    RANK_TOL.  ConsistencyError unless the pairing is the product of the
+    cosines to absolute PAIRING_TOL.
     """
-    # LAPACK's frame of O is exactly (1_n | 0)^T, so V* times it is exactly
-    # the leading n rows of the frame V, conjugate-transposed
-    max_angle = float(np.max(_angles_of(plane.frame[:plane.n].conj().T, plane.big_n)))
-    by_angle = max_angle >= np.pi / 2 - ANGLE_TOL
-
+    cos = _cosines_of(plane.frame[:plane.n].conj().T, plane.big_n)
     pairing = plane.origin_pairing
-    by_pairing = pairing <= PAIRING_TOL
-
-    if by_angle != by_pairing:
-        raise ConsistencyError(
-            f"angle route ({max_angle:.12f} rad) and pairing route "
-            f"({pairing:.3e}) disagree on cut locus membership")
-    return LocusVerdict(in_locus=by_angle, max_angle=max_angle, pairing_abs=pairing)
+    err = abs(pairing - float(np.prod(cos)))
+    if not err <= PAIRING_TOL:  # a nan raises too
+        raise ConsistencyError(f"pairing {pairing:.3e} is off the cosine product by {err:.3e}")
+    return LocusVerdict(in_locus=kernel.numerical_rank(cos) < plane.n,
+                        max_angle=float(np.max(np.arccos(cos))), pairing_abs=pairing)
 
 
 def cayley_cut_check(plane: Plane) -> bool:
-    """Cut locus membership from the normalized Gram pairing alone: the
-    arccos of the plane-level cosine reaches pi/2 within CAYLEY_TOL.  The
-    cosine is the plane's cached origin_pairing, which cut_locus_test reads
-    too."""
-    cos = plane.origin_pairing
-    return float(np.arccos(np.clip(cos, 0.0, 1.0))) >= np.pi / 2 - CAYLEY_TOL
+    """Cut locus membership from the normalized pairing alone: the plane's
+    origin_pairing is at most RANK_TOL.  The pairing is the product of the
+    cosines of the angles against the origin, at most cos theta_max, so a
+    plane that cut_locus_test puts in the locus reads True here too; with
+    two or more angles near pi/2 the converse can fail, e.g. three cosines
+    of 1e-3 at 3x5 give a pairing of 1e-9."""
+    return plane.origin_pairing <= kernel.RANK_TOL
 
 
 @dataclass(slots=True)
@@ -357,11 +346,11 @@ def _stencil_step(fro):
 
 def _probe_clear(st: np.ndarray, step, sig) -> np.ndarray:
     """Where the chart map of the signature record sig can be differentiated,
-    for each row of st, the singular values of t B over a stack of times, with
-    stencil half-width step per row.  Rows within 10 steps of a tan pole are
-    not clear: neither Jacobian route reports a ratio there.  A row whose
-    stencil reaches a saturated tanh raises DomainError."""
-    if sig.saturates(st.max(-1) + step).any():
+    for each row of st, t s over a stack of times t of either sign, with s the
+    singular values of B and stencil half-width step per row.  Rows within 10
+    steps of a tan pole are not clear: neither Jacobian route reports a ratio
+    there.  A row whose stencil reaches a saturated tanh raises DomainError."""
+    if sig.saturates(np.abs(st).max(-1) + step).any():
         raise DomainError("noncompact chart saturates within the difference stencil: "
                           "tanh of a singular value of t B rounds to 1")
     return sig.pole_distance(st).min(-1) >= 10.0 * step
@@ -376,7 +365,7 @@ def _fd_spectrum(tangent: TangentCoord, t: float) -> np.ndarray:
     ts = _resolvable_times(t, s[0])
     bt = ts * tangent.b
     step = float(_stencil_step(np.linalg.norm(bt)))
-    if not _probe_clear(np.abs(ts) * s[None], step, _check_signature(tangent.signature))[0]:
+    if not _probe_clear(ts * s[None], step, _check_signature(tangent.signature))[0]:
         raise ChartEscapeError("evaluation point too close to a tan pole for finite differences")
     n, m = tangent.shape
 

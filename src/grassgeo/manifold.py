@@ -13,8 +13,9 @@ form obtained from the one-parameter subgroup acting on O, which never
 leaves the manifold and is used whenever the chart form hits a pole.
 
 A Plane runs one thin SVD of its basis: the package's one rank rule reads
-its singular values, and its right factor is the orthonormal frame that
-every angle route reads.
+its singular values, and its right factor V is the orthonormal frame that
+every angle and pairing route reads (Bjorck-Golub): cosines are the singular
+values of V1* V2, and the normalized pairing |det V1* V2| is their product.
 """
 from __future__ import annotations
 
@@ -132,16 +133,13 @@ class Plane:
     """n-plane in C^N given by a row basis (rows span the plane, rank n).
 
     The thin SVD A = U S V* of the basis that validates the rank is kept as
-    frame = V (N x n): V* is an orthonormal row basis of the plane.  The
-    pairing with the origin plane is computed on first use and kept.  The
-    plane is frozen and both arrays are read-only, so neither can go stale
-    through the plane.
+    frame = V (N x n): V* is an orthonormal row basis of the plane, and every
+    angle and pairing route reads it.  The plane is frozen and both arrays
+    are read-only, so neither can go stale through the plane.
     """
 
     basis: np.ndarray
     frame: np.ndarray = field(init=False, repr=False, compare=False)
-    _origin_pairing: float | None = field(default=None, init=False, repr=False,
-                                          compare=False)
 
     def __post_init__(self):
         basis = kernel.as_complex_matrix(self.basis, "basis").view()
@@ -158,16 +156,10 @@ class Plane:
     @property
     def origin_pairing(self) -> float:
         """cos_cayley_planes against the origin plane O, read from the
-        leading block: |det A[:, :n]| / sqrt(det A A*), on _unit_rows(A),
-        computed once per plane.  The same numbers, since the rows of O are
-        already unit rows, A O* is exactly the leading block and det(O O*)
-        is exactly 1."""
-        if self._origin_pairing is None:
-            a = _unit_rows(self.basis)
-            gram = np.linalg.det(a @ a.conj().T).real
-            pairing = min(float(abs(np.linalg.det(a[:, :self.n])) / np.sqrt(gram)), 1.0)
-            object.__setattr__(self, "_origin_pairing", pairing)
-        return self._origin_pairing
+        leading n rows of the frame: |det V[:n]|.  The same number, since
+        LAPACK's frame of O is exactly (1_n | 0)^T, so V* times it is
+        exactly V[:n]*."""
+        return _pairing_of(self.frame[:self.n].conj().T)
 
     @property
     def n(self) -> int:
@@ -272,14 +264,15 @@ def overlap(zp: ChartPoint, z: ChartPoint) -> complex:
 
 
 def cos_cayley(zp: ChartPoint, z: ChartPoint) -> float:
-    """Normalized overlap magnitude in [0, 1] for compact chart points: the
-    overflow-free Gram pairing _cos_cayley of their hat bases."""
+    """Normalized overlap magnitude in [0, 1] for compact chart points:
+    cos_cayley_planes on the SVD frames of their hat bases, with no Plane
+    built, so no rank rule refuses a large Z."""
     _check_pair(zp, z)
     if not _check_signature(z.signature).compact:
         raise DomainError(
             "the Cayley distance comes from the projective embedding of the "
             "compact space; the noncompact normalized overlap is not a cosine")
-    return _cos_cayley(hat_basis(zp), hat_basis(z))
+    return _pairing_of(kernel.svd(hat_basis(zp)).v.conj().T @ kernel.svd(hat_basis(z)).v)
 
 
 def cayley_distance(zp: ChartPoint, z: ChartPoint) -> float:
@@ -288,14 +281,14 @@ def cayley_distance(zp: ChartPoint, z: ChartPoint) -> float:
 
 
 def cos_cayley_planes(p: Plane, q: Plane) -> float:
-    """Normalized Gram pairing of two planes from arbitrary row bases.
+    """Normalized pairing of two planes, |det V1* V2| on their frames.
 
     Equals the product of the cosines of the stationary angles, so it is
     defined for every pair of planes, including ones outside the chart.
     """
     if p.basis.shape != q.basis.shape:
         raise ValueError(f"shape mismatch: {p.basis.shape} vs {q.basis.shape}")
-    return _cos_cayley(p.basis, q.basis)
+    return _pairing_of(p.frame.conj().T @ q.frame)
 
 
 def _unit_rows(a: np.ndarray) -> np.ndarray:
@@ -303,15 +296,6 @@ def _unit_rows(a: np.ndarray) -> np.ndarray:
     on the scale of unit vectors.  (A row norm would overflow from entries
     of about 1e154.)"""
     return a / np.abs(a).max(axis=1, keepdims=True)
-
-
-def _cos_cayley(p: np.ndarray, q: np.ndarray) -> float:
-    """cos_cayley_planes of two row bases.  The ratio does not change when a
-    row is scaled; on _unit_rows no determinant overflows."""
-    p, q = _unit_rows(p), _unit_rows(q)
-    num = abs(np.linalg.det(p @ q.conj().T))
-    den = np.sqrt(np.linalg.det(p @ p.conj().T).real * np.linalg.det(q @ q.conj().T).real)
-    return min(float(num / den), 1.0)
 
 
 def stationary_angles_w(zp: ChartPoint, z: ChartPoint) -> AngleSpectrum:
@@ -349,14 +333,25 @@ def stationary_angles_svd(p: Plane, q: Plane) -> AngleSpectrum:
     return AngleSpectrum(_angles_of(p.frame.conj().T @ q.frame, p.big_n))
 
 
-def _angles_of(cross: np.ndarray, big_n: int) -> np.ndarray:
-    """Angles whose cosines are the singular values of the n x n product
-    V1* V2 of orthonormal frames of two n-planes in C^N."""
+def _cosines_of(cross: np.ndarray, big_n: int) -> np.ndarray:
+    """Cosines of the stationary angles, descending: the singular values of
+    the n x n product V1* V2 of orthonormal frames of two n-planes in C^N."""
     n = cross.shape[-1]
     cos = np.clip(np.linalg.svd(cross, compute_uv=False), 0.0, 1.0)
     # two n-planes in C^N meet in at least 2n - N dimensions
     cos[:max(0, 2 * n - big_n)] = 1.0
-    return np.arccos(cos)
+    return cos
+
+
+def _angles_of(cross: np.ndarray, big_n: int) -> np.ndarray:
+    """Angles whose cosines are _cosines_of the cross product of frames."""
+    return np.arccos(_cosines_of(cross, big_n))
+
+
+def _pairing_of(cross: np.ndarray) -> float:
+    """|det V1* V2| of the n x n product of orthonormal frames: the product
+    of the cosines of the stationary angles, clipped to 1."""
+    return min(float(abs(np.linalg.det(cross))), 1.0)
 
 
 def exp0(tangent: TangentCoord) -> ChartPoint:

@@ -319,15 +319,15 @@ def _prop_noncompact_injectivity(rng, cfg, tol):
 
 # ------------------------------------------------------- cut locus properties
 
-@_property("cut-locus-polar-divisor", loci.ANGLE_TOL)
+@_property("cut-locus-polar-divisor", kernel.RANK_TOL)
 def _prop_cut_polar(rng, cfg, tol):
     built = loci.cut_locus_test(_cut_plane(rng, cfg.n, cfg.m))
     random = loci.cut_locus_test(manifold.haar_random_plane(cfg.n, cfg.m, rng))
-    del random  # must merely not raise: both routes agreed on the sample
+    del random  # must merely not raise: its pairing is its cosine product
     return 0.0 if built.in_locus else 1.0
 
 
-@_property("cayley-cut-criterion", loci.CAYLEY_TOL)
+@_property("cayley-cut-criterion", kernel.RANK_TOL)
 def _prop_cayley_cut(rng, cfg, tol):
     built = _cut_plane(rng, cfg.n, cfg.m)
     random = manifold.haar_random_plane(cfg.n, cfg.m, rng)

@@ -1,7 +1,10 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 
-from grassgeo import kernel, loci, manifold as mf
+from grassgeo import cli, kernel, loci, manifold as mf
 from grassgeo.errors import ChartEscapeError, ConsistencyError, DomainError
 
 
@@ -151,8 +154,7 @@ def test_origin_cut_routes_equal_the_general_routes(n, m):
             cos = mf.cos_cayley_planes(plane, origin)
             assert verdict.max_angle == mf.stationary_angles_svd(plane, origin).max_angle
             assert verdict.pairing_abs == cos
-            arccos = float(np.arccos(np.clip(cos, 0.0, 1.0)))
-            assert loci.cayley_cut_check(plane) == (arccos >= np.pi / 2 - loci.CAYLEY_TOL)
+            assert loci.cayley_cut_check(plane) == (cos <= kernel.RANK_TOL)
 
 
 @pytest.mark.parametrize("shape, h", [((2, 2), (0.8, 0.6)), ((3, 5), (0.9, 0.7, 0.3)),
@@ -174,8 +176,8 @@ def test_origin_stacks_equal_the_general_stacks_on_a_scan(shape, h):
 
 
 def test_planes_are_factored_once(monkeypatch):
-    # a Plane runs one SVD, and the cut and angle routes read its frame and
-    # its cached origin pairing: no further SVD or QR of the basis
+    # a Plane runs one SVD, and the cut, pairing and angle routes read its
+    # frame: no further SVD or QR of the basis, and no row scaling
     calls = {"svd": 0, "qr": 0, "pairing": 0}
 
     def counted(name, func):
@@ -186,7 +188,7 @@ def test_planes_are_factored_once(monkeypatch):
 
     monkeypatch.setattr(kernel, "svd", counted("svd", kernel.svd))
     monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
-    # the origin pairing is the one reader of _unit_rows on these routes
+    # the origin pairing reads the frame, not the unit-row basis
     monkeypatch.setattr(mf, "_unit_rows", counted("pairing", mf._unit_rows))
     rng = np.random.default_rng(71)
     for n, m in ((1, 4), (3, 5), (6, 8)):
@@ -203,7 +205,7 @@ def test_planes_are_factored_once(monkeypatch):
                 assert loci.cayley_cut_check(plane) == verdict.in_locus
                 mf.stationary_angles_svd(plane, origin)
                 mf.stationary_angles_svd(built, other)
-            assert calls == {"svd": 0, "qr": 0, "pairing": 1}, (n, m)
+            assert calls == {"svd": 0, "qr": 0, "pairing": 0}, (n, m)
         assert loci.cut_locus_test(built).in_locus and not loci.cut_locus_test(other).in_locus
 
 
@@ -340,6 +342,66 @@ def test_schubert_cut_boundary_is_the_rank_threshold_on_the_leading_entry(traili
     for lead, member in ((1.5e-9, False), (5e-10, True)):
         plane = mf.Plane(np.array([[lead, *trailing]]))
         assert loci.schubert_membership(plane, symbol, flag="perp") == member, lead
+
+
+def _near_locus_planes(rng):
+    """Haar planes from 1x1 to 7x9 with the leading block of their first k
+    rows scaled by 1e-14 to 1e-2, for k from 1 to min(n, m) (past m such rows
+    are numerically dependent), then the cut-test repros: 1 x 2 rows
+    (a, 1), the 2x3 basis (1e-8, 0, 1), (0, 1e-8, 1), and 3x5 planes with
+    three cosines of 1e-3 or 5e-4 against the origin."""
+    planes = []
+    for n, m in ((1, 1), (1, 2), (1, 4), (2, 3), (3, 5), (4, 2), (6, 8), (7, 9)):
+        for k in range(1, min(n, m) + 1):
+            for scale in np.geomspace(1e-14, 1e-2, 25):
+                basis = mf.haar_random_plane(n, m, rng).basis.copy()
+                basis[:k, :n] *= scale
+                planes.append(mf.Plane(basis))
+    planes += [mf.Plane(np.array([[a, 1.0]])) for a in (1e-7, 5e-9, 1.5e-9, 5e-10)]
+    planes.append(mf.Plane(np.array([[1e-8, 0, 1], [0, 1e-8, 1]])))
+    planes += [mf.Plane(np.hstack([c * np.eye(3), np.sqrt(1 - c * c) * np.eye(3, 5)]))
+               for c in (1e-3, 5e-4)]
+    return planes
+
+
+def test_near_locus_cut_routes_read_one_rank_rule(capsys):
+    # every cut route reads the leading block at RANK_TOL: cut_locus_test the
+    # smallest cosine, cayley_cut_check the pairing, which is the cosine
+    # product and so at most the smallest cosine
+    planes = _near_locus_planes(np.random.default_rng(20261019))
+    seen = set()
+    for plane in planes:
+        n, big_n = plane.basis.shape
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = loci.cut_locus_test(plane)
+            cayley = loci.cayley_cut_check(plane)
+            schubert = loci.schubert_membership(plane, loci.cut_locus_symbol(n, big_n - n),
+                                                flag="perp")
+            data = [[v.real, v.imag] for v in plane.basis.ravel()]
+            code = cli.main(["cut-test", json.dumps({"rows": n, "cols": big_n, "data": data})])
+        cos = np.linalg.svd(plane.frame[:n].conj().T, compute_uv=False)
+        pairing = verdict.pairing_abs
+        assert verdict.in_locus == (cos[-1] <= kernel.RANK_TOL)
+        assert cayley == (pairing <= kernel.RANK_TOL) and pairing == plane.origin_pairing
+        assert cayley or not verdict.in_locus
+        assert abs(pairing - np.prod(cos)) <= 1e-12
+        if n == 1:
+            assert cayley == verdict.in_locus
+            # the Schubert route reads the leading entry over the row's
+            # largest modulus, which is the cosine times 1 to sqrt(N): equal
+            # verdicts on a 1 x 2 basis, and at most a band apart on a longer one
+            assert schubert == verdict.in_locus or (
+                big_n > 2 and not schubert and cos[0] * np.sqrt(big_n) > kernel.RANK_TOL)
+        assert code == 0
+        shown = json.loads(capsys.readouterr().out)
+        assert (shown["in_locus"], shown["cayley"], shown["schubert"]) == (
+            verdict.in_locus, cayley, schubert)
+        seen.add((verdict.in_locus, cayley))
+    # in the locus, out of it, and in the product band between the routes
+    assert seen == {(True, True), (False, False), (False, True)}
+    # the 2x3 repro: one angle of 0 and one with cosine 1e-8 / sqrt(2)
+    assert planes[-3].origin_pairing == pytest.approx(1e-8 / np.sqrt(2), rel=1e-6)
 
 
 def test_cut_time_equal_entries():
@@ -486,6 +548,17 @@ def test_noncompact_jacobian_never_collapses():
     tc = mf.TangentCoord(b, signature="noncompact")
     for t in (0.5, 1.5, 2.5, 3.0):
         assert loci.conjugate_test_jacobian(tc, t).ratio > 1e-1
+
+
+def test_saturated_dual_refuses_negative_times_on_every_jacobian_route():
+    # the saturation guard reads |t| s: tanh(-30 s) rounds to -1 as
+    # tanh(30 s) rounds to 1
+    tc = mf.TangentCoord(np.array([[1.0, 0.3]]), signature="noncompact")
+    for t in (30.0, -30.0):
+        for route in (loci.jacobian_spectrum, loci.classify_conjugate,
+                      loci.conjugate_test_jacobian):
+            with pytest.raises(DomainError):
+                route(tc, t)
 
 
 def _pointwise_jacobian_svs(tangent, t):
@@ -688,9 +761,10 @@ def test_time_routes_refuse_overflowing_and_unresolvable_times(signature):
 
 
 def test_consistency_error_when_routes_disagree(monkeypatch):
-    # force the disagreement path with an absurd angle tolerance
+    # force the pairing off the product of the cosines; a nan raises too
     rng = np.random.default_rng(45)
     plane = mf.haar_random_plane(2, 2, rng)
-    monkeypatch.setattr(loci, "ANGLE_TOL", np.pi / 2)
-    with pytest.raises(ConsistencyError):
-        loci.cut_locus_test(plane)
+    for forced in (2.0, np.nan):
+        monkeypatch.setattr(mf.Plane, "origin_pairing", property(lambda self: forced))
+        with pytest.raises(ConsistencyError):
+            loci.cut_locus_test(plane)

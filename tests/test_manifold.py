@@ -113,6 +113,17 @@ def test_cos_cayley_is_the_gram_pairing_of_the_hat_bases():
             assert mf.cos_cayley(zp, z) == pytest.approx(2 ** (-n / 2), rel=1e-12)
 
 
+def test_cos_cayley_resolves_near_parallel_chart_rows():
+    # det(1 + Z Z*) = 1 + |Z|_F^2 + det(Z)^2 = 5e16 + 2e8 + 2 here; the
+    # pairing is read from the hat bases' frames, with no Gram determinant
+    # of nearly parallel rows to round to 0
+    z = mf.ChartPoint(np.array([[1e8, 1e8], [1e8, 1e8 + 1]], dtype=complex))
+    origin = mf.ChartPoint(np.zeros((2, 2), dtype=complex))
+    want = 1.0 / np.sqrt(5e16 + 2e8 + 2)
+    assert mf.cos_cayley(z, origin) == pytest.approx(want, rel=1e-6)
+    assert mf.cayley_distance(z, origin) == pytest.approx(np.pi / 2 - want, abs=1e-15)
+
+
 # ------------------------------------------------------------------ angles
 
 def test_angles_scalar_line_formula():

@@ -113,7 +113,7 @@ def test_report_config_block_is_pinned():
             "group-chart-agreement": 1e-9,
             "overlap-symmetry-scaling": 1e-10,
             "noncompact-injectivity": 1e-9,
-            "cut-locus-polar-divisor": 1e-6,
+            "cut-locus-polar-divisor": 1e-9,
             "cayley-cut-criterion": 1e-9,
             "cut-locus-schubert-variety": 1e-9,
             "conjugate-radii-jacobian": 1e-3,
@@ -131,9 +131,9 @@ def test_report_config_block_is_pinned():
 
 def test_properties_share_the_locus_thresholds():
     tol = verify.DEFAULT_TOLERANCES
-    assert tol["cut-locus-polar-divisor"] == loci.ANGLE_TOL
+    assert tol["cut-locus-polar-divisor"] == kernel.RANK_TOL
     assert tol["conjugate-class-angles"] == loci.ANGLE_TOL
-    assert tol["cayley-cut-criterion"] == loci.CAYLEY_TOL
+    assert tol["cayley-cut-criterion"] == kernel.RANK_TOL
     assert tol["conjugate-radii-jacobian"] == loci.CONJUGATE_TOL
     assert tol["cut-locus-schubert-variety"] == kernel.RANK_TOL
     assert tol["schubert-sample-membership"] == kernel.RANK_TOL
