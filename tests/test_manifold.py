@@ -98,7 +98,7 @@ def test_cos_cayley_planes_handles_any_basis_scaling():
 
 
 def test_cos_cayley_is_the_gram_pairing_of_the_hat_bases():
-    # one normalized pairing: the chart route reads the planes' Gram pairing
+    # one normalized pairing: the chart route reads the planes' frame pairing
     rng = np.random.default_rng(33)
     for n, m in ((1, 1), (2, 3), (3, 2), (4, 4)):
         z, zp = _rand_chart(rng, n, m), _rand_chart(rng, n, m)
