@@ -212,59 +212,69 @@ def _add_chart_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--signature", choices=("compact", "noncompact"), default="compact")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The root parser and each subcommand's parser by name, built once."""
     root = argparse.ArgumentParser(prog="grassgeo", description=__doc__,
                                    formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = root.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("angles", help="stationary angles between two chart points")
+    def add(name: str, **kwargs) -> argparse.ArgumentParser:
+        commands[name] = sub.add_parser(name, **kwargs)
+        return commands[name]
+
+    p = add("angles", help="stationary angles between two chart points")
     p.add_argument("zp", help="chart matrix whose side is conjugated")
     p.add_argument("z", help="chart matrix")
     p.add_argument("--route", choices=("w", "svd"), default="w")
     _add_chart_flags(p)
     p.set_defaults(func=_cmd_angles)
 
-    p = sub.add_parser("overlap", help="pairing det(1 +/- Z Zp*) of two chart points")
+    p = add("overlap", help="pairing det(1 +/- Z Zp*) of two chart points")
     p.add_argument("zp")
     p.add_argument("z")
     _add_chart_flags(p)
     p.set_defaults(func=_cmd_overlap)
 
-    p = sub.add_parser("dist", help="distance from the origin plane")
+    p = add("dist", help="distance from the origin plane")
     p.add_argument("z")
     _add_chart_flags(p)
     p.set_defaults(func=_cmd_dist)
 
-    p = sub.add_parser("exp", help="chart image of the geodesic exponential of t*B")
+    p = add("exp", help="chart image of the geodesic exponential of t*B")
     p.add_argument("b")
     p.add_argument("--t", type=float, default=1.0)
     _add_chart_flags(p)
     p.set_defaults(func=_cmd_geodesic, route="chart")
 
-    p = sub.add_parser("log", help="tangent preimage of a chart point")
+    p = add("log", help="tangent preimage of a chart point")
     p.add_argument("z")
     _add_chart_flags(p)
     p.set_defaults(func=_cmd_log)
 
-    p = sub.add_parser("geodesic", help="geodesic point at time t, chart or group form")
+    p = add("geodesic", help="geodesic point at time t, chart or group form")
     p.add_argument("b")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--route", choices=("chart", "group"), default="chart")
     _add_chart_flags(p)
     p.set_defaults(func=_cmd_geodesic)
 
-    p = sub.add_parser("plucker", help="minor coordinates of a chart point (1-based tuples)")
+    p = add("plucker", help="minor coordinates of a chart point (1-based tuples)")
     p.add_argument("z")
     _add_chart_flags(p)
     p.set_defaults(func=_cmd_plucker)
 
-    p = sub.add_parser("cut-test", help="cut locus membership of a plane, all routes")
+    p = add("cut-test", help="cut locus membership of a plane, all routes")
     p.add_argument("plane", help="row basis matrix, n x N")
     _add_shape_flags(p)
     p.set_defaults(func=_cmd_cut_test)
 
-    p = sub.add_parser("schubert", help="variety membership, or sample with --sample")
+    p = add("schubert", help="variety membership, or sample with --sample")
     p.add_argument("plane", nargs="?", default=None)
     p.add_argument("--symbol", required=True, help="comma list, nondecreasing")
     p.add_argument("--flag", choices=("standard", "perp", "chart"), default="standard")
@@ -273,14 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shape_flags(p)
     p.set_defaults(func=_cmd_schubert)
 
-    p = sub.add_parser("conj-params", help="predicted conjugate radii for a direction")
+    p = add("conj-params", help="predicted conjugate radii for a direction")
     p.add_argument("--h", required=True, help="comma list of direction entries")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--lambda-max", type=int, default=2)
     p.set_defaults(func=_cmd_conj_params)
 
-    p = sub.add_parser("conj-scan", help="scan a geodesic and write a CSV")
+    p = add("conj-scan", help="scan a geodesic and write a CSV")
     p.add_argument("--h", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
@@ -292,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_conj_scan)
 
-    p = sub.add_parser("verify", help="run the property suite")
+    p = add("verify", help="run the property suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--n", type=int, default=2)
@@ -302,11 +312,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="omit elapsed times for byte-stable output")
     p.set_defaults(func=_cmd_verify)
 
-    return root
+    return root, commands
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), with a named subcommand's arguments
+    parsed once, by its own parser; what that parser does not know is
+    refused in parse_args's words, and an argv naming no command goes to the
+    root parser."""
+    root, commands = _parsers()
+    if not argv or argv[0] not in commands:
+        return root.parse_args(argv)
+    args, extra = commands[argv[0]].parse_known_args(argv[1:])
+    if extra:
+        root.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except GeometryError as exc:

@@ -231,11 +231,21 @@ class CartanDirection:
 def cartan_to_tangent(direction: CartanDirection, n: int, m: int,
                       signature: str = "compact") -> TangentCoord:
     """Embed the direction as the diagonal n x m tangent matrix."""
-    if direction.r > min(n, m):
-        raise ValueError(f"direction has {direction.r} entries but rank is {min(n, m)}")
+    h = _padded(direction, n, m)[:-1]
     b = np.zeros((n, m), dtype=complex)
-    b[:direction.r, :direction.r][np.diag_indices(direction.r)] = direction.h
+    b[np.diag_indices(h.size)] = h
     return TangentCoord(b=b, signature=signature)
+
+
+def _padded(direction: CartanDirection, n: int, m: int) -> np.ndarray:
+    """The direction padded with zeros to length min(n, m) + 1; ValueError if
+    it has more than min(n, m) entries.  The first min(n, m) entries are the
+    singular values of cartan_to_tangent's matrix, bit for bit, and the last
+    is the x_r = 0 that _root_table's roots read."""
+    r = min(n, m)
+    if direction.r > r:
+        raise ValueError(f"direction has {direction.r} entries but rank is {r}")
+    return np.concatenate([direction.h, np.zeros(r + 1 - direction.r)])
 
 
 def cut_time(direction: CartanDirection) -> float:
@@ -283,10 +293,7 @@ def _root_table(n: int, m: int):
 def _root_lengths(direction: CartanDirection, n: int, m: int):
     """The rows of _root_table(n, m) and |alpha(h)| for each root and zero
     weight, on the direction padded with zeros to length min(n, m) + 1."""
-    r = min(n, m)
-    if direction.r > r:
-        raise ValueError(f"direction has {direction.r} entries but rank is {r}")
-    h = np.concatenate([direction.h, np.zeros(r + 1 - direction.r)])
+    h = _padded(direction, n, m)
     rows, a, b, sign, _ = _root_table(n, m)
     return rows, np.abs(h[a] + sign * h[b])
 
@@ -306,14 +313,30 @@ def tangent_conjugate_params(direction: CartanDirection, n: int, m: int,
     """
     if lambda_max < 1:
         raise ValueError("lambda_max must be at least 1")
+    t, root, lam = _radii(direction, n, m, lambda_max)
+    return [_radius_param(n, m, tk, k, lk) for tk, k, lk in zip(t, root.tolist(), lam.tolist())]
+
+
+def _radii(direction: CartanDirection, n: int, m: int, lambda_max: int):
+    """The radii of tangent_conjugate_params as arrays, in its order: the
+    times lam pi / |alpha(h)|, the row of _root_table(n, m) of each root alpha
+    and the winding lam, listed winding by winding in the table's order,
+    then sorted by time with a stable argsort.  Empty when no root reaches
+    DENOM_TOL."""
     rows, lengths = _root_lengths(direction, n, m)
-    r = min(n, m)
-    roots = [(row, den) for row, den in zip(rows, lengths) if den >= DENOM_TOL]
-    out = [ConjugateParam(family=fam, p=a + 1, q=b + 1 if a < b < r else None, lam=lam,
-                          t=lam * np.pi / den, multiplicity=mult)
-           for lam in range(1, lambda_max + 1) for (fam, a, b, _, mult), den in roots]
-    out.sort(key=lambda c: c.t)
-    return out
+    root = np.flatnonzero(lengths[:len(rows)] >= DENOM_TOL)
+    lam = np.arange(1, lambda_max + 1)
+    t = (lam[:, None] * np.pi / lengths[root]).ravel()
+    order = np.argsort(t, kind="stable")
+    return t[order], np.tile(root, lam.size)[order], np.repeat(lam, root.size)[order]
+
+
+def _radius_param(n: int, m: int, t: float, root: int, lam: int) -> ConjugateParam:
+    """The ConjugateParam of one radius of _radii: its time, its row of
+    _root_table(n, m) and its winding."""
+    fam, a, b, _, mult = _root_table(n, m)[0][root]
+    return ConjugateParam(family=fam, p=a + 1, q=b + 1 if a < b < min(n, m) else None,
+                          lam=lam, t=t, multiplicity=mult)
 
 
 def coverage_limit(direction: CartanDirection, n: int, m: int,
@@ -461,15 +484,14 @@ class ConjugateClass:
     jacobian_ratio: float
 
 
-def _classify_stack(tangent: TangentCoord, s: np.ndarray, ts: np.ndarray):
-    """classify_conjugate at each time of the 1-D array ts, from the
-    singular values s of B (kernel.svd): labels (k,), angles (k, n)
-    descending per row, and Jacobian ratios (k,).  The angles are the Cartan
-    closed form: the signature's fold of t s for each singular value s (into
-    [0, pi/2]; arctan(tanh(t s)) on the dual), and n - r zeros."""
-    n, m = tangent.shape
+def _classify_stack(n: int, m: int, sig, s: np.ndarray, ts: np.ndarray):
+    """classify_conjugate at each time of the 1-D array ts, on an n x m
+    tangent B of the signature record sig with the min(n, m) singular values
+    s, descending: labels (k,), angles (k, n) descending per row, and
+    Jacobian ratios (k,).  The angles are the Cartan closed form: the
+    signature's fold of t s for each singular value s (into [0, pi/2];
+    arctan(tanh(t s)) on the dual), and n - r zeros."""
     r = min(n, m)
-    sig = _check_signature(tangent.signature)
     st = ts[:, None] * s
     angles = _descending_angles(np.concatenate([sig.fold(st), np.zeros((ts.size, n - r))], axis=1))
     wong = (angles[:, 0] >= np.pi / 2 - ANGLE_TOL) | (angles[:, r - 1] <= ANGLE_TOL)
@@ -495,6 +517,7 @@ def classify_conjugate(tangent: TangentCoord, t: float) -> ConjugateClass:
     """
     s = kernel.svd(tangent.b).s
     ts = _resolvable_times(t, s[0]).reshape(1)
-    labels, angles, ratios = _classify_stack(tangent, s, ts)
+    labels, angles, ratios = _classify_stack(*tangent.shape, _check_signature(tangent.signature),
+                                             s, ts)
     return ConjugateClass(label=str(labels[0]), angles=AngleSpectrum(angles[0]),
                           jacobian_ratio=float(ratios[0]))

@@ -476,13 +476,16 @@ def scan_conjugate(direction: loci.CartanDirection, t_range: tuple[float, float]
     against the origin, the normalized overlap (the product of the angles'
     cosines), the angle classification, and the predicted radius (family,
     indices, winding) of the nearest radius within half a grid step, the
-    first in sorted order among radii at the same distance.  Rows within
-    1e-3 of a tan pole are marked class
-    "pole" with an empty ratio; rows within 10 stencil steps of a pole keep
-    their angle class and have an empty ratio.  The whole grid is evaluated
-    as stacks through the code behind classify_conjugate.  ValueError,
-    before any stacked call: lambda_max below 1, for either signature, and a
-    grid reaching so far that manifold._resolvable_times refuses t1.
+    first in sorted order among radii at the same distance; of the windings
+    1..lambda_max, only those that can reach the grid are built.  Rows
+    within 1e-3 of a tan pole are marked class "pole" with an empty ratio;
+    rows within 10 stencil steps of a pole keep their angle class and have
+    an empty ratio.  The whole grid is evaluated as stacks through the code
+    behind classify_conjugate, on the singular values of the direction's
+    tangent, which are its entries padded with zeros, with no SVD.
+    ValueError, before any stacked call: lambda_max below 1, for either
+    signature, a direction longer than min(n, m), and a grid reaching so far
+    that manifold._resolvable_times refuses t1.
     """
     t0, t1 = float(t_range[0]), float(t_range[1])
     if not (steps >= 2 and np.isfinite(t1) and t1 > t0 > 0.0):
@@ -490,21 +493,27 @@ def scan_conjugate(direction: loci.CartanDirection, t_range: tuple[float, float]
     if lambda_max < 1:
         raise ValueError("lambda_max must be at least 1")
     manifold._resolvable_times(t1, direction.h[0])
-    tc = loci.cartan_to_tangent(direction, n, m, signature)
+    s = loci._padded(direction, n, m)[:-1]
     sig = manifold._check_signature(signature)
-    params = loci.tangent_conjugate_params(direction, n, m, lambda_max) if sig.compact else []
     grid = np.linspace(t0, t1, steps)
     half_step = 0.5 * (grid[1] - grid[0])
     pole = np.min(sig.pole_distance(grid[:, None] * direction.h), axis=1) < 1e-3
-    labels, angles, ratios = loci._classify_stack(tc, kernel.svd(tc.b).s, grid)
+    labels, angles, ratios = loci._classify_stack(n, m, sig, s, grid)
     overlaps = np.prod(np.cos(angles), axis=1)
     family, p, q, lam = ([""] * steps for _ in range(4))
-    if params:
-        match = _nearest_radius(np.array([par.t for par in params]), grid, half_step)
-        for i in np.flatnonzero(match >= 0).tolist():
-            par = params[match[i]]
-            family[i], p[i], lam[i] = par.family, par.p, par.lam
-            q[i] = par.q if par.q is not None else ""
+    match = np.full(steps, -1)
+    if sig.compact:
+        # a winding past reach puts every radius beyond the grid's last half
+        # step, even on the largest root 2 h_1; one spare covers rounding
+        reach = np.ceil((t1 + half_step) * 2.0 * direction.h[0] / np.pi) + 1.0
+        ts, root, winding = loci._radii(direction, n, m, int(min(lambda_max, reach)))
+        if ts.size:
+            match = _nearest_radius(ts, grid, half_step)
+    for i in np.flatnonzero(match >= 0).tolist():
+        k = match[i]
+        par = loci._radius_param(n, m, ts[k], int(root[k]), int(winding[k]))
+        family[i], p[i], lam[i] = par.family, par.p, par.lam
+        q[i] = par.q if par.q is not None else ""
     # an object array holds Python floats, so the blanks can sit beside them
     jac = np.where(~pole & np.isfinite(ratios), ratios.astype(object), "").tolist()
     second = angles[:, 1].tolist() if n > 1 else [""] * steps

@@ -600,3 +600,57 @@ def test_exit_code_contract_under_malformed_input(tmp_path, capsys):
     assert len(commands) == 12
     assert {cmd for cmd, code in seen if code == 0} == commands
     assert {cmd for cmd, code in seen if code == 2} == commands
+
+
+_M = '{"rows":1,"cols":2,"data":[[0.3,0],[0.1,0.2]]}'
+# one valid argv per subcommand, with options set away from their defaults
+VALID_ARGV = {
+    "angles": ["angles", _M, _M, "--route", "svd", "--signature", "noncompact"],
+    "overlap": ["overlap", _M, _M, "--n", "1", "--m", "2"],
+    "dist": ["dist", _M, "--signature", "noncompact"],
+    "exp": ["exp", _M, "--t", "0.5"],
+    "log": ["log", _M],
+    "geodesic": ["geodesic", _M, "--t", "2", "--route", "group"],
+    "plucker": ["plucker", _M],
+    "cut-test": ["cut-test", _M, "--n", "1"],
+    "schubert": ["schubert", "--symbol", "1,2", "--m", "2", "--sample", "--seed", "5",
+                 "--flag", "chart"],
+    "conj-params": ["conj-params", "--h", "0.8,0.6", "--n", "2", "--m", "2",
+                    "--lambda-max", "3"],
+    "conj-scan": ["conj-scan", "--h", "0.8", "--n", "1", "--m", "1", "--t0", "0.5",
+                  "--t1", "2", "--steps", "4", "--signature", "noncompact", "--out", "x.csv"],
+    "verify": ["verify", "--seed", "4", "--trials", "2", "--no-timing", "--json", "-"],
+}
+
+
+def test_dispatch_parses_each_subcommand_as_the_root_parser_does():
+    # main hands a subcommand's arguments straight to its parser
+    assert set(VALID_ARGV) == set(cli._parsers()[1])
+    for name, argv in VALID_ARGV.items():
+        got = cli._parse_args(argv)
+        want = cli.build_parser().parse_args(argv)
+        assert vars(got) == vars(want), name
+        assert got.command == name
+
+
+@pytest.mark.parametrize("name", sorted(VALID_ARGV))
+def test_dispatch_refuses_an_unknown_flag_as_the_root_parser_does(name, capsys):
+    argv = VALID_ARGV[name] + ["--no-such-flag"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("grassgeo: error: unrecognized arguments: --no-such-flag\n")
+    # the same usage and message, byte for byte
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(argv)
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("argv, code", [([], 2), (["nope"], 2), (["--help"], 0)])
+def test_an_argv_naming_no_command_goes_to_the_root_parser(argv, code, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == code
+    out = capsys.readouterr()
+    assert (out.out if code == 0 else out.err).startswith("usage: grassgeo [-h]")

@@ -497,12 +497,70 @@ def test_coverage_limit_is_the_first_radius_of_the_next_winding(n, m):
         loci.coverage_limit(direction, n, m, -1)
 
 
+def _reference_radii(direction, n, m, lambda_max):
+    """The radius rule as one ConjugateParam per root and winding, written
+    out: the list comprehension over windings and the table's roots, then a
+    stable sort by time."""
+    rows, lengths = loci._root_lengths(direction, n, m)
+    r = min(n, m)
+    roots = [(row, den) for row, den in zip(rows, lengths) if den >= loci.DENOM_TOL]
+    out = [loci.ConjugateParam(family=fam, p=a + 1, q=b + 1 if a < b < r else None, lam=lam,
+                               t=lam * np.pi / den, multiplicity=mult)
+           for lam in range(1, lambda_max + 1) for (fam, a, b, _, mult), den in roots]
+    out.sort(key=lambda c: c.t)
+    return out
+
+
+def _directions(rng, r):
+    """Directions for rank r: distinct entries, coincident ones, trailing
+    zeros, a short one that pads with zeros, and all zeros."""
+    distinct = np.sort(rng.uniform(0.05, 2.0, r))[::-1]
+    coincident = np.sort(rng.choice([0.3, 0.7, 1.1], r))[::-1]
+    zeros = distinct.copy()
+    zeros[int(rng.integers(0, r)):] = 0.0
+    short = distinct[:int(rng.integers(1, r + 1))]
+    return [loci.CartanDirection(h) for h in (distinct, coincident, zeros, short, np.zeros(r))]
+
+
+@pytest.mark.parametrize("n, m", ROOT_SHAPES + [(8, 8), (2, 7), (7, 2)])
+def test_radii_arrays_follow_the_radius_rule(n, m):
+    rng = np.random.default_rng(300 * n + m)
+    for direction in _directions(rng, min(n, m)):
+        for lambda_max in (1, 2, 3, 4):
+            want = _reference_radii(direction, n, m, lambda_max)
+            got = loci.tangent_conjugate_params(direction, n, m, lambda_max)
+            assert ([(c.family, c.p, c.q, c.lam, c.multiplicity) for c in got]
+                    == [(c.family, c.p, c.q, c.lam, c.multiplicity) for c in want])
+            # bit for bit, in the same order
+            assert np.array([c.t for c in got]).tobytes() == np.array([c.t for c in want]).tobytes()
+            t, root, lam = loci._radii(direction, n, m, lambda_max)
+            assert t.tolist() == [c.t for c in want] and lam.tolist() == [c.lam for c in want]
+            assert [loci._radius_param(n, m, tk, k, lk) for tk, k, lk
+                    in zip(t, root.tolist(), lam.tolist())] == got
+            # the JSON of conj-params reads Python ints
+            assert all(type(c.lam) is int and type(c.p) is int for c in got)
+        if not direction.h.any():
+            assert got == [] and t.size == root.size == lam.size == 0
+
+
+@pytest.mark.parametrize("signature", ["compact", "noncompact"])
+def test_padded_direction_is_the_svd_of_its_tangent(signature):
+    # the scan reads the singular values of the diagonal tangent off the
+    # direction; they equal the SVD's bit for bit
+    rng = np.random.default_rng(23)
+    for n in range(1, 9):
+        for m in range(1, 11):
+            for direction in _directions(rng, min(n, m)):
+                s = kernel.svd(loci.cartan_to_tangent(direction, n, m, signature).b).s
+                assert loci._padded(direction, n, m)[:-1].tobytes() == s.tobytes(), (n, m)
+
+
 def test_direction_validation():
     with pytest.raises(ValueError):
         loci.CartanDirection(np.array([0.3, 0.8]))
     with pytest.raises(ValueError):
         loci.CartanDirection(np.array([0.8, -0.1]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="direction has 3 entries but rank is 2"):
         loci.cartan_to_tangent(loci.CartanDirection(np.array([1.0, 0.5, 0.2])), 2, 2)
 
 

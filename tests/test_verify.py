@@ -299,7 +299,8 @@ def test_small_essential_angles_are_resolved(shape, h, delta):
 
 def test_scan_and_classify_read_one_svd_and_build_no_plane(monkeypatch):
     # the angles are closed forms in the singular values of B: the numeric
-    # group-plane route is the check, not part of the hot path
+    # group-plane route is the check, not part of the hot path; the scan
+    # reads those singular values from the direction itself, with no SVD
     calls = {"svd": 0, "plane": 0}
 
     def counted(name, func):
@@ -318,7 +319,7 @@ def test_scan_and_classify_read_one_svd_and_build_no_plane(monkeypatch):
         tc = loci.cartan_to_tangent(d, *shape, signature)
         calls.update(svd=0, plane=0)
         verify.scan_conjugate(d, (0.3, 12.0), 40, *shape, signature=signature)
-        assert calls == {"svd": 1, "plane": 0}, shape
+        assert calls == {"svd": 0, "plane": 0}, shape
         calls.update(svd=0, plane=0)
         loci.classify_conjugate(tc, 1.3)
         assert calls == {"svd": 1, "plane": 0}, shape
@@ -341,6 +342,9 @@ def _reference_radius(params, t, half_step):
     # t3(2) and t1minus(1,2) one ulp apart: at t = 31 their distances round
     # to the same double, and the lower one is the first
     ((2, 3), (0.7, float(np.nextafter(0.35, 1.0))), "compact", 1),
+    # the scan builds only the windings that reach each grid; the reference
+    # reads all 60
+    ((2, 2), (0.8, 0.6), "compact", 60),
 ])
 def test_scan_matches_each_row_to_the_nearest_radius(shape, h, signature, lambda_max):
     n, m = shape
@@ -374,6 +378,45 @@ def test_scan_matches_each_row_to_the_nearest_radius(shape, h, signature, lambda
     assert (matched > 0) == (edge > 0) == bool(params)
 
 
+def test_scan_builds_only_the_windings_that_reach_its_grid(monkeypatch):
+    # a radius of winding lam is at least lam pi / (2 h_1), so the grid's last
+    # half step t1 + half_step = 4.0921 is reached by lam <= ceil(2.08) = 3;
+    # one spare makes 4, whatever lambda_max allows past that
+    asked = []
+    radii = loci._radii
+
+    def counted(direction, n, m, lambda_max):
+        asked.append(lambda_max)
+        return radii(direction, n, m, lambda_max)
+
+    monkeypatch.setattr(loci, "_radii", counted)
+    d = loci.CartanDirection(np.array([0.8, 0.6]))
+    rows = {}
+    for lambda_max in (1, 3, 4, 5, 100000):
+        rows[lambda_max] = verify.scan_conjugate(d, (0.5, 4.0), 20, 2, 2,
+                                                 lambda_max=lambda_max)
+    assert asked == [1, 3, 4, 4, 4]
+    # the second winding's first radius, 2 pi / 1.6 = 3.93, is on the grid
+    assert [row["lambda"] for row in rows[1]].count(2) == 0
+    assert [row["lambda"] for row in rows[3]].count(2) == 1
+    assert rows[3] == rows[4] == rows[5] == rows[100000]
+    # the dual has no radii and asks for none
+    asked.clear()
+    verify.scan_conjugate(d, (0.5, 4.0), 20, 2, 2, signature="noncompact", lambda_max=100000)
+    assert asked == []
+
+
+@pytest.mark.parametrize("h, shape", [((0.0,), (1, 1)), ((0.0, 0.0), (2, 3)), ((0.0,), (3, 2))])
+def test_scan_of_a_vanishing_direction_labels_no_radius(h, shape):
+    # every root vanishes, so there is no radius to match: the label columns
+    # are blank, and the rows sit at the origin plane
+    rows = verify.scan_conjugate(loci.CartanDirection(np.array(h)), (0.5, 4.0), 9, *shape)
+    assert len(rows) == 9
+    for row in rows:
+        assert (row["family"], row["p"], row["q"], row["lambda"]) == ("", "", "", "")
+        assert (row["max_angle"], row["overlap_abs"]) == (0.0, 1.0)
+
+
 def test_scan_input_validation():
     d = loci.CartanDirection(np.array([1.0]))
     with pytest.raises(ValueError):
@@ -386,6 +429,9 @@ def test_scan_input_validation():
     for signature in ("compact", "noncompact"):
         with pytest.raises(ValueError, match="lambda_max"):
             verify.scan_conjugate(pair, (0.5, 2.0), 3, 2, 2, signature=signature, lambda_max=0)
+        # the scan builds no tangent, but refuses what cartan_to_tangent refuses
+        with pytest.raises(ValueError, match="direction has 2 entries but rank is 1"):
+            verify.scan_conjugate(pair, (0.5, 2.0), 3, 1, 3, signature=signature)
 
 
 @pytest.mark.parametrize("h, t1", [(1e300, 2.0), (1e200, 2.0), (1.0, 2.0**33), (1e10, 1e300)])

@@ -16,13 +16,15 @@ and an empty diff means the two give the same numbers, verdicts and exit
 codes on every case.  Each warning a CLI case raises is recorded, not
 printed, and ends that case's stderr as one "warning: <Category>: <message>"
 line, with no file path.  Exits 1 if any case's exit code is not the one
-listed in CASES, after writing every file.
+listed in CASES, after writing every file.  A case that argparse refuses
+records its SystemExit code as its exit code.
 """
 from __future__ import annotations
 
 import contextlib
 import io
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -147,6 +149,21 @@ CASES = (
     ("scan-1x2-noncompact-saturates", ["conj-scan", "--h", "1.0", "--n", "1", "--m", "2",
                                        "--t0", "1", "--t1", "40", "--steps", "40",
                                        "--signature", "noncompact", "--out", "/dev/null"], 3),
+    # every root vanishes: no radius, blank family, p, q and lambda columns
+    ("scan-2x3-zero-direction", ["conj-scan", "--h", "0,0", "--n", "2", "--m", "3",
+                                 "--t0", "0.5", "--t1", "4", "--steps", "9",
+                                 "--out", "{csv}"], 0),
+    # the grid passes 2 pi / 1.6 = 3.93, the first radius of winding 2, unlabelled
+    ("scan-2x2-lambda-max-1", ["conj-scan", "--h", "0.8,0.6", "--n", "2", "--m", "2",
+                               "--t0", "0.5", "--t1", "6", "--steps", "45",
+                               "--lambda-max", "1", "--out", "{csv}"], 0),
+    # only the windings that reach the grid are built
+    ("scan-2x2-lambda-max-1000000", ["conj-scan", "--h", "0.8,0.6", "--n", "2", "--m", "2",
+                                     "--t0", "0.5", "--t1", "4", "--steps", "20",
+                                     "--lambda-max", "1000000", "--out", "{csv}"], 0),
+    # refused by the parser: argparse's usage and message on stderr
+    ("scan-unknown-flag", ["conj-scan", "--h", "0.8", "--n", "1", "--m", "1", "--t0", "0.5",
+                           "--t1", "1", "--steps", "3", "--bogus", "--out", "/dev/null"], 2),
 )
 
 # about 1 MB; the largest scan CSV is about 43 kB
@@ -166,7 +183,10 @@ def run_case(outdir: Path, name: str, argv: list[str]) -> int:
     with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
           warnings.catch_warnings(record=True) as caught):
         warnings.simplefilter("always")
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses the argv
+            code = exc.code
     stdout = out.getvalue().replace(csv_path, f"{name}.csv")
     warned = "".join(f"warning: {w.category.__name__}: {w.message}\n" for w in caught)
     (outdir / f"{name}.txt").write_text(
@@ -316,6 +336,8 @@ def main(argv=None) -> int:
         return 2
     outdir = Path(args[0])
     outdir.mkdir(parents=True, exist_ok=True)
+    # argparse wraps a usage line to the terminal's width; fix it
+    os.environ["COLUMNS"] = "80"
     status = 0
     for name, argv_case, expected in CASES:
         code = run_case(outdir, name, argv_case)
