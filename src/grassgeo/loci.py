@@ -14,13 +14,14 @@ rows scaled to a largest modulus of 1.
 
 Conjugate points along a geodesic with Cartan direction h (the singular
 values of the velocity) occur at the radii lam pi / |alpha(h)| over the
-restricted roots alpha, listed with their multiplicities in _root_table.
-The differential of the chart exponential has a closed-form spectrum, the
-Daleckii-Krein divided differences of tan (tanh) at the singular values of
-t B (jacobian_spectrum), read off the same table; its zeros fall exactly at
-those radii, with the predicted multiplicities.  classify_conjugate and the
-scanner read their
-ratio from it, and their angles from the Cartan closed form in t h.  A
+restricted roots alpha.  _root_table holds the roots once per shape, as
+read-only columns: family, a, b, sign and multiplicity of each root, then
+the zero weights.  The differential of the chart exponential has a
+closed-form spectrum, the Daleckii-Krein divided differences of tan (tanh)
+at the singular values of t B (jacobian_spectrum), read off the same
+columns; its zeros fall exactly at those radii, with the predicted
+multiplicities.  classify_conjugate and the scanner read their ratio from
+it, and their angles from the Cartan closed form in t h.  A
 finite-difference Jacobian of the exponential (conjugate_test_jacobian)
 measures the same spectrum independently and is the route the verify
 suite checks it against.
@@ -239,9 +240,11 @@ def cartan_to_tangent(direction: CartanDirection, n: int, m: int,
 
 def _padded(direction: CartanDirection, n: int, m: int) -> np.ndarray:
     """The direction padded with zeros to length min(n, m) + 1; ValueError if
-    it has more than min(n, m) entries.  The first min(n, m) entries are the
-    singular values of cartan_to_tangent's matrix, bit for bit, and the last
-    is the x_r = 0 that _root_table's roots read."""
+    n or m is below 1 or the direction is longer than min(n, m).  The first
+    min(n, m) entries are the singular values of cartan_to_tangent's matrix,
+    bit for bit, and the last is the x_r = 0 that _root_table's roots read."""
+    if n < 1 or m < 1:
+        raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     r = min(n, m)
     if direction.r > r:
         raise ValueError(f"direction has {direction.r} entries but rank is {r}")
@@ -269,33 +272,33 @@ class ConjugateParam:
     multiplicity: int
 
 
+_FAMILIES = ("t1plus", "t1minus", "t2", "t3", "zero")
+
+
 @functools.cache
 def _root_table(n: int, m: int):
     """The positive restricted roots of Gr(n, n+m) (Helgason, Ch. X), once per
-    shape, as rows (family, a, b, sign, multiplicity) by a, for the root
-    alpha(x) = x_a + sign x_b on x padded with x_r = 0, r = min(n, m):
-    e_a +/- e_b (t1plus, t1minus; a < b < r; 2), 2 e_a (t2; b = a; 1) and,
-    if n != m, e_a (t3; b = r; 2|m - n|).  Then the a, b, sign and
-    multiplicity columns as read-only arrays, run on with the r zero weights
-    (a, a, -1, 1) of the Cartan subspace, so the multiplicities sum to 2nm."""
+    shape, as the read-only columns family (an index into _FAMILIES), a, b,
+    sign and multiplicity of the root alpha(x) = x_a + sign x_b on x padded
+    with x_r = 0, r = min(n, m).  By a, then e_a +/- e_b (t1plus, t1minus;
+    a < b < r, by b; 2), 2 e_a (t2; b = a; 1) and, if n != m, e_a (t3; b = r;
+    2|m - n|).  Then the r zero weights (zero, a, a, -1, 1) of the Cartan
+    subspace, so the multiplicities sum to 2nm."""
     r = min(n, m)
-    rows = []
-    for a in range(r):
-        rows += [(fam, a, b, sign, 2) for b in range(a + 1, r)
-                 for fam, sign in (("t1plus", 1.0), ("t1minus", -1.0))]
-        rows += [("t2", a, a, 1.0, 1)] + [("t3", a, r, 1.0, 2 * abs(m - n))] * (n != m)
-    cols = [np.array(col) for col in zip(*rows, *[("", a, a, -1.0, 1) for a in range(r)])]
-    for col in cols[1:]:
+    pa, pb = np.repeat(np.triu_indices(r, 1), 2, axis=1)  # each pair as + then -
+    k = np.arange(r)
+    e = k[:r * (n != m)]  # the a of the e_a roots, none when n == m
+    fam = np.concatenate([np.tile([0, 1], pa.size // 2), np.full(r, 2), np.full(e.size, 3)])
+    a = np.concatenate([pa, k, e])
+    order = np.lexsort((np.maximum(fam - 1, 0), a))  # stable: pairs < 2 e_a < e_a per a
+    b = np.concatenate([pb, k, np.full(e.size, r)])[order]
+    fam = np.concatenate([fam[order], np.full(r, 4)])
+    cols = (fam, np.concatenate([a[order], k]), np.concatenate([b, k]),
+            np.array([1.0, -1.0, 1.0, 1.0, -1.0])[fam],  # sign and multiplicity by family
+            np.array([2, 2, 1, 2 * abs(m - n), 1])[fam])
+    for col in cols:
         col.flags.writeable = False
-    return (tuple(rows), *cols[1:])
-
-
-def _root_lengths(direction: CartanDirection, n: int, m: int):
-    """The rows of _root_table(n, m) and |alpha(h)| for each root and zero
-    weight, on the direction padded with zeros to length min(n, m) + 1."""
-    h = _padded(direction, n, m)
-    rows, a, b, sign, _ = _root_table(n, m)
-    return rows, np.abs(h[a] + sign * h[b])
+    return cols
 
 
 def tangent_conjugate_params(direction: CartanDirection, n: int, m: int,
@@ -323,8 +326,10 @@ def _radii(direction: CartanDirection, n: int, m: int, lambda_max: int):
     and the winding lam, listed winding by winding in the table's order,
     then sorted by time with a stable argsort.  Empty when no root reaches
     DENOM_TOL."""
-    rows, lengths = _root_lengths(direction, n, m)
-    root = np.flatnonzero(lengths[:len(rows)] >= DENOM_TOL)
+    h = _padded(direction, n, m)
+    fam, a, b, sign, _ = _root_table(n, m)
+    lengths = np.abs(h[a] + sign * h[b])
+    root = np.flatnonzero((lengths >= DENOM_TOL) & (fam < 4))  # no zero weight
     lam = np.arange(1, lambda_max + 1)
     t = (lam[:, None] * np.pi / lengths[root]).ravel()
     order = np.argsort(t, kind="stable")
@@ -333,10 +338,11 @@ def _radii(direction: CartanDirection, n: int, m: int, lambda_max: int):
 
 def _radius_param(n: int, m: int, t: float, root: int, lam: int) -> ConjugateParam:
     """The ConjugateParam of one radius of _radii: its time, its row of
-    _root_table(n, m) and its winding."""
-    fam, a, b, _, mult = _root_table(n, m)[0][root]
-    return ConjugateParam(family=fam, p=a + 1, q=b + 1 if a < b < min(n, m) else None,
-                          lam=lam, t=t, multiplicity=mult)
+    _root_table(n, m) and its winding; q is blank for t2 and t3."""
+    fam, a, b, _, mult = _root_table(n, m)
+    f, q = fam.item(root), b.item(root) + 1
+    return ConjugateParam(family=_FAMILIES[f], p=a.item(root) + 1, q=q if f < 2 else None,
+                          lam=lam, t=t, multiplicity=mult.item(root))
 
 
 def coverage_limit(direction: CartanDirection, n: int, m: int,
@@ -346,7 +352,7 @@ def coverage_limit(direction: CartanDirection, n: int, m: int,
     DENOM_TOL).  Scans past this limit run into radii absent from the list."""
     if lambda_max < 0:
         raise ValueError("lambda_max must be at least 0")
-    top = np.max(_root_lengths(direction, n, m)[1])
+    top = 2.0 * _padded(direction, n, m)[0]
     return (lambda_max + 1) * np.pi / top if top >= DENOM_TOL else np.inf
 
 

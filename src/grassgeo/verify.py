@@ -319,32 +319,23 @@ def _prop_noncompact_injectivity(rng, cfg, tol):
 
 # ------------------------------------------------------- cut locus properties
 
-@_property("cut-locus-polar-divisor", kernel.RANK_TOL)
-def _prop_cut_polar(rng, cfg, tol):
-    built = loci.cut_locus_test(_cut_plane(rng, cfg.n, cfg.m))
-    random = loci.cut_locus_test(manifold.haar_random_plane(cfg.n, cfg.m, rng))
-    del random  # must merely not raise: its pairing is its cosine product
-    return 0.0 if built.in_locus else 1.0
+def _cut_route_property(name, route):
+    """Register the check of a cut route, plane -> bool: it puts the built cut
+    plane in the locus and agrees with cut_locus_test on a Haar random plane
+    (trivially for cut_locus_test itself, whose calls must merely not raise)."""
+    def check(rng, cfg, tol):
+        built = _cut_plane(rng, cfg.n, cfg.m)
+        random = manifold.haar_random_plane(cfg.n, cfg.m, rng)
+        ok = route(built)
+        agree = route(random) == loci.cut_locus_test(random).in_locus
+        return 0.0 if (ok and agree) else 1.0
+    _property(name, kernel.RANK_TOL)(check)
 
 
-@_property("cayley-cut-criterion", kernel.RANK_TOL)
-def _prop_cayley_cut(rng, cfg, tol):
-    built = _cut_plane(rng, cfg.n, cfg.m)
-    random = manifold.haar_random_plane(cfg.n, cfg.m, rng)
-    ok = loci.cayley_cut_check(built)
-    agree = loci.cayley_cut_check(random) == loci.cut_locus_test(random).in_locus
-    return 0.0 if (ok and agree) else 1.0
-
-
-@_property("cut-locus-schubert-variety", kernel.RANK_TOL)
-def _prop_cut_schubert(rng, cfg, tol):
-    symbol = loci.cut_locus_symbol(cfg.n, cfg.m)
-    built = _cut_plane(rng, cfg.n, cfg.m)
-    random = manifold.haar_random_plane(cfg.n, cfg.m, rng)
-    ok = loci.schubert_membership(built, symbol, flag="perp")
-    agree = (loci.schubert_membership(random, symbol, flag="perp")
-             == loci.cut_locus_test(random).in_locus)
-    return 0.0 if (ok and agree) else 1.0
+_cut_route_property("cut-locus-polar-divisor", lambda plane: loci.cut_locus_test(plane).in_locus)
+_cut_route_property("cayley-cut-criterion", loci.cayley_cut_check)
+_cut_route_property("cut-locus-schubert-variety", lambda plane: loci.schubert_membership(
+    plane, loci.cut_locus_symbol(plane.n, plane.big_n - plane.n), flag="perp"))
 
 
 # ------------------------------------------------- conjugate locus properties

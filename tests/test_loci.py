@@ -498,17 +498,54 @@ def test_coverage_limit_is_the_first_radius_of_the_next_winding(n, m):
 
 
 def _reference_radii(direction, n, m, lambda_max):
-    """The radius rule as one ConjugateParam per root and winding, written
-    out: the list comprehension over windings and the table's roots, then a
-    stable sort by time."""
-    rows, lengths = loci._root_lengths(direction, n, m)
+    """The radius rule of tangent_conjugate_params, written out: on h padded
+    with zeros to r = min(n, m), per a the pairs over a < b < r, h_a + h_b
+    and |h_a - h_b|, then the singles h_a + h_a and, when n != m, h_a; then
+    lam pi / den per winding and root with den >= DENOM_TOL, sorted stably
+    by time."""
     r = min(n, m)
-    roots = [(row, den) for row, den in zip(rows, lengths) if den >= loci.DENOM_TOL]
-    out = [loci.ConjugateParam(family=fam, p=a + 1, q=b + 1 if a < b < r else None, lam=lam,
-                               t=lam * np.pi / den, multiplicity=mult)
-           for lam in range(1, lambda_max + 1) for (fam, a, b, _, mult), den in roots]
+    h = np.concatenate([direction.h, np.zeros(r - direction.r)])
+    roots = []
+    for a in range(r):
+        for b in range(a + 1, r):
+            roots += [("t1plus", a + 1, b + 1, 2, h[a] + h[b]),
+                      ("t1minus", a + 1, b + 1, 2, abs(h[a] - h[b]))]
+        roots.append(("t2", a + 1, None, 1, h[a] + h[a]))
+        if n != m:
+            roots.append(("t3", a + 1, None, 2 * abs(m - n), h[a]))
+    out = [loci.ConjugateParam(family=fam, p=p, q=q, lam=lam, t=lam * np.pi / den,
+                               multiplicity=mult)
+           for lam in range(1, lambda_max + 1) for fam, p, q, mult, den in roots
+           if den >= loci.DENOM_TOL]
     out.sort(key=lambda c: c.t)
     return out
+
+
+def _reference_root_table(n, m):
+    """The roots of Gr(n, n+m) one Python row (family, a, b, sign,
+    multiplicity) at a time, by a, then the r zero weights."""
+    r = min(n, m)
+    rows = []
+    for a in range(r):
+        rows += [(fam, a, b, sign, 2) for b in range(a + 1, r)
+                 for fam, sign in (("t1plus", 1.0), ("t1minus", -1.0))]
+        rows += [("t2", a, a, 1.0, 1)] + [("t3", a, r, 1.0, 2 * abs(m - n))] * (n != m)
+    return rows + [("zero", a, a, -1.0, 1) for a in range(r)]
+
+
+def test_root_table_columns_follow_the_root_rule():
+    for n, m in [(n, m) for n in range(1, 9) for m in range(1, 11)] + [(150, 150)]:
+        fam, *cols = loci._root_table(n, m)
+        want = list(zip(*_reference_root_table(n, m)))
+        assert [loci._FAMILIES[f] for f in fam.tolist()] == list(want[0]), (n, m)
+        # bit for bit, dtypes included
+        for got, ref in zip(cols, map(np.array, want[1:])):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (n, m)
+        for col in (fam, *cols):
+            assert not col.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = col[0]
+        assert int(cols[-1].sum()) == 2 * n * m
 
 
 def _directions(rng, r):
@@ -562,6 +599,12 @@ def test_direction_validation():
         loci.CartanDirection(np.array([0.8, -0.1]))
     with pytest.raises(ValueError, match="direction has 3 entries but rank is 2"):
         loci.cartan_to_tangent(loci.CartanDirection(np.array([1.0, 0.5, 0.2])), 2, 2)
+    # n and m are refused before the direction's length is compared with the rank
+    short = loci.CartanDirection(np.array([0.5]))
+    for n, m in ((-2, 3), (0, 3), (3, 0), (2, -1)):
+        with pytest.raises(ValueError, match=f"need n >= 1 and m >= 1, got n={n}, m={m}"):
+            loci.tangent_conjugate_params(short, n, m)
+        assert cli.main(["conj-params", "--h", "0.5", "--n", str(n), "--m", str(m)]) == 2
 
 
 def test_cartan_to_tangent_embeds_diagonal():

@@ -98,6 +98,10 @@ CASES = (
                          "--lambda-max", "3"], 0),
     # t1minus(1,2) and t3(2) tie at pi/0.4: tied radii keep the root order
     ("conj-params-3x2-tie", ["conj-params", "--h", "0.8,0.4", "--n", "3", "--m", "2"], 0),
+    # 36 radii, 11 of them tied at t = 8.976 across all four families: the
+    # table's order of the roots at r = 4 fixes theirs
+    ("conj-params-4x6-ties", ["conj-params", "--h", "0.7,0.7,0.35,0.35", "--n", "4",
+                              "--m", "6"], 0),
     ("angles-w-compact", ["angles", _ZP, _Z], 0),
     ("angles-svd-compact", ["angles", _ZP, _Z, "--route", "svd"], 0),
     ("angles-w-noncompact", ["angles", _ZP, _Z, "--signature", "noncompact"], 0),
