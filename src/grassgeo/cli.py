@@ -7,7 +7,8 @@ come back as {"value": [re, im]}.
 
 Exit codes: 0 success, 1 failed verification or an output pipe closed early,
 2 bad input (also input too large to allocate), 3 geometric error (outside
-chart, vanishing overlap, inconsistent routes).
+chart, chart products or Pluecker minors outside the floating-point range,
+inconsistent routes).
 """
 from __future__ import annotations
 

@@ -42,6 +42,7 @@ from .manifold import (ANGLE_TOL, AngleSpectrum, Plane, TangentCoord, _check_sig
 CONJUGATE_TOL = 1e-3
 PAIRING_TOL = 1e-12
 DENOM_TOL = 1e-12
+_H_MAX = np.finfo(float).max / 2  # so every root length h_a + h_b is finite
 
 
 @dataclass(slots=True)
@@ -218,8 +219,8 @@ class CartanDirection:
         arr = np.asarray(self.h, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("h must be a nonempty vector")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise ValueError("h entries must be finite and nonnegative")
+        if not (arr.min() >= 0 and arr.max() <= _H_MAX):  # a nan fails both
+            raise ValueError("h entries must be nonnegative and at most half the largest double")
         if np.any(arr[:-1] < arr[1:]):
             raise ValueError("h entries must be nonincreasing")
         self.h = arr.copy()

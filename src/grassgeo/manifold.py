@@ -33,7 +33,6 @@ Signature = Literal["compact", "noncompact"]
 
 ANGLE_TOL = 1e-6
 POLE_TOL = 1e-9
-OVERLAP_TOL = 1e-12
 # bytes of the (C(N, n), n, n) complex stack plucker may build: 45 MB at
 # 8x10, 218 MB at 9x11, 1.03 GB at 10x12
 PLUCKER_MAX_BYTES = 1 << 28
@@ -243,11 +242,11 @@ def _check_pair(zp: ChartPoint, z: ChartPoint) -> None:
         raise ValueError(f"signature mismatch: {zp.signature} vs {z.signature}")
 
 
-def _chart_overflow(err: str, flag: int) -> None:
-    """np.errstate handler for the routes built on chart products such as
-    1 + Z Zp*, which finite coordinates can overflow or round to nonsense."""
-    raise DomainError(f"floating-point {err} in the chart products: the chart coordinates "
-                      "are too large for this route")
+def _fp_guard(where: str) -> np.errstate:
+    """np.errstate raising DomainError on an overflow, nan or division by zero in `where`."""
+    def fault(err: str, flag: int) -> None:
+        raise DomainError(f"floating-point {err} in {where}: entries out of this route's range")
+    return np.errstate(call=fault, over="call", invalid="call", divide="call")
 
 
 def overlap(zp: ChartPoint, z: ChartPoint) -> complex:
@@ -259,7 +258,7 @@ def overlap(zp: ChartPoint, z: ChartPoint) -> complex:
     """
     _check_pair(zp, z)
     eps = _check_signature(z.signature).eps
-    with np.errstate(call=_chart_overflow, over="call", invalid="call", divide="call"):
+    with _fp_guard("the chart products"):
         return complex(np.linalg.det(np.eye(z.shape[0]) + eps * (z.z @ zp.z.conj().T)))
 
 
@@ -303,19 +302,16 @@ def stationary_angles_w(zp: ChartPoint, z: ChartPoint) -> AngleSpectrum:
     W = (1+ZZ*)^-1 (1+ZZp*) (1+ZpZp*)^-1 (1+ZpZ*), whose spectrum is cos^2
     of the angles.  W is similar to the Hermitian G G* with
     G = (1+ZZ*)^-1/2 (1+ZZp*) (1+ZpZp*)^-1/2, so _angles_of reads the
-    cosines from G.  Requires a nonzero overlap.
-    DomainError where a chart product overflows, or rounds to a nan or a
-    division by zero.
+    cosines from G, which exists for every pair of chart points, those on
+    each other's cut locus (1 + ZZp* singular) included.  DomainError where a
+    chart product overflows, or rounds to a nan or a division by zero.
     """
     _check_pair(zp, z)
     n = z.shape[0]
-    with np.errstate(call=_chart_overflow, over="call", invalid="call", divide="call"):
-        big_m = np.eye(n) + z.z @ zp.z.conj().T
-        if abs(np.linalg.det(big_m)) <= OVERLAP_TOL:
-            raise DomainError("vanishing overlap; use the orthonormal-basis angle route")
+    with _fp_guard("the chart products"):
         inv_sqrt_a = _inv_sqrt_gram(np.eye(n) + z.z @ z.z.conj().T)
         inv_sqrt_ap = _inv_sqrt_gram(np.eye(n) + zp.z @ zp.z.conj().T)
-        g = inv_sqrt_a @ big_m @ inv_sqrt_ap
+        g = inv_sqrt_a @ (np.eye(n) + z.z @ zp.z.conj().T) @ inv_sqrt_ap
         return AngleSpectrum(_angles_of(g, n + z.shape[1]))
 
 
@@ -349,9 +345,12 @@ def _angles_of(cross: np.ndarray, big_n: int) -> np.ndarray:
 
 
 def _pairing_of(cross: np.ndarray) -> float:
-    """|det V1* V2| of the n x n product of orthonormal frames: the product
-    of the cosines of the stationary angles, clipped to 1."""
-    return min(float(abs(np.linalg.det(cross))), 1.0)
+    """|det V1* V2| of the n x n product of orthonormal frames: the product of
+    the cosines of the stationary angles, clipped to 1.  Read as 0 where numpy's
+    det turns a subnormal LU pivot into a nan, as |det| < 2^(n^2) * 2.2e-308."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = float(abs(np.linalg.det(cross)))
+    return min(det, 1.0) if det == det else 0.0
 
 
 def exp0(tangent: TangentCoord) -> ChartPoint:
@@ -469,7 +468,8 @@ def plucker(plane: Plane) -> PluckerVector:
     """All n x n minors of the row basis, over lexicographic column n-tuples.
 
     ValueError, before anything is allocated, when the stack of the
-    C(N, n) leading blocks would pass PLUCKER_MAX_BYTES."""
+    C(N, n) leading blocks would pass PLUCKER_MAX_BYTES.  DomainError where
+    a minor overflows, or rounds to a nan or a division by zero."""
     n, big_n = plane.basis.shape
     count = math.comb(big_n, n)
     nbytes = count * n * n * np.dtype(complex).itemsize
@@ -479,7 +479,8 @@ def plucker(plane: Plane) -> PluckerVector:
     indices = tuple(itertools.combinations(range(big_n), n))
     cols = np.asarray(indices, dtype=int)
     # det(A[:, c]) = det(A.T[c]) and the stacked form evaluates all minors at once
-    dets = np.linalg.det(plane.basis.T[cols])
+    with _fp_guard("the Pluecker minors"):
+        dets = np.linalg.det(plane.basis.T[cols])
     return PluckerVector(n=n, big_n=big_n, indices=indices, coords=dets)
 
 

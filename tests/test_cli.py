@@ -4,6 +4,7 @@ import pathlib
 import stat
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -364,6 +365,18 @@ def test_cut_test_pairing_does_not_overflow(capsys):
         assert got["pairing_abs"] == 1.0 and got["max_angle"] == 0.0, n
 
 
+def test_cut_test_answers_where_the_frame_holds_subnormal_entries(capsys):
+    # rows of 1e308 leave entries near 7e-309 in the frame's leading block,
+    # whose complex det numpy turns into a nan with a warning; the plane
+    # lies within 1e-300 of the locus, so the pairing is 0 on every route
+    x = 1e308
+    plane = _mat([[1, x, 0, 0, 1], [0, 1, x, 0, 0], [0, 0, 1, 1, x]])
+    code, out, err = _run(capsys, "cut-test", plane)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"in_locus": True, "max_angle": np.pi / 2, "pairing_abs": 0.0,
+                               "cayley": True, "schubert": True}
+
+
 def test_chart_routes_refuse_overflowing_products(capsys):
     # finite chart coordinates whose products overflow: exit 3 naming the
     # overflow, nothing on stdout, and no numpy warning, which pytest makes
@@ -383,6 +396,69 @@ def test_chart_routes_refuse_overflowing_products(capsys):
     assert code == 0
     assert json.loads(out) == {"geodesic": pytest.approx(np.pi / np.sqrt(2), rel=1e-12),
                                "cayley": 1.5707963267948966}
+
+
+def test_angles_chart_route_answers_on_the_cut_locus(capsys):
+    # 1 + Z Zp* = 0: each point lies on the other's cut locus
+    code, out, err = _run(capsys, "angles", "[[-1,0]]", "[[1,0]]", "--n", "1", "--m", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["angles"] == [pytest.approx(np.pi / 2, abs=1e-15)]
+
+
+@pytest.mark.parametrize("v, event", [("1e200", "overflow"), ("1e-320", "divide by zero")])
+def test_plucker_refuses_minors_outside_the_double_range(v, event, capsys):
+    # the last minor of the 1e200 basis overflows; the (2, 3) and (2, 4)
+    # minors of the subnormal one are -1e-320, which numpy's det reads as nan
+    z = f'{{"rows":2,"cols":2,"data":[[{v},0],[{v},0],[{v},0],[-{v},0]]}}'
+    code, out, err = _run(capsys, "plucker", z)
+    assert (code, out) == (3, "") and f"floating-point {event} in the Pluecker minors" in err
+    assert "too large" not in err
+
+
+_MAGNITUDES = ("1e308", "1e200", "1e155", "1e-200", "1e-320", "5e-324")
+
+
+def _magnitude_argvs(v: str, csv: str) -> list[list[str]]:
+    """Every chart, cut and direction command on inputs holding the entry v."""
+    x = float(v)
+    charts = [_mat([[x]]), _mat([[x, x], [x, -x]]), _mat([[x, 0, 0], [0, x, 1]])]
+    bases = [_mat([[x, 1]]), _mat([[1, 0, x], [0, x, 1]]), _mat([[x, 0, 1, 0], [0, 1, 0, x]]),
+             _mat([[1, x, 0, 0, 1], [0, 1, x, 0, 0], [0, 0, 1, 1, x]])]
+    argvs = []
+    for z in charts:
+        argvs += [["angles", z, z], ["angles", z, z, "--route", "svd"], ["overlap", z, z],
+                  ["plucker", z]]
+        for signature in ("compact", "noncompact"):
+            sig = ["--signature", signature]
+            argvs += [["dist", z, *sig], ["log", z, *sig], ["exp", z, *sig],
+                      ["geodesic", z, "--t", "0.5", "--route", "group", *sig]]
+    argvs += [["cut-test", plane] for plane in bases]
+    for h in (v, f"{v},{v}", f"1,{v}"):
+        shape = ["--h", h, "--n", "2", "--m", "3"]
+        argvs.append(["conj-params", *shape])
+        for signature in ("compact", "noncompact"):
+            argvs.append(["conj-scan", *shape, "--t0", "0.5", "--t1", "1", "--steps", "3",
+                          "--signature", signature, "--out", csv])
+    return argvs
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_extreme_magnitudes_get_a_verdict_or_a_refusal(tmp_path, capsys):
+    # entries from the largest double down to the smallest subnormal: each
+    # command answers with plain JSON or refuses with exit 2 or 3, and numpy
+    # warns of nothing
+    argvs = [argv for v in _MAGNITUDES for argv in _magnitude_argvs(v, str(tmp_path / "s.csv"))]
+    assert len(argvs) == 294
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in argvs:
+            code, out, err = _run(capsys, *argv)
+            assert code in (0, 2, 3), (argv, code, err)
+            if code == 0:
+                json.loads(out, parse_constant=_no_constant)
 
 
 def test_numerical_failure_is_exit_3(monkeypatch, capsys):

@@ -597,6 +597,15 @@ def test_direction_validation():
         loci.CartanDirection(np.array([0.3, 0.8]))
     with pytest.raises(ValueError):
         loci.CartanDirection(np.array([0.8, -0.1]))
+    # up to half the largest double every root length and cut_time is finite
+    top = np.finfo(float).max / 2
+    for h in ([top], [top, top], [top, 1.0]):
+        d = loci.CartanDirection(np.array(h))
+        params = loci.tangent_conjugate_params(d, 2, 3, lambda_max=1)
+        assert all(0.0 < p.t < np.inf for p in params) and 0.0 < loci.cut_time(d) < np.inf
+    for bad in (np.nextafter(top, np.inf), np.inf, np.nan):
+        with pytest.raises(ValueError, match="half the largest double"):
+            loci.CartanDirection(np.array([bad]))
     with pytest.raises(ValueError, match="direction has 3 entries but rank is 2"):
         loci.cartan_to_tangent(loci.CartanDirection(np.array([1.0, 0.5, 0.2])), 2, 2)
     # n and m are refused before the direction's length is compared with the rank

@@ -162,6 +162,33 @@ def test_angles_vanishing_overlap_needs_svd_route():
     assert abs(near - np.pi / 2) < 1e-6
 
 
+def _cut_locus_pair(rng, n, m, nudge):
+    """Chart points with 1 + Z Zp* singular, each on the other's cut locus:
+    Zp* v = w for Z w = -v.  A nudge of w moves the pair off the locus."""
+    z = mf.haar_random_chart(n, m, rng).z
+    w = mf._complex_gaussian(rng, m, 1)[:, 0]
+    w /= np.linalg.norm(z @ w)
+    v = -z @ w
+    w = w + nudge * mf._complex_gaussian(rng, m, 1)[:, 0]
+    r = mf._complex_gaussian(rng, m, n)
+    zp_star = r + np.outer(w - r @ v, v.conj())
+    return mf.ChartPoint(zp_star.conj().T), mf.ChartPoint(z)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 5)])
+def test_chart_angle_route_answers_on_the_cut_locus(n, m):
+    # G = (1+ZZ*)^-1/2 (1+ZZp*) (1+ZpZp*)^-1/2 exists for every pair of chart
+    # points, so the W route answers where the overlap vanishes or nearly does
+    rng = np.random.default_rng(2500 + 10 * n + m)
+    for nudge in (0.0, 1e-12, 1e-9, 1e-8):
+        zp, z = _cut_locus_pair(rng, n, m, nudge)
+        assert abs(mf.overlap(zp, z)) <= 1e-6
+        got = mf.stationary_angles_w(zp, z).angles
+        want = mf.stationary_angles_svd(mf.chart_to_plane(zp), mf.chart_to_plane(z)).angles
+        assert np.max(np.abs(got - want)) < 1e-9, nudge
+        assert abs(got[0] - np.pi / 2) < 1e-6, nudge
+
+
 def test_chart_angle_route_refuses_only_what_floating_point_cannot_hold():
     # Z = [[s, 1], [i, 2]] against Z' = 1: at s = 1e100 the Gram matrix
     # 1 + ZZ* has entries of 1e200 and the route still answers, equal to the

@@ -98,6 +98,8 @@ CASES = (
                          "--lambda-max", "3"], 0),
     # t1minus(1,2) and t3(2) tie at pi/0.4: tied radii keep the root order
     ("conj-params-3x2-tie", ["conj-params", "--h", "0.8,0.4", "--n", "3", "--m", "2"], 0),
+    # 2 h_1 overflows
+    ("conj-params-2h-overflows", ["conj-params", "--h", "1e308", "--n", "1", "--m", "2"], 2),
     # 36 radii, 11 of them tied at t = 8.976 across all four families: the
     # table's order of the roots at r = 4 fixes theirs
     ("conj-params-4x6-ties", ["conj-params", "--h", "0.7,0.7,0.35,0.35", "--n", "4",
@@ -108,6 +110,10 @@ CASES = (
     ("angles-svd-noncompact", ["angles", _ZP, _Z, "--route", "svd",
                                "--signature", "noncompact"], 0),
     ("angles-svd-3x2", ["angles", _ZP_TALL, _Z_TALL, "--route", "svd"], 0),
+    # 1 + Z Zp* is singular: each point is on the other's cut locus
+    ("angles-w-cut-locus-2x3", ["angles", _mat([[-1, 0, 0], [0, 0.3, 0.2]]),
+                                _mat([[1, 0, 0], [0, 0.5, 0]])], 0),
+    ("plucker-minor-overflow", ["plucker", _mat([[1e200, 1e200], [1e200, -1e200]])], 3),
     # the cayley distance reads cos_cayley against the origin chart point
     ("dist-compact", ["dist", _Z], 0),
     # near-parallel rows: cos_cayley to the origin is about 4.5e-9
