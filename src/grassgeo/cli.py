@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import loci, manifold, verify
+from . import loci, manifold, verify  # eager: perfbench's tracer wraps only loaded modules
 from .errors import GeometryError
 
 

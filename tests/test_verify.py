@@ -4,7 +4,9 @@ import importlib
 import importlib.util
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -13,6 +15,8 @@ import pytest
 import grassgeo.cli  # noqa: F401  (the benchmark's scan workload calls grassgeo.cli.main)
 import grassgeo.manifold
 from grassgeo import kernel, loci, verify
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _small_config(**kw):
@@ -450,7 +454,7 @@ def test_scan_refuses_grids_too_coarse_for_the_angle_threshold(h, t1):
 def test_benchmark_output_checks_pass_on_real_output(tmp_path, monkeypatch):
     # the benchmark's own output checks, two cycles per workload: every real
     # output must pass and every deliberately perturbed copy must fail
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    path = ROOT / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     # dataclasses resolve their module through sys.modules
@@ -466,14 +470,32 @@ def test_benchmark_output_checks_pass_on_real_output(tmp_path, monkeypatch):
                     assert workload.check(op, wrong), (name, k, label)
 
 
-def test_traced_benchmark_layers_resolve():
+def _traced_table():
     # perfbench/tracer.py wraps each (layer, name) of its TRACED table; read
-    # the table without importing the benchmark and check every name exists
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    # the table without importing the benchmark
+    path = ROOT / "perfbench" / "tracer.py"
     tree = ast.parse(path.read_text())
     table = next(ast.literal_eval(node.value) for node in tree.body
                  if isinstance(node, ast.Assign)
                  and any(getattr(t, "id", None) == "TRACED" for t in node.targets))
     assert table
-    for layer, name in table:
+    return table
+
+
+def test_traced_benchmark_layers_resolve():
+    for layer, name in _traced_table():
         assert callable(getattr(importlib.import_module(f"grassgeo.{layer}"), name)), (layer, name)
+
+
+def test_cli_import_loads_every_traced_layer():
+    # the tracer wraps only the grassgeo modules in sys.modules when it
+    # installs, right after the benchmark's `import grassgeo, grassgeo.cli`
+    probe = ("import json, sys, grassgeo, grassgeo.cli; "
+             "print(json.dumps(list(sys.modules)))")
+    done = subprocess.run([sys.executable, "-W", "error", "-c", probe],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout))
+    missing = {f"grassgeo.{layer}" for layer, _ in _traced_table()} - loaded
+    assert missing == set()
