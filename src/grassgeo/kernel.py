@@ -8,10 +8,14 @@ real central-difference Jacobians of complex maps).
 numerical_rank is the package's one numerical-rank rule and RANK_TOL its
 one tolerance: Plane validation applies it to the SVD it keeps, and every
 other rank test reads it through rank_tol.
+
+_Record is the base of the package's records: plain classes with __slots__
+and an explicit __init__, which cost microseconds to create at import where
+generated classes cost about a millisecond each.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from typing import Callable
 
 import numpy as np
@@ -22,13 +26,55 @@ HERMITIAN_RTOL = 1e-10
 RANK_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SvdResult:
+class _Record:
+    """A record's repr, Name(field=value, ...), and == by its fields, between
+    records of one class; each record class lists its fields in _fields."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, name) for name in self._fields] == [
+            getattr(other, name) for name in self._fields]
+
+
+class _FrozenRecord(_Record):
+    """A record whose __init__ sets its fields through object.__setattr__, and
+    which refuses to set or delete any attribute after that."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        from dataclasses import FrozenInstanceError  # only when raised
+        raise FrozenInstanceError(f"cannot set or delete field {name!r} of a frozen record")
+
+    __delattr__ = __setattr__
+
+
+def as_index(value, name: str) -> int:
+    """The value as an int through operator.index, so numpy integers pass;
+    ValueError for a float or any other non-integral value."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+class SvdResult(_FrozenRecord):
     """Thin SVD a = u @ diag(s) @ v.conj().T with s descending."""
 
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
+    __slots__ = _fields = ("u", "s", "v")
+
+    def __init__(self, u: np.ndarray, s: np.ndarray, v: np.ndarray):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "v", v)
 
     def apply(self, vals: np.ndarray) -> np.ndarray:
         """u @ diag(vals) @ v* over the stack axes: the spectral extension of

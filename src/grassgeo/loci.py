@@ -29,7 +29,6 @@ suite checks it against.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,20 +44,20 @@ DENOM_TOL = 1e-12
 _H_MAX = np.finfo(float).max / 2  # so every root length h_a + h_b is finite
 
 
-@dataclass(slots=True)
-class SchubertSymbol:
+class SchubertSymbol(kernel._Record):
     """Nondecreasing tuple w of length n with entries in 0..m.
 
     The associated variety consists of the n-planes X with
     dim(X intersect V_{w_i + i}) >= i for every i, where V_1 < V_2 < ... is a
-    complete flag of coordinate subspaces.
+    complete flag of coordinate subspaces.  ValueError for an entry or an m
+    that is not an integer.
     """
 
-    w: tuple[int, ...]
-    m: int
+    __slots__ = _fields = ("w", "m")
 
-    def __post_init__(self):
-        self.w = tuple(int(v) for v in self.w)
+    def __init__(self, w: tuple[int, ...], m: int):
+        self.w = tuple(kernel.as_index(v, "symbol entry") for v in w)
+        self.m = kernel.as_index(m, "m")
         if len(self.w) == 0:
             raise ValueError("symbol must have at least one entry")
         if any(b < a for a, b in zip(self.w, self.w[1:])):
@@ -80,7 +79,9 @@ class SchubertSymbol:
 
 def v_pl_symbol(p: int, l: int, n: int, m: int) -> SchubertSymbol:
     """Symbol of the planes meeting the first p flag vectors in dimension >= l:
-    p - l repeated l times, then m repeated n - l times."""
+    p - l repeated l times, then m repeated n - l times.  ValueError for an
+    argument that is not an integer."""
+    l, n = kernel.as_index(l, "l"), kernel.as_index(n, "n")
     if not 1 <= l <= n:
         raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
     if not l <= p <= m + l:
@@ -90,7 +91,9 @@ def v_pl_symbol(p: int, l: int, n: int, m: int) -> SchubertSymbol:
 
 def cut_locus_symbol(n: int, m: int) -> SchubertSymbol:
     """Symbol of the cut locus of the origin: (m-1, m, ..., m) against the
-    flag that starts with the orthogonal complement of the origin plane."""
+    flag that starts with the orthogonal complement of the origin plane.
+    ValueError for an argument that is not an integer."""
+    n = kernel.as_index(n, "n")
     if m < 1:
         raise ValueError("need m >= 1")
     return SchubertSymbol(w=(m - 1,) + (m,) * (n - 1), m=m)
@@ -169,13 +172,13 @@ def schubert_generic_sample(symbol: SchubertSymbol, seed=None,
     return Plane(basis)
 
 
-@dataclass(slots=True)
-class LocusVerdict:
+class LocusVerdict(kernel._Record):
     """Outcome of the cut locus test, with the pairing it checked."""
 
-    in_locus: bool
-    max_angle: float
-    pairing_abs: float
+    __slots__ = _fields = ("in_locus", "max_angle", "pairing_abs")
+
+    def __init__(self, in_locus: bool, max_angle: float, pairing_abs: float):
+        self.in_locus, self.max_angle, self.pairing_abs = in_locus, max_angle, pairing_abs
 
 
 def cut_locus_test(plane: Plane) -> LocusVerdict:
@@ -209,14 +212,13 @@ def cayley_cut_check(plane: Plane) -> bool:
     return plane.origin_pairing <= kernel.RANK_TOL
 
 
-@dataclass(slots=True)
-class CartanDirection:
+class CartanDirection(kernel._Record):
     """Singular values h_1 >= ... >= h_r of a geodesic velocity at the origin."""
 
-    h: np.ndarray
+    __slots__ = _fields = ("h",)
 
-    def __post_init__(self):
-        arr = np.asarray(self.h, dtype=float)
+    def __init__(self, h: np.ndarray):
+        arr = np.asarray(h, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("h must be a nonempty vector")
         if not (arr.min() >= 0 and arr.max() <= _H_MAX):  # a nan fails both
@@ -261,16 +263,15 @@ def cut_time(direction: CartanDirection) -> float:
     return np.pi / (2.0 * top)
 
 
-@dataclass(slots=True)
-class ConjugateParam:
+class ConjugateParam(kernel._Record):
     """One predicted conjugate radius: family label, indices, winding, time."""
 
-    family: str
-    p: int
-    q: int | None
-    lam: int
-    t: float
-    multiplicity: int
+    __slots__ = _fields = ("family", "p", "q", "lam", "t", "multiplicity")
+
+    def __init__(self, family: str, p: int, q: int | None, lam: int, t: float,
+                 multiplicity: int):
+        self.family, self.p, self.q, self.lam = family, p, q, lam
+        self.t, self.multiplicity = t, multiplicity
 
 
 _FAMILIES = ("t1plus", "t1minus", "t2", "t3", "zero")
@@ -357,16 +358,15 @@ def coverage_limit(direction: CartanDirection, n: int, m: int,
     return (lambda_max + 1) * np.pi / top if top >= DENOM_TOL else np.inf
 
 
-@dataclass(slots=True)
-class JacobianProbe:
+class JacobianProbe(kernel._Record):
     """Singular value summary of the finite-difference exponential Jacobian."""
 
-    t: float
-    min_sv: float
-    max_sv: float
-    ratio: float
-    is_conjugate: bool
-    indeterminate: bool
+    __slots__ = _fields = ("t", "min_sv", "max_sv", "ratio", "is_conjugate", "indeterminate")
+
+    def __init__(self, t: float, min_sv: float, max_sv: float, ratio: float,
+                 is_conjugate: bool, indeterminate: bool):
+        self.t, self.min_sv, self.max_sv, self.ratio = t, min_sv, max_sv, ratio
+        self.is_conjugate, self.indeterminate = is_conjugate, indeterminate
 
 
 def _stencil_step(fro):
@@ -481,14 +481,14 @@ def jacobian_spectrum(tangent: TangentCoord, t) -> np.ndarray:
     return -np.sort(-vals, axis=-1).reshape(ts.shape + (-1,))
 
 
-@dataclass(slots=True)
-class ConjugateClass:
+class ConjugateClass(kernel._Record):
     """Angle-based classification of a conjugate point candidate, with the
     angles against the origin of the geodesic plane at the probed time."""
 
-    label: str
-    angles: AngleSpectrum
-    jacobian_ratio: float
+    __slots__ = _fields = ("label", "angles", "jacobian_ratio")
+
+    def __init__(self, label: str, angles: AngleSpectrum, jacobian_ratio: float):
+        self.label, self.angles, self.jacobian_ratio = label, angles, jacobian_ratio
 
 
 def _classify_stack(n: int, m: int, sig, s: np.ndarray, ts: np.ndarray):

@@ -14,7 +14,6 @@ import os
 import stat
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,33 +42,35 @@ def _property(name: str, tol: float, cap: int | None = None):
     return wrap
 
 
-@dataclass(slots=True)
-class SuiteConfig:
-    seed: int = 0
-    trials: int = 20
-    n: int = 2
-    m: int = 2
+class SuiteConfig(kernel._Record):
+    """Seed, trials per property and shape of a suite run; ValueError unless
+    each is an integer, and trials, n and m are positive."""
 
-    def __post_init__(self):
+    __slots__ = _fields = ("seed", "trials", "n", "m")
+
+    def __init__(self, seed: int = 0, trials: int = 20, n: int = 2, m: int = 2):
+        self.seed = kernel.as_index(seed, "seed")
+        self.trials = kernel.as_index(trials, "trials")
+        self.n = kernel.as_index(n, "n")
+        self.m = kernel.as_index(m, "m")
         if self.trials < 1 or self.n < 1 or self.m < 1:
             raise ValueError("trials, n, and m must all be positive")
 
 
-@dataclass(slots=True)
-class PropertyResult:
-    name: str
-    passed: bool
-    trials: int
-    worst_margin: float
-    detail: str
-    elapsed: float
+class PropertyResult(kernel._Record):
+    __slots__ = _fields = ("name", "passed", "trials", "worst_margin", "detail", "elapsed")
+
+    def __init__(self, name: str, passed: bool, trials: int, worst_margin: float, detail: str,
+                 elapsed: float):
+        self.name, self.passed, self.trials = name, passed, trials
+        self.worst_margin, self.detail, self.elapsed = worst_margin, detail, elapsed
 
 
-@dataclass(slots=True)
-class SuiteReport:
-    config: SuiteConfig
-    results: list
-    elapsed: float
+class SuiteReport(kernel._Record):
+    __slots__ = _fields = ("config", "results", "elapsed")
+
+    def __init__(self, config: SuiteConfig, results: list, elapsed: float):
+        self.config, self.results, self.elapsed = config, results, elapsed
 
     @property
     def passed(self) -> bool:

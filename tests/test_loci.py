@@ -26,6 +26,13 @@ def test_symbol_validation():
         loci.SchubertSymbol(w=(0, 3), m=2)
     with pytest.raises(ValueError):
         loci.SchubertSymbol(w=(), m=2)
+    # entries and m are integers: numpy integers pass, floats are refused
+    # where they were truncated
+    assert loci.SchubertSymbol(w=np.array([0, 1]), m=np.int64(2)) == loci.SchubertSymbol((0, 1), 2)
+    with pytest.raises(ValueError, match="symbol entry must be an integer, got 0.9"):
+        loci.SchubertSymbol(w=(0.9, 1.7), m=2)
+    with pytest.raises(ValueError, match="m must be an integer, got 1.5"):
+        loci.SchubertSymbol(w=(0,), m=1.5)
 
 
 def test_symbol_codimension():
@@ -39,6 +46,12 @@ def test_v_pl_symbols():
     assert loci.v_pl_symbol(2, 1, 2, 2).w == loci.cut_locus_symbol(2, 2).w
     with pytest.raises(ValueError):
         loci.v_pl_symbol(5, 1, 2, 2)
+    for args in ((2.5, 1, 2, 2), (2, 1.5, 2, 2), (2, 1, 2.0, 2), (2, 1, 2, 2.5)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            loci.v_pl_symbol(*args)
+    for args in ((2.5, 2), (2, 2.0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            loci.cut_locus_symbol(*args)
 
 
 def test_flag_orders():

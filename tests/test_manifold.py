@@ -423,7 +423,8 @@ def test_plane_rejects_dependent_rows():
 
 
 def test_plane_is_frozen():
-    # the frame and the origin pairing are computed from the basis once
+    # the frame is computed from the basis once, so neither may change; the
+    # origin pairing is read from the frame on each access
     plane = mf.base_plane(2, 3)
     with pytest.raises(dataclasses.FrozenInstanceError):
         plane.basis = np.eye(2, 5, k=1, dtype=complex)

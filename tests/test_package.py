@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -5,10 +6,11 @@ import subprocess
 import sys
 import types
 
+import numpy as np
 import pytest
 
 import grassgeo
-from grassgeo import manifold
+from grassgeo import kernel, loci, manifold, verify
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -34,12 +36,13 @@ HOMES = {
                "run_suite", "scan_conjugate", "write_scan_csv"),
 }
 
-# after each step, the grassgeo modules a fresh interpreter has loaded
+# after each step, the grassgeo modules a fresh interpreter has loaded and
+# whether it has loaded dataclasses
 LAZY_PROBE = """
 import json, sys
 import numpy as np
 def loaded():
-    return [key for key in sys.modules if key.split(".")[0] == "grassgeo"]
+    return [key for key in sys.modules if key.split(".")[0] == "grassgeo"], "dataclasses" in sys.modules
 steps = []
 import grassgeo
 steps.append(loaded())
@@ -48,6 +51,8 @@ steps.append(loaded())
 grassgeo.cut_locus_test
 steps.append(loaded())
 grassgeo.run_suite
+steps.append(loaded())
+import grassgeo.cli
 steps.append(loaded())
 print(json.dumps(steps))
 """
@@ -58,9 +63,13 @@ def test_submodules_load_on_first_use():
                           capture_output=True, text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert done.returncode == 0, done.stderr
+    steps = json.loads(done.stdout)
     chart = {"grassgeo", "grassgeo.errors", "grassgeo.kernel", "grassgeo.manifold"}
-    assert [set(step) for step in json.loads(done.stdout)] == [
-        {"grassgeo"}, chart, chart | {"grassgeo.loci"}, chart | {"grassgeo.loci", "grassgeo.verify"}]
+    suite = chart | {"grassgeo.loci", "grassgeo.verify"}
+    assert [set(modules) for modules, _ in steps] == [
+        {"grassgeo"}, chart, chart | {"grassgeo.loci"}, suite, suite | {"grassgeo.cli"}]
+    # the records are plain slotted classes: no step loads dataclasses
+    assert [has_dataclasses for _, has_dataclasses in steps] == [False] * 5
 
 
 def test_exports_are_the_home_modules_objects():
@@ -96,3 +105,66 @@ def test_exports_follow_a_rebound_home(monkeypatch):
     assert grassgeo.exp0 is fake
     monkeypatch.undo()
     assert grassgeo.exp0 is manifold.exp0 is not fake
+
+
+_ROW = np.array([[1.0, 0.5 + 0.5j, 0.0]])
+_PROBE = dict(t=1.0, min_sv=0.1, max_sv=2.0, ratio=0.05, is_conjugate=False, indeterminate=False)
+_RESULT = dict(name="exp-log-roundtrip", passed=True, trials=3, worst_margin=-1e-12, detail="",
+               elapsed=0.25)
+
+# each public record: its documented keywords, the fields it fills in by
+# default, whether == compares its fields (scalars, strings and tuples
+# only), and whether it is frozen
+RECORDS = [
+    (kernel.SvdResult, dict(u=np.eye(2), s=np.ones(2), v=np.eye(2)), {}, False, True),
+    (manifold.ChartPoint, dict(z=_ROW[:, 1:]), dict(signature="compact"), False, False),
+    (manifold.TangentCoord, dict(b=_ROW[:, 1:]), dict(signature="compact"), False, False),
+    (manifold.Plane, dict(basis=_ROW), {}, False, True),
+    (manifold.AngleSpectrum, dict(angles=np.array([0.5, 0.25])), {}, False, False),
+    (manifold.PluckerVector, dict(n=1, big_n=3, indices=((0,), (1,), (2,)), coords=_ROW[0]),
+     {}, False, False),
+    (loci.SchubertSymbol, dict(w=(0, 1), m=2), {}, True, False),
+    (loci.LocusVerdict, dict(in_locus=True, max_angle=1.5, pairing_abs=0.0), {}, True, False),
+    (loci.CartanDirection, dict(h=np.array([0.5, 0.25])), {}, False, False),
+    (loci.ConjugateParam, dict(family="t1plus", p=0, q=1, lam=1, t=2.5, multiplicity=2), {},
+     True, False),
+    (loci.JacobianProbe, _PROBE, {}, True, False),
+    (loci.ConjugateClass, dict(label="none", angles=manifold.AngleSpectrum([0.5, 0.25]),
+                               jacobian_ratio=0.5), {}, False, False),
+    (verify.SuiteConfig, {}, dict(seed=0, trials=20, n=2, m=2), True, False),
+    (verify.PropertyResult, _RESULT, {}, True, False),
+    (verify.SuiteReport, dict(config=verify.SuiteConfig(), results=[], elapsed=1.0), {}, True,
+     False),
+]
+
+
+@pytest.mark.parametrize("cls, given, defaults, by_fields, frozen", RECORDS,
+                         ids=[record[0].__name__ for record in RECORDS])
+def test_public_records(cls, given, defaults, by_fields, frozen):
+    record = cls(**given)
+    fields = {**given, **defaults}
+    for name, value in fields.items():
+        assert np.array_equal(getattr(record, name), value), name
+    # the repr names the class and its fields in order, the plane's derived
+    # frame excepted
+    body = ", ".join(f"{name}={getattr(record, name)!r}" for name in fields)
+    assert repr(record) == f"{cls.__name__}({body})"
+    name = next(iter(fields))
+    if by_fields:
+        other = cls(**given)
+        assert record == other
+        setattr(other, name, "other")
+        assert record != other
+        assert record.__eq__(tuple(fields.values())) is NotImplemented
+    if frozen:
+        for act in (lambda: setattr(record, name, fields[name]), lambda: delattr(record, name)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                act()
+    else:
+        setattr(record, name, fields[name])
+        assert getattr(record, name) is fields[name]
+    # slotted: no attribute outside the fields
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(record)

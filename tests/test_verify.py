@@ -25,6 +25,19 @@ def _small_config(**kw):
     return verify.SuiteConfig(**kw)
 
 
+def test_suite_config_validation():
+    assert verify.SuiteConfig() == verify.SuiteConfig(seed=0, trials=20, n=2, m=2)
+    assert verify.SuiteConfig(np.uint64(7), np.int32(3)).trials == 3
+    for kw in ({"trials": 0}, {"n": 0}, {"m": -1}):
+        with pytest.raises(ValueError, match="must all be positive"):
+            verify.SuiteConfig(**kw)
+    # refused at construction: run_suite died of a TypeError on a float trials,
+    # n or m, and ran on a float seed
+    for kw in ({"trials": 2.7}, {"n": 1.5}, {"m": 2.0}, {"seed": 0.5}):
+        with pytest.raises(ValueError, match=f"{next(iter(kw))} must be an integer"):
+            verify.SuiteConfig(**kw)
+
+
 def test_required_property_names_are_frozen():
     assert verify.REQUIRED_PROPERTIES == (
         "cayley-angle-product",
