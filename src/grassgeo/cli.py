@@ -31,7 +31,7 @@ def _load_json(text: str):
     return json.loads(text)
 
 
-def _parse_matrix(text: str, n: int | None = None, m: int | None = None) -> np.ndarray:
+def _parse_matrix(text: str, n: int | None, m: int | None) -> np.ndarray:
     obj = _load_json(text)
     if isinstance(obj, dict):
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]

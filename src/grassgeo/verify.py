@@ -44,15 +44,15 @@ def _property(name: str, tol: float, cap: int | None = None):
 
 class SuiteConfig(kernel._Record):
     """Seed, trials per property and shape of a suite run; ValueError unless
-    each is an integer, and trials, n and m are positive."""
+    each is an integer, 0 <= seed < 2**128, and trials, n and m are positive."""
 
     __slots__ = _fields = ("seed", "trials", "n", "m")
 
     def __init__(self, seed: int = 0, trials: int = 20, n: int = 2, m: int = 2):
-        self.seed = kernel.as_index(seed, "seed")
-        self.trials = kernel.as_index(trials, "trials")
-        self.n = kernel.as_index(n, "n")
-        self.m = kernel.as_index(m, "m")
+        for name, value in zip(self._fields, (seed, trials, n, m)):
+            setattr(self, name, kernel.as_index(value, name))
+        if not 0 <= self.seed < 2**128:
+            raise ValueError(f"seed must be in 0 <= seed < 2**128, got {self.seed}")
         if self.trials < 1 or self.n < 1 or self.m < 1:
             raise ValueError("trials, n, and m must all be positive")
 
@@ -81,26 +81,12 @@ class SuiteReport(kernel._Record):
         return sum(not r.passed for r in self.results)
 
     def to_dict(self, include_timing: bool = True) -> dict:
+        """Config and result fields in _fields order; elapsed times only with timing."""
+        config = {name: getattr(self.config, name) for name in SuiteConfig._fields}
+        shown = [name for name in PropertyResult._fields if include_timing or name != "elapsed"]
         out = {
-            "config": {
-                "seed": self.config.seed,
-                "trials": self.config.trials,
-                "n": self.config.n,
-                "m": self.config.m,
-                "lambda_max": LAMBDA_MAX,
-                "tolerances": dict(DEFAULT_TOLERANCES),
-            },
-            "results": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "trials": r.trials,
-                    "worst_margin": r.worst_margin,
-                    "detail": r.detail,
-                    **({"elapsed": r.elapsed} if include_timing else {}),
-                }
-                for r in self.results
-            ],
+            "config": {**config, "lambda_max": LAMBDA_MAX, "tolerances": dict(DEFAULT_TOLERANCES)},
+            "results": [{name: getattr(r, name) for name in shown} for r in self.results],
             "passed": self.passed,
             "failures": self.failures,
         }
@@ -137,13 +123,11 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         t0 = time.perf_counter()
         worst = -np.inf
         detail = ""
-        passed = True
         for trial in range(trials):
             rng = _trial_rng(config.seed, trial, prop_index)
             try:
                 margin = float(func(rng, config, tol))
             except GeometryError as exc:
-                passed = False
                 worst = np.inf
                 detail = f"trial {trial}: {type(exc).__name__}: {exc}"
                 break
@@ -151,9 +135,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
                 worst = margin
             if margin > 0.0 and not detail:
                 detail = f"first failure at trial {trial}"
-        if worst > 0.0:
-            passed = False
-        results.append(PropertyResult(name=name, passed=passed, trials=trials,
+        results.append(PropertyResult(name=name, passed=worst <= 0.0, trials=trials,
                                       worst_margin=float(worst), detail=detail,
                                       elapsed=time.perf_counter() - t0))
     return SuiteReport(config=config, results=results,
@@ -162,15 +144,10 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 
 # ---------------------------------------------------------------- samplers
 
-def _tangent_with_top_sv(rng, n, m, smax):
+def _tangent(rng, n, m, size, norm, signature):
+    """A Gaussian tangent whose np.linalg.norm of order norm (2 or None) is size."""
     b = manifold._complex_gaussian(rng, n, m)
-    b *= smax / np.linalg.svd(b, compute_uv=False)[0]
-    return manifold.TangentCoord(b=b)
-
-
-def _tangent_with_norm(rng, n, m, fro, signature="compact"):
-    b = manifold._complex_gaussian(rng, n, m)
-    b *= fro / np.linalg.norm(b)
+    b *= size / np.linalg.norm(b, norm)
     return manifold.TangentCoord(b=b, signature=signature)
 
 
@@ -189,7 +166,9 @@ def _cut_plane(rng, n, m):
     return manifold.Plane(rows)
 
 
-def _unit_direction(rng, r, min_gap, min_entry):
+def _cartan_tangent(rng, cfg, min_gap, min_entry):
+    """A unit direction with gaps > min_gap and entries > min_entry, and its tangent."""
+    r = min(cfg.n, cfg.m)
     for _ in range(256):
         h = np.sort(np.abs(rng.standard_normal(r)))[::-1]
         h /= np.linalg.norm(h)
@@ -197,8 +176,15 @@ def _unit_direction(rng, r, min_gap, min_entry):
             continue
         if r > 1 and float(np.min(h[:-1] - h[1:])) <= min_gap:
             continue
-        return loci.CartanDirection(h)
-    raise ConsistencyError("could not sample a separated unit direction")
+        direction = loci.CartanDirection(h)
+        return direction, loci.cartan_to_tangent(direction, cfg.n, cfg.m)
+    raise ConsistencyError(f"could not sample a separated unit direction of length r = {r}: "
+                           f"none of 256 draws had gaps > {min_gap} and entries > {min_entry}")
+
+
+def _pole_clear(t, s, clearance, pole_distance):
+    """Whether pole_distance puts every entry of t * s more than clearance from a pole."""
+    return float(np.min(pole_distance(t * s))) > clearance
 
 
 def _pole_safe_time(rng, tc, t_max):
@@ -208,40 +194,42 @@ def _pole_safe_time(rng, tc, t_max):
     pole_distance = manifold._check_signature(tc.signature).pole_distance
     for _ in range(64):
         t = rng.uniform(0.1, t_max)
-        if float(np.min(pole_distance(t * svals))) > _POLE_CLEARANCE:
+        if _pole_clear(t, svals, _POLE_CLEARANCE, pole_distance):
             return t
     raise ConsistencyError("no pole-safe time found")
 
 
 def _testable_radii(params, direction):
     """Conjugate times where the chart Jacobian can actually be probed."""
-    out = []
-    for par in params:
-        if par.t > _T_CAP:
-            continue
-        dist = float(np.min(manifold.tan_pole_distance(par.t * direction.h)))
-        if dist > _POLE_CLEARANCE:
-            out.append(par)
-    return out
+    return [par for par in params if par.t <= _T_CAP and _pole_clear(
+        par.t, direction.h, _POLE_CLEARANCE, manifold.tan_pole_distance)]
 
 
 # ------------------------------------------------- chart and angle properties
 
-@_property("cayley-angle-product", 1e-10)
-def _prop_cayley_angle_product(rng, cfg, tol):
-    zp, z = _chart_pair(rng, cfg.n, cfg.m)
-    lhs = manifold.cos_cayley(zp, z)
-    rhs = manifold.stationary_angles_w(zp, z).cos_product()
-    return abs(lhs - rhs) - tol
+def _chart_route_property(name, tol, route, reference):
+    """Register the check that two routes (zp, z) -> values agree entrywise."""
+    def check(rng, cfg, tol):
+        zp, z = _chart_pair(rng, cfg.n, cfg.m)
+        return float(np.max(np.abs(route(zp, z) - reference(zp, z)))) - tol
+    _property(name, tol)(check)
 
 
-@_property("angle-routes-agree", 1e-9)
-def _prop_angle_routes(rng, cfg, tol):
-    zp, z = _chart_pair(rng, cfg.n, cfg.m)
-    a = manifold.stationary_angles_w(zp, z).angles
-    b = manifold.stationary_angles_svd(manifold.chart_to_plane(zp),
-                                       manifold.chart_to_plane(z)).angles
-    return float(np.max(np.abs(a - b))) - tol
+def _roundtrip_property(name, tol, low, high, norm, signature):
+    """Register the check that log0 undoes exp0 on a _tangent of size drawn from (low, high)."""
+    def check(rng, cfg, tol):
+        tc = _tangent(rng, cfg.n, cfg.m, rng.uniform(low, high), norm, signature)
+        back = manifold.log0(manifold.exp0(tc))
+        return float(np.linalg.norm(back.b - tc.b)) - tol
+    _property(name, tol)(check)
+
+
+_chart_route_property("cayley-angle-product", 1e-10, manifold.cos_cayley,
+                      lambda zp, z: manifold.stationary_angles_w(zp, z).cos_product())
+_chart_route_property("angle-routes-agree", 1e-9,
+                      lambda zp, z: manifold.stationary_angles_w(zp, z).angles,
+                      lambda zp, z: manifold.stationary_angles_svd(
+                          manifold.chart_to_plane(zp), manifold.chart_to_plane(z)).angles)
 
 
 @_property("cauchy-binet-pairing", 1e-10)
@@ -253,18 +241,12 @@ def _prop_cauchy_binet(rng, cfg, tol):
     return abs(lhs - ov) - tol * max(1.0, abs(ov))
 
 
-@_property("exp-log-roundtrip", 1e-9)
-def _prop_exp_log(rng, cfg, tol):
-    smax = rng.uniform(0.05, np.pi / 2 - 0.11)
-    tc = _tangent_with_top_sv(rng, cfg.n, cfg.m, smax)
-    back = manifold.log0(manifold.exp0(tc))
-    return float(np.linalg.norm(back.b - tc.b)) - tol
+_roundtrip_property("exp-log-roundtrip", 1e-9, 0.05, np.pi / 2 - 0.11, 2, "compact")
 
 
 @_property("angles-match-singular-values", 1e-9)
 def _prop_angles_match_sv(rng, cfg, tol):
-    smax = rng.uniform(0.05, 1.45)
-    tc = _tangent_with_top_sv(rng, cfg.n, cfg.m, smax)
+    tc = _tangent(rng, cfg.n, cfg.m, rng.uniform(0.05, 1.45), 2, "compact")
     svals = np.sort(np.linalg.svd(tc.b, compute_uv=False))[::-1]
     got = manifold.stationary_angles_svd(
         manifold.chart_to_plane(manifold.exp0(tc)),
@@ -278,7 +260,7 @@ def _prop_angles_match_sv(rng, cfg, tol):
 def _prop_ode_residual(rng, cfg, tol):
     worst = -np.inf
     for signature in ("compact", "noncompact"):
-        tc = _tangent_with_norm(rng, cfg.n, cfg.m, 1.0, signature)
+        tc = _tangent(rng, cfg.n, cfg.m, 1.0, None, signature)
         t = rng.uniform(0.1, 1.0)
         worst = max(worst, manifold.geodesic_residual(tc, t, step=1e-3))
     return worst - tol
@@ -286,7 +268,7 @@ def _prop_ode_residual(rng, cfg, tol):
 
 @_property("group-chart-agreement", 1e-9)
 def _prop_group_chart(rng, cfg, tol):
-    tc = _tangent_with_norm(rng, cfg.n, cfg.m, 1.0)
+    tc = _tangent(rng, cfg.n, cfg.m, 1.0, None, "compact")
     t = _pole_safe_time(rng, tc, 2.5)
     via_group = manifold.plane_to_chart(manifold.geodesic_group(tc, t))
     direct = manifold.geodesic_chart(tc, t)
@@ -306,12 +288,7 @@ def _prop_overlap_symmetry(rng, cfg, tol):
     return max(sym - tol * max(1.0, abs(ov)), inv - tol)
 
 
-@_property("noncompact-injectivity", 1e-9)
-def _prop_noncompact_injectivity(rng, cfg, tol):
-    fro = rng.uniform(0.1, 2.5)
-    tc = _tangent_with_norm(rng, cfg.n, cfg.m, fro, "noncompact")
-    back = manifold.log0(manifold.exp0(tc))
-    return float(np.linalg.norm(back.b - tc.b)) - tol
+_roundtrip_property("noncompact-injectivity", 1e-9, 0.1, 2.5, None, "noncompact")
 
 
 # ------------------------------------------------------- cut locus properties
@@ -339,13 +316,10 @@ _cut_route_property("cut-locus-schubert-variety", lambda plane: loci.schubert_me
 
 @_property("conjugate-radii-jacobian", loci.CONJUGATE_TOL, cap=6)
 def _prop_conjugate_radii(rng, cfg, tol):
-    r = min(cfg.n, cfg.m)
-    direction = _unit_direction(rng, r, min_gap=0.05, min_entry=0.1)
-    tc = loci.cartan_to_tangent(direction, cfg.n, cfg.m)
+    direction, tc = _cartan_tangent(rng, cfg, min_gap=0.05, min_entry=0.1)
     params = loci.tangent_conjugate_params(direction, cfg.n, cfg.m, LAMBDA_MAX)
-    testable = _testable_radii(params, direction)
     worst = -np.inf
-    for par in testable:
+    for par in _testable_radii(params, direction):
         probe = loci.conjugate_test_jacobian(tc, par.t)
         worst = max(worst, probe.ratio - tol)
 
@@ -359,7 +333,7 @@ def _prop_conjugate_radii(rng, cfg, tol):
         # wide enough and pole-clear enough make a fair no-collapse check.
         if width < 0.5:
             continue
-        if float(np.min(manifold.tan_pole_distance(mid * direction.h))) <= 0.15:
+        if not _pole_clear(mid, direction.h, 0.15, manifold.tan_pole_distance):
             continue
         probe = loci.conjugate_test_jacobian(tc, mid)
         if probe.is_conjugate or probe.indeterminate:
@@ -377,9 +351,8 @@ def _prop_conjugate_radii(rng, cfg, tol):
 @_property("conjugate-class-angles", loci.ANGLE_TOL, cap=8)
 def _prop_conjugate_classes(rng, cfg, tol):
     # labels from classify_conjugate, margins from the group-form plane
-    r = min(cfg.n, cfg.m)
-    direction = _unit_direction(rng, r, min_gap=0.15, min_entry=0.2)
-    tc = loci.cartan_to_tangent(direction, cfg.n, cfg.m)
+    direction, tc = _cartan_tangent(rng, cfg, min_gap=0.15, min_entry=0.2)
+    r = direction.r
     origin = manifold.base_plane(cfg.n, cfg.m)
     worst = -np.inf
     if r > 1:
@@ -403,7 +376,7 @@ def _prop_conjugate_classes(rng, cfg, tol):
 
 @_property("noncompact-jacobian-floor", 1e-1, cap=4)
 def _prop_noncompact_floor(rng, cfg, tol):
-    tc = _tangent_with_norm(rng, cfg.n, cfg.m, 0.5, "noncompact")
+    tc = _tangent(rng, cfg.n, cfg.m, 0.5, None, "noncompact")
     worst_ratio = np.inf
     for _ in range(8):
         probe = loci.conjugate_test_jacobian(tc, rng.uniform(0.05, 3.0))

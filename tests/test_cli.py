@@ -529,10 +529,10 @@ def test_noncompact_group_geodesic_far_out_stays_a_plane(capsys):
     assert code == 0
     # tanh(30 h_1) rounds to 1, so exp0 refuses 30 B as off the ball; the same
     # chart formula is evaluated directly
-    res = kernel.svd(30.0 * cli._parse_matrix(b))
+    res = kernel.svd(30.0 * cli._parse_matrix(b, None, None))
     z = res.apply(np.tanh(res.s))
     chart = np.linalg.qr(mf.hat_basis(mf.ChartPoint(z)).T)[0]
-    group = np.linalg.qr(cli._parse_matrix(out).T)[0]
+    group = np.linalg.qr(cli._parse_matrix(out, None, None).T)[0]
     # the largest stationary angle from its sine, which arccos of the
     # cosines cannot resolve below ~1e-8
     sin_max = np.linalg.norm(group - chart @ (chart.conj().T @ group), 2)

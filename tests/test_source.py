@@ -75,8 +75,3 @@ def test_loc_tool_counts_every_module(tmp_path):
                       "    return lambda x=0: x\n   \nclass K:\n    y: int = 3\n")
     # b, c and x have defaults; a class attribute is not a parameter
     assert loc.count(sample) == (4, 3)
-    sample.write_text("@dataclasses.dataclass(slots=True)\nclass R:\n    a: int\n"
-                      "    b: int = 1\n    c: list = field(default_factory=list)\n"
-                      "    d: int = field(init=False, repr=False)\n")
-    # a dataclass's __init__ takes b and c with defaults, and no d
-    assert loc.count(sample) == (6, 2)

@@ -36,6 +36,24 @@ def test_suite_config_validation():
     for kw in ({"trials": 2.7}, {"n": 1.5}, {"m": 2.0}, {"seed": 0.5}):
         with pytest.raises(ValueError, match=f"{next(iter(kw))} must be an integer"):
             verify.SuiteConfig(**kw)
+    # the seed keys the Philox streams, which take 0 <= key < 2**128; numpy
+    # refused the others only once run_suite started
+    for seed in (-1, 2**128):
+        with pytest.raises(ValueError, match=r"seed must be in 0 <= seed < 2\*\*128"):
+            verify.SuiteConfig(seed=seed)
+    for seed in (0, 2**128 - 1):
+        assert verify.SuiteConfig(seed=seed).seed == seed
+
+
+def test_unseparable_direction_is_reported_with_its_bounds():
+    # no unit vector of length 5 has gaps above 0.15 and entries above 0.2,
+    # so conjugate-class-angles fails on its first trial and says why
+    report = verify.run_suite(verify.SuiteConfig(seed=1, trials=1, n=5, m=5))
+    by_name = {r.name: r for r in report.results}
+    assert not by_name["conjugate-class-angles"].passed
+    assert by_name["conjugate-class-angles"].detail == (
+        "trial 0: ConsistencyError: could not sample a separated unit direction of length "
+        "r = 5: none of 256 draws had gaps > 0.15 and entries > 0.2")
 
 
 def test_required_property_names_are_frozen():

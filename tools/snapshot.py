@@ -76,6 +76,13 @@ CASES = (
     ("verify-7-40-2x2", _verify(7, 40, 2, 2), 0),
     ("verify-1-5-3x2", _verify(1, 5, 3, 2), 0),
     ("verify-3-10-5x3", _verify(3, 10, 5, 3), 0),
+    # r = 1: no pair radius, a one-entry direction; and n < m as in the benchmark
+    ("verify-0-20-1x1", _verify(0, 20, 1, 1), 0),
+    ("verify-42-20-3x5", _verify(42, 20, 3, 5), 0),
+    # no unit vector of length 5 is separated enough for conjugate-class-angles
+    ("verify-1-1-5x5", _verify(1, 1, 5, 5), 1),
+    # outside the Philox key range
+    ("verify-seed-negative", _verify(-1, 1, 2, 2), 2),
     ("cut-test-in-locus", ["cut-test", _mat([[1, 0, 0.3, 0.1j], [0, 0, 1.0, 0.5]])], 0),
     ("cut-test-generic", ["cut-test", _mat([[1, 0.2, 0.3j], [0.1, 1, -0.4]])], 0),
     ("cut-test-routes-disagree", ["cut-test", _mat([[1e-7, 1]])], 0),
