@@ -6,8 +6,11 @@ tolerance-based rank, spectral matrix functions of rectangular matrices,
 real central-difference Jacobians of complex maps).
 
 numerical_rank is the package's one numerical-rank rule and RANK_TOL its
-one tolerance: Plane validation applies it to the SVD it keeps, and every
-other rank test reads it through rank_tol.
+one tolerance.  Each array is checked once: svd and rank_tol check their
+input with as_complex_matrix, and the records, checked when built, factor
+what they own through the unchecked cores _svd and _rank; Plane validation
+applies numerical_rank to the SVD it keeps.  herm_eig has no caller in the
+package; it stays public for outside callers and the benchmark's tracer.
 
 _Record is the base of the package's records: plain classes with __slots__
 and an explicit __init__, which cost microseconds to create at import where
@@ -77,9 +80,8 @@ class SvdResult(_FrozenRecord):
         object.__setattr__(self, "v", v)
 
     def apply(self, vals: np.ndarray) -> np.ndarray:
-        """u @ diag(vals) @ v* over the stack axes: the spectral extension of
-        a scalar function to the matrix, given its values at the singular
-        values s."""
+        """u @ diag(vals) @ v* over the stack axes: the spectral extension of a
+        scalar function to the matrix, given its values at the values s."""
         return (self.u * vals[..., None, :]) @ self.v.conj().swapaxes(-1, -2)
 
 
@@ -97,7 +99,11 @@ def as_complex_matrix(a, name: str = "matrix", stacked: bool = False) -> np.ndar
 def svd(a) -> SvdResult:
     """Thin singular value decomposition of a complex matrix, or of each
     matrix of a stack (..., n, m) at once; the factors keep the stack axes."""
-    arr = as_complex_matrix(a, stacked=True)
+    return _svd(as_complex_matrix(a, stacked=True))
+
+
+def _svd(arr: np.ndarray) -> SvdResult:
+    """svd of an array that as_complex_matrix has already checked."""
     try:
         u, s, vh = np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -130,9 +136,8 @@ def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x, step: float = 1e-4) ->
     """Central-difference Jacobian of a real vector map at x.
 
     J[i, j] = d f_i / d x_j with symmetric differences of half-width step.
-    f is called once, on the (2d, d) stack of stencil points: row j is
-    x + step e_j and row d + j is x - step e_j.  It must return one value
-    row per point.
+    f is called once, on the (2d, d) stack of stencil points (row j is
+    x + step e_j, row d + j is x - step e_j), and returns a row per point.
     """
     x0 = np.asarray(x, dtype=float).ravel()
     if step <= 0:
@@ -149,17 +154,17 @@ def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x, step: float = 1e-4) ->
 def numerical_rank(s: np.ndarray) -> int:
     """Numerical rank from descending singular values: those above
     RANK_TOL * max(s_max, 1)."""
-    if s.size == 0:
-        return 0
-    return int(np.count_nonzero(s > RANK_TOL * max(float(s[0]), 1.0)))
+    return int(np.count_nonzero(s > RANK_TOL * max(float(s[0]), 1.0))) if s.size else 0
 
 
 def rank_tol(a) -> int:
     """Numerical rank of a matrix by the rule of numerical_rank."""
-    arr = as_complex_matrix(a)
-    if arr.size == 0:
-        return 0
-    return numerical_rank(np.linalg.svd(arr, compute_uv=False))
+    return _rank(as_complex_matrix(a))
+
+
+def _rank(arr: np.ndarray) -> int:
+    """rank_tol of an array that as_complex_matrix has already checked."""
+    return numerical_rank(np.linalg.svd(arr, compute_uv=False)) if arr.size else 0
 
 
 def realvec(z) -> np.ndarray:

@@ -35,8 +35,8 @@ import numpy as np
 from . import kernel
 from .errors import ChartEscapeError, ConsistencyError, DomainError
 from .manifold import (ANGLE_TOL, AngleSpectrum, Plane, TangentCoord, _check_signature,
-                       _cosines_of, _descending_angles, _exp0_stack, _resolvable_times,
-                       _rng, _unit_rows)
+                       _descending_angles, _exp0_stack, _resolvable_times, _rng,
+                       _unit_rows)
 
 CONJUGATE_TOL = 1e-3
 PAIRING_TOL = 1e-12
@@ -135,12 +135,13 @@ def schubert_membership(plane: Plane, symbol: SchubertSymbol,
     the columns S = order[:p].  Stacked under a row basis A, those unit rows
     clear the columns in S, so rank [A; E_S] = p + rank A[:, S^c] and
     dim(X intersect V_p) = n - rank A[:, S^c], an n x (N - p) test.  The
-    rank is kernel.rank_tol of the basis rows scaled to a largest modulus of
-    1 (_unit_rows), so the verdict does not depend on the basis scale.  A
-    condition with w_i = m is skipped: there N - p = n - i - 1 columns are
-    left, so the meet is at least i + 1 for every plane and flag.  Of the n
-    conditions of cut_locus_symbol only the first is computed, and against
-    the perp flag it is the rank of the plane's leading n x n block.
+    rank is kernel.rank_tol's, read through its core _rank, of the basis
+    rows scaled to a largest modulus of 1 (_unit_rows), so the verdict does
+    not depend on the basis scale.  A condition with w_i = m is skipped:
+    there N - p = n - i - 1 columns are left, so the meet is at least i + 1
+    for every plane and flag.  Of the n conditions of cut_locus_symbol only
+    the first is computed, and against the perp flag it is the rank of the
+    plane's leading n x n block.
     """
     n, m = symbol.n, symbol.m
     if plane.basis.shape != (n, n + m):
@@ -151,7 +152,7 @@ def schubert_membership(plane: Plane, symbol: SchubertSymbol,
         if symbol.w[i] == m:
             continue
         p = symbol.w[i] + i + 1
-        if n - kernel.rank_tol(rows[:, list(order[p:])]) < i + 1:
+        if n - kernel._rank(rows[:, list(order[p:])]) < i + 1:
             return False
     return True
 
@@ -193,13 +194,13 @@ def cut_locus_test(plane: Plane) -> LocusVerdict:
     RANK_TOL.  ConsistencyError unless the pairing is the product of the
     cosines to absolute PAIRING_TOL.
     """
-    cos = _cosines_of(plane.frame[:plane.n].conj().T, plane.big_n)
+    cos = plane._origin()[0]
     pairing = plane.origin_pairing
-    err = abs(pairing - float(np.prod(cos)))
+    err = abs(pairing - float(cos.prod()))
     if not err <= PAIRING_TOL:  # a nan raises too
         raise ConsistencyError(f"pairing {pairing:.3e} is off the cosine product by {err:.3e}")
     return LocusVerdict(in_locus=kernel.numerical_rank(cos) < plane.n,
-                        max_angle=float(np.max(np.arccos(cos))), pairing_abs=pairing)
+                        max_angle=float(np.arccos(cos).max()), pairing_abs=pairing)
 
 
 def cayley_cut_check(plane: Plane) -> bool:
@@ -391,7 +392,7 @@ def _fd_spectrum(tangent: TangentCoord, t: float) -> np.ndarray:
     chart map at t B, with _probe_clear's guard: ChartEscapeError near a tan
     pole, DomainError where a noncompact tanh saturates.  The time guard
     reads the largest singular value of B, as geodesic_group's does."""
-    s = np.linalg.svd(tangent.b, compute_uv=False)
+    s = tangent._svd().s
     ts = _resolvable_times(t, s[0])
     bt = ts * tangent.b
     step = float(_stencil_step(np.linalg.norm(bt)))
@@ -402,7 +403,7 @@ def _fd_spectrum(tangent: TangentCoord, t: float) -> np.ndarray:
     def chart_map(x: np.ndarray) -> np.ndarray:
         # rows of interleaved (re, im) coordinates are (k, n, m) complex stacks
         b = np.ascontiguousarray(x).view(np.complex128).reshape(-1, n, m)
-        z = _exp0_stack(b, tangent.signature)
+        z = _exp0_stack(kernel.svd(b), tangent.signature)
         return z.reshape(len(x), -1).view(np.float64)
 
     jac = kernel.fd_jacobian(chart_map, kernel.realvec(bt), step=step)
@@ -474,7 +475,7 @@ def jacobian_spectrum(tangent: TangentCoord, t) -> np.ndarray:
     and times that _resolvable_times refuses raise ValueError.
     """
     n, m = tangent.shape
-    s = kernel.svd(tangent.b).s
+    s = tangent._svd().s
     ts = _resolvable_times(t, s[0])
     vals = _spectrum_stack(ts.reshape(-1, 1) * s, _check_signature(tangent.signature), n, m)
     vals = np.repeat(vals, _root_table(n, m)[-1], axis=-1)  # by multiplicity
@@ -503,10 +504,10 @@ def _classify_stack(n: int, m: int, sig, s: np.ndarray, ts: np.ndarray):
     angles = _descending_angles(np.concatenate([sig.fold(st), np.zeros((ts.size, n - r))], axis=1))
     wong = (angles[:, 0] >= np.pi / 2 - ANGLE_TOL) | (angles[:, r - 1] <= ANGLE_TOL)
     gaps = angles[:, :r - 1] - angles[:, 1:r]
-    interior = np.min(gaps, axis=1, initial=np.inf) <= ANGLE_TOL
+    interior = gaps.min(axis=1, initial=np.inf) <= ANGLE_TOL
     labels = np.where(wong, "wong", np.where(interior, "interior", "none"))
     spectrum = _spectrum_stack(st, sig, n, m)
-    return labels, angles, np.min(spectrum, axis=1) / np.max(spectrum, axis=1)
+    return labels, angles, spectrum.min(axis=1) / spectrum.max(axis=1)
 
 
 def classify_conjugate(tangent: TangentCoord, t: float) -> ConjugateClass:
@@ -522,7 +523,7 @@ def classify_conjugate(tangent: TangentCoord, t: float) -> ConjugateClass:
     ValueError where _resolvable_times refuses t, as the scan refuses its
     grid.
     """
-    s = kernel.svd(tangent.b).s
+    s = tangent._svd().s
     ts = _resolvable_times(t, s[0]).reshape(1)
     labels, angles, ratios = _classify_stack(*tangent.shape, _check_signature(tangent.signature),
                                              s, ts)

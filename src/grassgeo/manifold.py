@@ -16,11 +16,15 @@ A Plane runs one thin SVD of its basis: the package's one rank rule reads
 its singular values, and its right factor V is the orthonormal frame that
 every angle and pairing route reads (Bjorck-Golub): cosines are the singular
 values of V1* V2, and the normalized pairing |det V1* V2| is their product.
+Records own read-only copies of their arrays, checked once when set, and
+keep what their routes factor: the SVD of a chart point's or tangent's
+matrix, and a plane's cosines and pairing against O.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Callable, Literal
 
 import numpy as np
@@ -47,9 +51,8 @@ class _Signature:
     """What a signature selects (Helgason, Ch. V): the eps of 1 + eps Z Z*, the
     chart's spectral function ta and its inverse ata, the sn/cs pair of the
     Jacobian spectrum, geodesic_group's (co, si), the fold of t s to its
-    angle, the tan pole distance, and whether ta saturates to the boundary.
-    A plain slotted class: created at import in microseconds, and its slots
-    read in about half the time of a named tuple's fields."""
+    angle, the tan pole distance, and whether ta saturates to the boundary: a
+    plain slotted class, built in microseconds, read twice as fast as a tuple."""
 
     __slots__ = ("compact", "eps", "ta", "ata", "sn", "cs", "group", "fold",
                  "pole_distance", "saturates")
@@ -84,82 +87,100 @@ def _check_signature(signature: str) -> _Signature:
     raise ValueError(f"signature must be 'compact' or 'noncompact', got {signature!r}")
 
 
-def _check_ball(z: np.ndarray) -> None:
-    """DomainError unless every singular value of z lies below 1: the
-    noncompact chart's bounded domain."""
-    smax = float(np.max(np.linalg.svd(z, compute_uv=False))) if z.size else 0.0
-    if smax >= 1.0:
-        raise DomainError(
-            f"noncompact chart requires all singular values below 1, got {smax:.6f}")
+def _matrix_field(name: str) -> property:
+    """A _Factored record's matrix: set to a read-only copy of the checked
+    matrix, which drops the SVD kept for the one it replaces."""
+    def set_matrix(record, value) -> None:
+        record._matrix, record._factors = kernel.as_complex_matrix(value, name).copy(), None
+        record._matrix.flags.writeable = False
+    return property(operator.attrgetter("_matrix"), set_matrix)
 
 
-class ChartPoint(kernel._Record):
-    """Chart coordinate Z of a plane with row basis (1_n | Z)."""
+class _Factored(kernel._Record):
+    """One n x m matrix and a signature; _svd factors the matrix once."""
 
-    __slots__ = _fields = ("z", "signature")
+    __slots__ = ("_matrix", "_factors", "signature")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self._matrix.shape
+
+    def _svd(self) -> kernel.SvdResult:
+        if self._factors is None:
+            self._factors = kernel._svd(self._matrix)
+        return self._factors
+
+
+class ChartPoint(_Factored):
+    """Chart coordinate Z of a plane with row basis (1_n | Z).  DomainError
+    for a noncompact point unless every singular value of Z is below 1."""
+
+    __slots__ = ()
+    _fields = ("z", "signature")
+    z = _matrix_field("z")
 
     def __init__(self, z: np.ndarray, signature: Signature = "compact"):
-        self.z = kernel.as_complex_matrix(z, "z")
-        self.signature = signature
-        if not _check_signature(signature).compact:
-            _check_ball(self.z)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.z.shape
+        self.z, self.signature = z, signature
+        smax = 0.0 if _check_signature(signature).compact or not self.z.size else self._svd().s[0]
+        if smax >= 1.0:
+            raise DomainError(
+                f"noncompact chart requires all singular values below 1, got {smax:.6f}")
 
 
-class TangentCoord(kernel._Record):
+class TangentCoord(_Factored):
     """Tangent vector at the origin plane in normal coordinates."""
 
-    __slots__ = _fields = ("b", "signature")
+    __slots__ = ()
+    _fields = ("b", "signature")
+    b = _matrix_field("b")
 
     def __init__(self, b: np.ndarray, signature: Signature = "compact"):
-        self.b = kernel.as_complex_matrix(b, "b")
-        self.signature = signature
+        self.b, self.signature = b, signature
         _check_signature(signature)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.b.shape
 
 
 class Plane(kernel._FrozenRecord):
     """n-plane in C^N given by a row basis (rows span the plane, rank n).
 
     The thin SVD A = U S V* of the basis that validates the rank is kept as
-    frame = V (N x n): V* is an orthonormal row basis of the plane, and every
-    angle and pairing route reads it.  The plane is frozen and both arrays
-    are read-only, so neither can go stale through the plane.  Its repr and
-    == read the basis only.  The validation runs in __post_init__, looked up
-    on the class, where a tracer can wrap it.
+    frame = V (N x n), the orthonormal row basis V* every angle and pairing
+    route reads.  The plane is frozen and owns read-only copies of both
+    arrays, so neither can go stale.  Its repr and == read the basis only.
+    The validation runs in __post_init__, where a tracer can wrap it.
     """
 
-    __slots__ = ("basis", "frame")
+    __slots__ = ("basis", "frame", "_origin_block")
     _fields = ("basis",)
 
     def __init__(self, basis: np.ndarray):
         self.__post_init__(basis)
 
     def __post_init__(self, basis):
-        basis = kernel.as_complex_matrix(basis, "basis").view()
+        basis = kernel.as_complex_matrix(basis, "basis").copy()
         n, big_n = basis.shape
         if not 1 <= n < big_n:
             raise ValueError(f"need 1 <= n < N for a proper plane, got {n} x {big_n}")
-        res = kernel.svd(basis)
+        res = kernel._svd(basis)
         if kernel.numerical_rank(res.s) != n:
             raise ValueError("basis rows are numerically dependent")
         basis.flags.writeable = res.v.flags.writeable = False
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "frame", res.v)
+        for name, value in (("basis", basis), ("frame", res.v), ("_origin_block", None)):
+            object.__setattr__(self, name, value)
+
+    def _origin(self) -> tuple[np.ndarray, float]:
+        """Cosines against O, descending, and origin_pairing, kept from first
+        use: the general routes' bits, as LAPACK's frame of O is (1_n | 0)^T."""
+        if self._origin_block is None:
+            block = self.frame[:self.n].conj().T
+            cos = _cosines_of(block, self.big_n)
+            cos.flags.writeable = False
+            object.__setattr__(self, "_origin_block", (cos, _pairing_of(block)))
+        return self._origin_block
 
     @property
     def origin_pairing(self) -> float:
-        """cos_cayley_planes against the origin plane O, read from the
-        leading n rows of the frame: |det V[:n]|.  The same number, since
-        LAPACK's frame of O is exactly (1_n | 0)^T, so V* times it is
-        exactly V[:n]*."""
-        return _pairing_of(self.frame[:self.n].conj().T)
+        """cos_cayley_planes against the origin plane O: |det V[:n]|."""
+        return self._origin()[1]
 
     @property
     def n(self) -> int:
@@ -172,7 +193,7 @@ class Plane(kernel._FrozenRecord):
 
 def _descending_angles(a: np.ndarray) -> np.ndarray:
     """Angles clipped to [0, pi/2] and sorted descending along the last axis."""
-    return np.sort(np.clip(a, 0.0, np.pi / 2), axis=-1)[..., ::-1]
+    return np.sort(np.minimum(np.maximum(0.0, a), np.pi / 2), axis=-1)[..., ::-1]
 
 
 class AngleSpectrum(kernel._Record):
@@ -209,8 +230,7 @@ def base_plane(n: int, m: int) -> Plane:
 
 def hat_basis(point: ChartPoint) -> np.ndarray:
     """Row basis (1_n | Z) of the plane with chart coordinate Z."""
-    n = point.z.shape[0]
-    return np.hstack([np.eye(n, dtype=complex), point.z])
+    return np.concatenate([np.eye(point.z.shape[0], dtype=complex), point.z], axis=1)
 
 
 def chart_to_plane(point: ChartPoint) -> Plane:
@@ -228,7 +248,7 @@ def _chart_solve(rows: np.ndarray) -> np.ndarray:
     NotInChartError unless A_lead has full kernel.rank_tol rank."""
     n = rows.shape[0]
     lead = rows[:, :n]
-    if kernel.rank_tol(lead) != n:
+    if kernel._rank(lead) != n:
         raise NotInChartError("leading block is singular; plane lies outside the chart")
     return np.linalg.solve(lead, rows[:, n:])
 
@@ -248,12 +268,9 @@ def _fp_guard(where: str) -> np.errstate:
 
 
 def overlap(zp: ChartPoint, z: ChartPoint) -> complex:
-    """Unnormalized pairing of two chart points; the first argument is conjugated.
-
-    Compact: det(1 + Z Zp*).  Noncompact: det(1 - Z Zp*).  For hat bases this
-    is the Gram determinant det((zp_i, z_j)) of the two row families.
-    DomainError where the product or its determinant overflows.
-    """
+    """Unnormalized pairing of two chart points, the first conjugated:
+    det(1 + eps Z Zp*), the Gram determinant det((zp_i, z_j)) of their hat
+    bases.  DomainError where the product or its determinant overflows."""
     _check_pair(zp, z)
     eps = _check_signature(z.signature).eps
     with _fp_guard("the chart products"):
@@ -261,15 +278,14 @@ def overlap(zp: ChartPoint, z: ChartPoint) -> complex:
 
 
 def cos_cayley(zp: ChartPoint, z: ChartPoint) -> float:
-    """Normalized overlap magnitude in [0, 1] for compact chart points:
-    cos_cayley_planes on the SVD frames of their hat bases, with no Plane
-    built, so no rank rule refuses a large Z."""
+    """Normalized overlap in [0, 1] of compact chart points: cos_cayley_planes
+    on the SVD frames of their hat bases, with no Plane, so no rank rule."""
     _check_pair(zp, z)
     if not _check_signature(z.signature).compact:
         raise DomainError(
             "the Cayley distance comes from the projective embedding of the "
             "compact space; the noncompact normalized overlap is not a cosine")
-    return _pairing_of(kernel.svd(hat_basis(zp)).v.conj().T @ kernel.svd(hat_basis(z)).v)
+    return _pairing_of(kernel._svd(hat_basis(zp)).v.conj().T @ kernel._svd(hat_basis(z)).v)
 
 
 def cayley_distance(zp: ChartPoint, z: ChartPoint) -> float:
@@ -278,20 +294,16 @@ def cayley_distance(zp: ChartPoint, z: ChartPoint) -> float:
 
 
 def cos_cayley_planes(p: Plane, q: Plane) -> float:
-    """Normalized pairing of two planes, |det V1* V2| on their frames.
-
-    Equals the product of the cosines of the stationary angles, so it is
-    defined for every pair of planes, including ones outside the chart.
-    """
+    """Normalized pairing of two planes, |det V1* V2| on their frames: the
+    product of the cosines of the angles, defined for every pair of planes."""
     if p.basis.shape != q.basis.shape:
         raise ValueError(f"shape mismatch: {p.basis.shape} vs {q.basis.shape}")
     return _pairing_of(p.frame.conj().T @ q.frame)
 
 
 def _unit_rows(a: np.ndarray) -> np.ndarray:
-    """Each row of a basis scaled to a largest modulus of 1: the same plane,
-    on the scale of unit vectors.  (A row norm would overflow from entries
-    of about 1e154.)"""
+    """Each row of a basis scaled to a largest modulus of 1: the same plane.
+    (A row norm would overflow from entries of about 1e154.)"""
     return a / np.abs(a).max(axis=1, keepdims=True)
 
 
@@ -301,21 +313,22 @@ def stationary_angles_w(zp: ChartPoint, z: ChartPoint) -> AngleSpectrum:
     of the angles.  W is similar to the Hermitian G G* with
     G = (1+ZZ*)^-1/2 (1+ZZp*) (1+ZpZp*)^-1/2, so _angles_of reads the
     cosines from G, which exists for every pair of chart points, those on
-    each other's cut locus (1 + ZZp* singular) included.  DomainError where a
-    chart product overflows, or rounds to a nan or a division by zero.
+    each other's cut locus (1 + ZZp* singular) included.  With the kept
+    SVD Z = U S V* and U square (n <= m), (1+ZZ*)^-1/2 = U diag(1/hypot(1, s))
+    U*, and _angles_of reads U* G Up.  For n > m it reads the complements'
+    charts -Z*: V square, the middle factor 1 + Z*Zp, and n - m zero angles.
+    DomainError where the middle product overflows, or rounds to a nan.
     """
     _check_pair(zp, z)
-    n = z.shape[0]
+    n, m = z.shape
+    res, resp = z._svd(), zp._svd()
     with _fp_guard("the chart products"):
-        inv_sqrt_a = _inv_sqrt_gram(np.eye(n) + z.z @ z.z.conj().T)
-        inv_sqrt_ap = _inv_sqrt_gram(np.eye(n) + zp.z @ zp.z.conj().T)
-        g = inv_sqrt_a @ (np.eye(n) + z.z @ zp.z.conj().T) @ inv_sqrt_ap
-        return AngleSpectrum(_angles_of(g, n + z.shape[1]))
-
-
-def _inv_sqrt_gram(a: np.ndarray) -> np.ndarray:
-    vals, vecs = kernel.herm_eig(a)
-    return kernel.SvdResult(vecs, vals, vecs).apply(1.0 / np.sqrt(vals))
+        if n <= m:
+            g = res.u.conj().T @ (np.eye(n) + z.z @ zp.z.conj().T) @ resp.u
+        else:
+            g = res.v.conj().T @ (np.eye(m) + z.z.conj().T @ zp.z) @ resp.v
+        g = g / np.hypot(1.0, res.s)[:, None] / np.hypot(1.0, resp.s)
+        return AngleSpectrum(np.concatenate([_angles_of(g, n + m), np.zeros(n - res.s.size)]))
 
 
 def stationary_angles_svd(p: Plane, q: Plane) -> AngleSpectrum:
@@ -331,7 +344,7 @@ def _cosines_of(cross: np.ndarray, big_n: int) -> np.ndarray:
     """Cosines of the stationary angles, descending: the singular values of
     the n x n product V1* V2 of orthonormal frames of two n-planes in C^N."""
     n = cross.shape[-1]
-    cos = np.clip(np.linalg.svd(cross, compute_uv=False), 0.0, 1.0)
+    cos = np.minimum(np.linalg.svd(cross, compute_uv=False), 1.0)
     # two n-planes in C^N meet in at least 2n - N dimensions
     cos[:max(0, 2 * n - big_n)] = 1.0
     return cos
@@ -343,40 +356,29 @@ def _angles_of(cross: np.ndarray, big_n: int) -> np.ndarray:
 
 
 def _pairing_of(cross: np.ndarray) -> float:
-    """|det V1* V2| of the n x n product of orthonormal frames: the product of
-    the cosines of the stationary angles, clipped to 1.  Read as 0 where numpy's
-    det turns a subnormal LU pivot into a nan, as |det| < 2^(n^2) * 2.2e-308."""
+    """|det V1* V2| of orthonormal frames, the cosine product, clipped to 1;
+    0 where numpy's det turns a subnormal LU pivot (|det| < 2^(n^2) 2.2e-308) into a nan."""
     with np.errstate(divide="ignore", invalid="ignore"):
         det = float(abs(np.linalg.det(cross)))
     return min(det, 1.0) if det == det else 0.0
 
 
 def exp0(tangent: TangentCoord) -> ChartPoint:
-    """Chart coordinate of the geodesic exponential at the origin.
-
-    Z = B ta(sqrt(B*B)) / sqrt(B*B) evaluated through the SVD of B, with
-    ta = tan (compact) or tanh (noncompact).  Compact input whose singular
-    values sit within 1e-9 of a tan pole raises ChartEscapeError: the
-    geodesic is passing through the polar divisor, outside the chart.
-    Noncompact input whose tanh saturates raises ChartEscapeError as well:
-    the point lies in the chart, but floating point cannot place it inside
-    the domain.  geodesic_group reaches both.  This is _exp0_stack on a
-    stack of one.
+    """Chart coordinate of the geodesic exponential at the origin:
+    Z = B ta(sqrt(B*B)) / sqrt(B*B), _exp0_stack on the tangent's kept SVD,
+    with ta = tan (compact) or tanh (noncompact).  ChartEscapeError within
+    1e-9 of a tan pole, where the geodesic passes the polar divisor outside
+    the chart, and where a noncompact tanh saturates, so floating point
+    cannot place the point inside the domain; geodesic_group reaches both.
     """
-    z = _exp0_stack(tangent.b[None], tangent.signature)[0]
+    z = _exp0_stack(tangent._svd(), tangent.signature)
     return ChartPoint(z=z, signature=tangent.signature)
 
 
-def _exp0_stack(b: np.ndarray, signature: Signature) -> np.ndarray:
-    """exp0 of each matrix of a (k, n, m) stack of tangents, as a (k, n, m)
-    stack of chart coordinates, with one stacked SVD.
-
-    Every member gets the checks of exp0: finite entries, ChartEscapeError
-    within 1e-9 of a tan pole (compact), and ChartEscapeError where tanh of
-    a singular value saturates (noncompact).
-    """
+def _exp0_stack(res: kernel.SvdResult, signature: Signature) -> np.ndarray:
+    """exp0, U ta(S) V*, from the SVD of a tangent or a (k, n, m) stack: its
+    ChartEscapeError within 1e-9 of a tan pole or where a tanh saturates."""
     sig = _check_signature(signature)
-    res = kernel.svd(b)
     if res.s.size and float(sig.pole_distance(res.s).min()) < POLE_TOL:
         raise ChartEscapeError("geodesic meets the polar divisor (tan pole); use "
                                "geodesic_group (--route group)")
@@ -391,52 +393,48 @@ def _exp0_stack(b: np.ndarray, signature: Signature) -> np.ndarray:
 def log0(point: ChartPoint) -> TangentCoord:
     """Inverse of exp0 on the chart: arctan / artanh of the singular values."""
     sig = _check_signature(point.signature)
-    res = kernel.svd(point.z)
+    res = point._svd()
     if not sig.compact and res.s.size and float(res.s[0]) >= 1.0:
         raise DomainError("noncompact log needs all singular values below 1")
     return TangentCoord(b=res.apply(sig.ata(res.s)), signature=point.signature)
 
 
 def _resolvable_times(t, scale: float) -> np.ndarray:
-    """The time, or times, as a float array.  ValueError unless every time is
-    finite, and so is its product with scale (the velocity's largest
-    singular value), and neighbouring doubles of that product lie within
-    ANGLE_TOL, below about 2^33: else t B reaches numpy as inf, or points
-    and angles are noise."""
+    """The time, or times, as a float array.  ValueError unless every time and
+    its product with scale (the velocity's largest singular value) are
+    finite, and doubles next to that product lie within ANGLE_TOL (below
+    about 2^33): else t B reaches numpy as inf, or the angles are noise."""
     ts = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(ts)):
+    top = float(np.abs(ts).max(initial=0.0))  # a nan propagates
+    if not math.isfinite(top):
         raise ValueError("times must be finite")
     # a product of Python floats overflows to inf without a numpy warning
-    top = float(np.max(np.abs(ts), initial=0.0))
     reach = top * float(scale)
-    if not np.isfinite(reach):
+    if not math.isfinite(reach):
         raise ValueError(f"time {top:g} is too large: its product with the velocity's "
                          f"scale {float(scale):.6g} overflows")
-    if np.spacing(reach) > ANGLE_TOL:
+    if math.ulp(reach) > ANGLE_TOL:
         raise ValueError(f"t * h_1 = {reach:.6g} is too large: neighbouring doubles there "
-                         f"are {np.spacing(reach):.3g} apart, coarser than the angle "
+                         f"are {math.ulp(reach):.3g} apart, coarser than the angle "
                          f"threshold {ANGLE_TOL:g}")
     return ts
 
 
 def geodesic_chart(tangent: TangentCoord, t: float) -> ChartPoint:
     """Geodesic through the origin with initial velocity B, in the chart."""
-    ts = _resolvable_times(t, kernel.svd(tangent.b).s[0])
+    ts = _resolvable_times(t, tangent._svd().s[0])
     return exp0(TangentCoord(b=ts * tangent.b, signature=tangent.signature))
 
 
 def geodesic_group(tangent: TangentCoord, t: float) -> Plane:
-    """Geodesic through the origin as a plane, via the one-parameter subgroup.
-
-    The first n rows of the subgroup element give the basis
-    (co(t sqrt(BB*)) | B si(t sqrt(B*B))/sqrt(B*B)) with the circular pair
-    co/si = cos/sin.  Defined for every t, including parameters where the
-    chart form has a pole.  For the noncompact dual, co = 1 and si = tanh:
-    the hyperbolic basis (cosh | sinh) with its rows rescaled by sech, which
-    spans the same plane because the dual never leaves the chart.  Unscaled,
-    the rows grow apart like e^(t h) until they are numerically dependent.
+    """Geodesic through the origin as a plane, via the one-parameter subgroup:
+    its first n rows (co(t sqrt(BB*)) | B si(t sqrt(B*B))/sqrt(B*B)), with
+    co/si = cos/sin, for every t, poles of the chart form included.  On the
+    noncompact dual co = 1 and si = tanh: the rows (cosh | sinh) rescaled by
+    sech, the same plane as the dual never leaves the chart.  Unscaled, the
+    rows grow apart like e^(t h) until they are numerically dependent.
     """
-    res = kernel.svd(tangent.b)
+    res = tangent._svd()
     co, si = _check_signature(tangent.signature).group(_resolvable_times(t, res.s[0]) * res.s)
     n = res.u.shape[0]
     # cos(t sqrt(BB*)) = 1_n + U (co - 1) U*: the orthogonal complement of the
@@ -464,10 +462,9 @@ def geodesic_residual(tangent: TangentCoord, t: float, step: float = 1e-3) -> fl
 
 def plucker(plane: Plane) -> PluckerVector:
     """All n x n minors of the row basis, over lexicographic column n-tuples.
-
-    ValueError, before anything is allocated, when the stack of the
-    C(N, n) leading blocks would pass PLUCKER_MAX_BYTES.  DomainError where
-    a minor overflows, or rounds to a nan or a division by zero."""
+    ValueError, before anything is allocated, when the stack of the C(N, n)
+    blocks would pass PLUCKER_MAX_BYTES; DomainError where a minor overflows,
+    or rounds to a nan or a division by zero."""
     n, big_n = plane.basis.shape
     count = math.comb(big_n, n)
     nbytes = count * n * n * np.dtype(complex).itemsize
@@ -483,18 +480,19 @@ def plucker(plane: Plane) -> PluckerVector:
 
 
 def plucker_pairing(a: PluckerVector, b: PluckerVector) -> complex:
-    """Hermitian pairing sum_S a_S conj(b_S) over the common index set.
-
-    For hat bases this reproduces the overlap with b's source conjugated.
-    """
+    """Hermitian pairing sum_S a_S conj(b_S) over the common index set: for
+    hat bases, the overlap with b's source conjugated."""
     if (a.n, a.big_n) != (b.n, b.big_n):
         raise ValueError(f"incompatible shapes: ({a.n},{a.big_n}) vs ({b.n},{b.big_n})")
     return complex(np.vdot(b.coords, a.coords))
 
 
 def _rng(seed) -> np.random.Generator:
+    """The generator, or a new one; ValueError naming a negative seed."""
     if isinstance(seed, np.random.Generator):
         return seed
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return np.random.default_rng(seed)
 
 
@@ -512,15 +510,10 @@ def haar_random_plane(n: int, m: int, seed=None) -> Plane:
 
 
 def haar_random_chart(n: int, m: int, seed=None) -> ChartPoint:
-    """Compact chart coordinate of a random plane, resampling until it lies
-    in the chart.
-
-    Z = G_lead^-1 G_trail is solved from the Gaussian rows G that
-    haar_random_plane draws, with the same generator calls; its
-    orthonormalized rows span the same plane.  The solve and its chart test
-    are plane_to_chart's; a draw outside the chart is drawn again, and
-    NumericalFailure follows 64 of them.
-    """
+    """Compact chart coordinate of a random plane: Z = G_lead^-1 G_trail from
+    the Gaussian rows G that haar_random_plane draws and orthonormalizes,
+    with the same generator calls and plane_to_chart's solve and chart test.
+    A draw outside the chart is drawn again; NumericalFailure after 64."""
     rng = _rng(seed)
     for _ in range(64):
         try:

@@ -53,14 +53,6 @@ def _tangent_with_norm(rng, n, m, fro, signature="compact"):
     return mf.TangentCoord(b, signature=signature)
 
 
-def _cut_plane(rng, n, m):
-    rows = mf.hat_basis(mf.haar_random_chart(n, m, rng))
-    w = np.zeros(n + m, dtype=complex)
-    w[n:] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    rows[n - 1] = w / np.linalg.norm(w)
-    return mf.Plane(rows)
-
-
 def _random_direction(rng, min_gap=0.0, min_entry=0.0):
     for _ in range(256):
         h = np.sort(np.abs(rng.standard_normal(2)))[::-1]
@@ -156,7 +148,7 @@ def test_criterion_06_cut_locus_routes_agree_exactly():
     with criterion(6, "angle, pairing, Cayley, and incidence routes agree on 1200 planes"):
         rng = np.random.default_rng(1006)
         symbol = loci.cut_locus_symbol(2, 2)
-        planes = [(_cut_plane(rng, 2, 2), True) for _ in range(200)]
+        planes = [(verify._cut_plane(rng, 2, 2), True) for _ in range(200)]
         planes += [(mf.haar_random_plane(2, 2, rng), None) for _ in range(1000)]
         for plane, constructed in planes:
             verdict = loci.cut_locus_test(plane)

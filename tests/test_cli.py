@@ -149,6 +149,14 @@ def test_schubert_sample_then_membership(tmp_path, capsys):
     assert json.loads(out) == {"member": True}
 
 
+def test_schubert_sample_refuses_a_negative_seed(capsys):
+    # numpy's own refusal names neither the seed nor its range
+    code, out, err = _run(capsys, "schubert", "--symbol", "1,2", "--m", "2", "--sample",
+                          "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert "seed must be a non-negative integer, got -1" in err
+
+
 def test_cut_test_schubert_route_ignores_the_basis_scale(capsys):
     # the origin plane O with every entry 1e9: all four routes read "not in
     # the locus", as they do for the unit basis
@@ -384,13 +392,18 @@ def test_chart_routes_refuse_overflowing_products(capsys):
     big = '{"rows":1,"cols":1,"data":[[1e200,0]]}'
     code, out, err = _run(capsys, "overlap", big, big)
     assert (code, out) == (3, "") and "overflow" in err
+    # the chart angle route forms no Gram matrix: (1e300, 0) against (1, 0)
+    # answers pi/4, as the frame route does, and only a middle factor
+    # 1 + Z Zp* that overflows is refused
     zp = '{"rows":1,"cols":2,"data":[[1e300,0],[0,0]]}'
     z = '{"rows":1,"cols":2,"data":[[1,0],[0,0]]}'
-    code, out, err = _run(capsys, "angles", zp, z)
+    for route in ("w", "svd"):
+        code, out, err = _run(capsys, "angles", zp, z, "--route", route)
+        assert (code, err) == (0, ""), route
+        assert json.loads(out)["angles"] == pytest.approx([np.pi / 4], rel=1e-12), route
+    huge = '{"rows":1,"cols":2,"data":[[1e200,0],[0,0]]}'
+    code, out, err = _run(capsys, "angles", huge, huge)
     assert (code, out) == (3, "") and "overflow" in err
-    code, out, _ = _run(capsys, "angles", zp, z, "--route", "svd")
-    assert code == 0
-    assert json.loads(out)["angles"] == pytest.approx([np.pi / 4], rel=1e-12)
     # the Cayley distance reads the Gram pairing, which does not overflow
     code, out, _ = _run(capsys, "dist", _mat(1e160 * np.eye(2)))
     assert code == 0

@@ -4,16 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from grassgeo import cli, kernel, loci, manifold as mf
+from grassgeo import cli, kernel, loci, manifold as mf, verify
 from grassgeo.errors import ChartEscapeError, ConsistencyError, DomainError
-
-
-def _cut_plane(rng, n, m):
-    rows = mf.hat_basis(mf.haar_random_chart(n, m, rng))
-    w = np.zeros(n + m, dtype=complex)
-    w[n:] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    rows[n - 1] = w / np.linalg.norm(w)
-    return mf.Plane(rows)
 
 
 # ------------------------------------------------------------ symbols, flags
@@ -111,7 +103,7 @@ def test_staircase_sample_rectangular():
 def test_cut_locus_test_on_constructed_and_random_planes():
     rng = np.random.default_rng(42)
     for _ in range(10):
-        verdict = loci.cut_locus_test(_cut_plane(rng, 2, 2))
+        verdict = loci.cut_locus_test(verify._cut_plane(rng, 2, 2))
         assert verdict.in_locus
         assert verdict.pairing_abs < 1e-10
         assert verdict.max_angle == pytest.approx(np.pi / 2, abs=1e-7)
@@ -127,7 +119,7 @@ def test_cut_pairing_equals_explicit_minor_pairing(n, m):
     rng = np.random.default_rng(47)
     origin = mf.plucker(mf.base_plane(n, m))
     for k in range(6):
-        plane = _cut_plane(rng, n, m) if k % 2 == 0 else mf.haar_random_plane(n, m, rng)
+        plane = verify._cut_plane(rng, n, m) if k % 2 == 0 else mf.haar_random_plane(n, m, rng)
         minors = mf.plucker(plane)
         explicit = abs(mf.plucker_pairing(minors, origin)) / np.linalg.norm(minors.coords)
         assert loci.cut_locus_test(plane).pairing_abs == pytest.approx(explicit, rel=1e-12)
@@ -137,7 +129,7 @@ def test_cut_routes_agree_with_schubert_and_cayley():
     rng = np.random.default_rng(43)
     sym = loci.cut_locus_symbol(2, 3)
     for k in range(20):
-        plane = _cut_plane(rng, 2, 3) if k % 2 == 0 else mf.haar_random_plane(2, 3, rng)
+        plane = verify._cut_plane(rng, 2, 3) if k % 2 == 0 else mf.haar_random_plane(2, 3, rng)
         expect = loci.cut_locus_test(plane).in_locus
         assert loci.cayley_cut_check(plane) == expect
         assert loci.schubert_membership(plane, sym, flag="perp") == expect
@@ -149,7 +141,7 @@ def _origin_test_planes(rng, n, m):
     invertible matrix."""
     g = rng.standard_normal((n, n + m)) + 1j * rng.standard_normal((n, n + m))
     mix = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 2.0 * np.eye(n)
-    built = _cut_plane(rng, n, m)
+    built = verify._cut_plane(rng, n, m)
     return [built, mf.haar_random_plane(n, m, rng), mf.Plane(g * rng.uniform(1e-3, 1e3)),
             mf.Plane(mix @ built.basis)]
 
@@ -190,7 +182,8 @@ def test_origin_stacks_equal_the_general_stacks_on_a_scan(shape, h):
 
 def test_planes_are_factored_once(monkeypatch):
     # a Plane runs one SVD, and the cut, pairing and angle routes read its
-    # frame: no further SVD or QR of the basis, and no row scaling
+    # frame: no further SVD or QR of the basis, and no row scaling.  Every
+    # SVD of the package, kernel.svd's included, goes through kernel._svd
     calls = {"svd": 0, "qr": 0, "pairing": 0}
 
     def counted(name, func):
@@ -199,13 +192,13 @@ def test_planes_are_factored_once(monkeypatch):
             return func(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(kernel, "svd", counted("svd", kernel.svd))
+    monkeypatch.setattr(kernel, "_svd", counted("svd", kernel._svd))
     monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
     # the origin pairing reads the frame, not the unit-row basis
     monkeypatch.setattr(mf, "_unit_rows", counted("pairing", mf._unit_rows))
     rng = np.random.default_rng(71)
     for n, m in ((1, 4), (3, 5), (6, 8)):
-        built = _cut_plane(rng, n, m)
+        built = verify._cut_plane(rng, n, m)
         g = rng.standard_normal((n, n + m)) + 1j * rng.standard_normal((n, n + m))
         calls.update(svd=0, qr=0, pairing=0)
         other = mf.Plane(g)
@@ -220,6 +213,35 @@ def test_planes_are_factored_once(monkeypatch):
                 mf.stationary_angles_svd(built, other)
             assert calls == {"svd": 0, "qr": 0, "pairing": 0}, (n, m)
         assert loci.cut_locus_test(built).in_locus and not loci.cut_locus_test(other).in_locus
+
+
+def test_one_tangent_and_one_chart_point_are_factored_once(monkeypatch):
+    # every route reads the SVD a record keeps: one SVD of B serves exp0,
+    # geodesic_group, classify_conjugate and jacobian_spectrum, and one SVD
+    # of a noncompact Z serves its ball check, log0 and the chart angle route
+    factored = []
+    svd = kernel._svd
+
+    def counted(a):
+        factored.append(a)
+        return svd(a)
+
+    monkeypatch.setattr(kernel, "_svd", counted)
+    for signature in ("compact", "noncompact"):
+        tc = loci.cartan_to_tangent(loci.CartanDirection(np.array([0.9, 0.4])), 2, 3, signature)
+        for _ in range(2):
+            mf.exp0(tc)
+            mf.geodesic_group(tc, 1.3)
+            loci.classify_conjugate(tc, 1.3)
+            loci.jacobian_spectrum(tc, np.array([0.7, 1.3]))
+        assert sum(a is tc.b for a in factored) == 1, signature
+    zp = mf.ChartPoint(np.array([[0.1, 0.2j], [0.0, 0.3]]), "noncompact")
+    z = mf.ChartPoint(np.array([[0.5, 0.0], [0.1j, 0.2]]), "noncompact")
+    factored.clear()
+    mf.log0(z)
+    mf.stationary_angles_w(zp, z)
+    mf.stationary_angles_w(z, zp)
+    assert factored == []
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -274,15 +296,16 @@ def test_schubert_membership_equals_every_condition(n, m):
 
 
 def test_schubert_membership_skips_conditions_that_always_hold(monkeypatch):
+    # the rank tests read rank_tol's rule through its non-validating core
     calls = []
-    rank_tol = kernel.rank_tol
+    rank = kernel._rank
 
     def counted(a):
         calls.append(a.shape)
-        return rank_tol(a)
+        return rank(a)
 
     plane = mf.haar_random_plane(6, 8, np.random.default_rng(61))
-    monkeypatch.setattr(kernel, "rank_tol", counted)
+    monkeypatch.setattr(kernel, "_rank", counted)
     assert not loci.schubert_membership(plane, loci.cut_locus_symbol(6, 8), flag="perp")
     assert calls == [(6, 6)]
     assert loci.schubert_membership(plane, loci.SchubertSymbol(w=(8,) * 6, m=8))
@@ -296,7 +319,7 @@ def test_schubert_membership_does_not_depend_on_the_basis_scale(n, m):
     # flag vectors are stacked under it, so no scale swamps the flag rows
     symbol = loci.cut_locus_symbol(n, m)
     origin = np.eye(n, n + m, dtype=complex)
-    built = _cut_plane(np.random.default_rng(67 + n), n, m).basis
+    built = verify._cut_plane(np.random.default_rng(67 + n), n, m).basis
     verdicts = set()
     for basis in (origin, built):
         for flag in ("standard", "perp", "chart"):
@@ -731,9 +754,9 @@ def test_exp0_stack_refuses_a_member_at_a_tan_pole():
     b = np.zeros((3, 2, 2), dtype=complex)
     b[:, 0, 0] = [0.3, np.pi / 2 + 0.5 * mf.POLE_TOL, 0.7]
     with pytest.raises(ChartEscapeError):
-        mf._exp0_stack(b, "compact")
+        mf._exp0_stack(kernel.svd(b), "compact")
     b[1, 0, 0] = 0.5
-    assert mf._exp0_stack(b, "compact").shape == (3, 2, 2)
+    assert mf._exp0_stack(kernel.svd(b), "compact").shape == (3, 2, 2)
 
 
 def test_exp0_stack_refuses_a_noncompact_member_outside_the_ball():
@@ -741,9 +764,9 @@ def test_exp0_stack_refuses_a_noncompact_member_outside_the_ball():
     b[:, 1, 1] = [0.3, 19.5, 1.2]
     assert np.tanh(19.5) == 1.0
     with pytest.raises(DomainError):
-        mf._exp0_stack(b, "noncompact")
+        mf._exp0_stack(kernel.svd(b), "noncompact")
     b[1, 1, 1] = 5.0
-    assert mf._exp0_stack(b, "noncompact").shape == (3, 2, 3)
+    assert mf._exp0_stack(kernel.svd(b), "noncompact").shape == (3, 2, 3)
 
 
 @pytest.mark.parametrize("h, shape, nullity", [((0.8,), (2, 2), 5),

@@ -190,20 +190,55 @@ def test_chart_angle_route_answers_on_the_cut_locus(n, m):
 
 
 def test_chart_angle_route_refuses_only_what_floating_point_cannot_hold():
-    # Z = [[s, 1], [i, 2]] against Z' = 1: at s = 1e100 the Gram matrix
-    # 1 + ZZ* has entries of 1e200 and the route still answers, equal to the
-    # frame route on a row-scaled basis of the same plane; at s = 1e160 the
-    # product ZZ* overflows
+    # Z = [[s, 1], [i, 2]] against Z' = 1: the route forms no Gram matrix, so
+    # at s = 1e100 and at s = 1e160, where ZZ* would overflow, it answers,
+    # equal to the frame route on a row-scaled basis of the same plane; only
+    # where the middle factor 1 + Z Zp* itself overflows is it refused
     zp = mf.ChartPoint(np.eye(2, dtype=complex))
-    z = mf.ChartPoint(np.array([[1e100, 1.0], [1j, 2.0]]))
-    rows = np.array([[1e-100, 0.0, 1.0, 1e-100], [0.0, 1.0, 1j, 2.0]])
-    want = mf.stationary_angles_svd(mf.chart_to_plane(zp), mf.Plane(rows)).angles
-    assert np.max(np.abs(mf.stationary_angles_w(zp, z).angles - want)) < 1e-12
+    for s in (1e100, 1e160):
+        z = mf.ChartPoint(np.array([[s, 1.0], [1j, 2.0]]))
+        rows = np.array([[1.0 / s, 0.0, 1.0, 1.0 / s], [0.0, 1.0, 1j, 2.0]])
+        want = mf.stationary_angles_svd(mf.chart_to_plane(zp), mf.Plane(rows)).angles
+        assert np.max(np.abs(mf.stationary_angles_w(zp, z).angles - want)) < 1e-12, s
     big = mf.ChartPoint(np.array([[1e160, 1.0], [1j, 2.0]]))
     with pytest.raises(DomainError, match="floating-point overflow"):
-        mf.stationary_angles_w(zp, big)
-    with pytest.raises(DomainError, match="floating-point overflow"):
         mf.overlap(big, big)
+    huge = mf.ChartPoint(np.array([[1e200, 1.0], [1j, 2.0]]))
+    with pytest.raises(DomainError, match="floating-point overflow"):
+        mf.stationary_angles_w(huge, huge)
+
+
+def _complement_angles(zp, z):
+    """The frame route on the orthogonal complements, the row spans of
+    (-Z* | 1_m), each row scaled to a largest modulus of 1: the m angles
+    that are not forced to 0 when n > m."""
+    def complement(point):
+        rows = np.hstack([-point.z.conj().T, np.eye(point.shape[1])])
+        return mf.Plane(mf._unit_rows(rows))
+    return mf.stationary_angles_svd(complement(zp), complement(z)).angles
+
+
+def test_chart_angle_route_holds_at_n_above_m():
+    # the n - m unit eigenvalues of 1 + ZZ* survive in a Gram matrix only to
+    # absolute eps |Z|^2; the route reads the m nontrivial angles from the
+    # complements' charts -Z* and pads n - m zeros.  At s = 1e7 the Gram
+    # route was off the frame route by 2.0e-5 rad
+    zp = mf.ChartPoint(np.array([[0.3], [0.1], [0.2]]))
+    z = mf.ChartPoint(1e7 * np.array([[1.0], [1.0001], [0.9999]]))
+    want = mf.stationary_angles_svd(mf.chart_to_plane(zp),
+                                    mf.Plane(mf._unit_rows(mf.hat_basis(z)))).angles
+    got = mf.stationary_angles_w(zp, z).angles
+    assert np.max(np.abs(got - want)) < 1e-9
+    assert np.array_equal(got[1:], [0.0, 0.0])
+    # at 1e100 the hat bases are refused as numerically dependent, and the
+    # route still answers, with no warning, equal to the complements' frames
+    rng = np.random.default_rng(83)
+    for m in (1, 2):
+        zp = mf.haar_random_chart(3, m, rng)
+        z = mf.ChartPoint(1e100 * mf.haar_random_chart(3, m, rng).z)
+        got = mf.stationary_angles_w(zp, z).angles
+        assert np.max(np.abs(got[:m] - _complement_angles(zp, z))) < 1e-9, m
+        assert np.array_equal(got[m:], np.zeros(3 - m)), m
 
 
 def test_angle_spectrum_is_sorted_and_clipped():
@@ -389,8 +424,9 @@ def test_haar_random_chart_solves_the_drawn_rows(n, m):
 
 
 def test_haar_random_chart_gives_up_after_64_draws_outside_the_chart(monkeypatch):
+    # the chart test reads rank_tol's rule through its non-validating core
     calls = []
-    monkeypatch.setattr(kernel, "rank_tol", lambda a: calls.append(a.shape) or 0)
+    monkeypatch.setattr(kernel, "_rank", lambda a: calls.append(a.shape) or 0)
     rng = np.random.default_rng(34)
     with pytest.raises(NumericalFailure, match="64 tries"):
         mf.haar_random_chart(2, 3, rng)
@@ -432,6 +468,31 @@ def test_plane_is_frozen():
         with pytest.raises(ValueError, match="read-only"):
             array[0, 1] = 1.0
     assert np.array_equal(plane.basis, np.eye(2, 5))
+
+
+def _matrix(record):
+    """The matrix field of a chart point or a tangent: z or b."""
+    return getattr(record, record._fields[0])
+
+
+@pytest.mark.parametrize("cls, route", [(mf.ChartPoint, mf.log0), (mf.TangentCoord, mf.exp0)])
+def test_records_own_their_matrix_and_keep_no_stale_factorization(cls, route):
+    # the record copies the matrix it is given and keeps it read-only, and
+    # rebinding the field drops the SVD kept for the old matrix
+    rng = np.random.default_rng(84)
+    first = 0.3 * (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)))
+    second = 0.2 * (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)))
+    given = first.copy()
+    record = cls(given)
+    before = _matrix(route(record))
+    given *= 2.0
+    assert np.array_equal(_matrix(record), first)
+    with pytest.raises(ValueError, match="read-only"):
+        _matrix(record)[0, 0] = 1.0
+    assert np.array_equal(_matrix(route(record)), before)
+    setattr(record, record._fields[0], second)
+    assert np.array_equal(_matrix(record), second)
+    assert np.array_equal(_matrix(route(record)), _matrix(route(cls(second))))
 
 
 def test_plane_to_chart_outside_chart():

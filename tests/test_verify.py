@@ -344,7 +344,8 @@ def test_scan_and_classify_read_one_svd_and_build_no_plane(monkeypatch):
             return func(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(kernel, "svd", counted("svd", kernel.svd))
+    # every SVD of the package, kernel.svd's included, goes through kernel._svd
+    monkeypatch.setattr(kernel, "_svd", counted("svd", kernel._svd))
     monkeypatch.setattr(grassgeo.manifold.Plane, "__post_init__",
                         counted("plane", grassgeo.manifold.Plane.__post_init__))
     for shape, h, signature in (((2, 2), (0.8, 0.6), "compact"),
