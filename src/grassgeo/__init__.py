@@ -43,4 +43,5 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted({*globals(), *__all__, *_EXPORTS})
+    """The public names, the submodules and the module's dunders."""
+    return sorted({*__all__, *_EXPORTS, *(name for name in globals() if name[:2] == "__")})

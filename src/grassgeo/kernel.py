@@ -8,15 +8,20 @@ real central-difference Jacobians of complex maps).
 numerical_rank is the package's one numerical-rank rule and RANK_TOL its
 one tolerance.  Each array is checked once: svd and rank_tol check their
 input with as_complex_matrix, and the records, checked when built, factor
-what they own through the unchecked cores _svd and _rank; Plane validation
-applies numerical_rank to the SVD it keeps.  herm_eig has no caller in the
-package; it stays public for outside callers and the benchmark's tracer.
+what they own through the unchecked cores _svd and _rank, or map the SVD
+of the record they were computed from (SvdResult._mapped); Plane
+validation applies numerical_rank to the SVD it keeps.  herm_eig has no
+caller in the package; it stays public for outside callers and the
+benchmark's tracer.
 
 _Record is the base of the package's records: plain classes with __slots__
 and an explicit __init__, which cost microseconds to create at import where
-generated classes cost about a millisecond each.
+generated classes cost about a millisecond each.  For the same reason
+kernel and manifold, the modules a first exp0 imports, evaluate their
+annotations: `from __future__ import annotations` would import __future__,
+about 0.3 ms.  manifold's annotations naming np.random are strings, as
+evaluating them would import numpy.random.
 """
-from __future__ import annotations
 
 import operator
 from typing import Callable
@@ -48,8 +53,8 @@ class _Record:
 
 
 class _FrozenRecord(_Record):
-    """A record whose __init__ sets its fields through object.__setattr__, and
-    which refuses to set or delete any attribute after that."""
+    """A record that refuses to set or delete any attribute: its constructors,
+    and a field kept from first use, set fields through _set."""
 
     __slots__ = ()
 
@@ -58,6 +63,10 @@ class _FrozenRecord(_Record):
         raise FrozenInstanceError(f"cannot set or delete field {name!r} of a frozen record")
 
     __delattr__ = __setattr__
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
 
 def as_index(value, name: str) -> int:
@@ -75,14 +84,21 @@ class SvdResult(_FrozenRecord):
     __slots__ = _fields = ("u", "s", "v")
 
     def __init__(self, u: np.ndarray, s: np.ndarray, v: np.ndarray):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "v", v)
+        self._set(u=u, s=s, v=v)
 
     def apply(self, vals: np.ndarray) -> np.ndarray:
         """u @ diag(vals) @ v* over the stack axes: the spectral extension of a
         scalar function to the matrix, given its values at the values s."""
         return (self.u * vals[..., None, :]) @ self.v.conj().swapaxes(-1, -2)
+
+    def _mapped(self, vals: np.ndarray) -> "SvdResult":
+        """The SVD of apply(vals), for one matrix, with no new factorization:
+        (u sign(vals), |vals|, v), the columns in the stable order of
+        descending |vals|."""
+        mag = abs(vals)
+        order = (-mag).argsort(kind="stable")
+        return SvdResult(self.u.take(order, 1) * np.copysign(1.0, vals.take(order)),
+                         mag.take(order), self.v.take(order, 1))
 
 
 def as_complex_matrix(a, name: str = "matrix", stacked: bool = False) -> np.ndarray:

@@ -16,11 +16,19 @@ A Plane runs one thin SVD of its basis: the package's one rank rule reads
 its singular values, and its right factor V is the orthonormal frame that
 every angle and pairing route reads (Bjorck-Golub): cosines are the singular
 values of V1* V2, and the normalized pairing |det V1* V2| is their product.
-Records own read-only copies of their arrays, checked once when set, and
-keep what their routes factor: the SVD of a chart point's or tangent's
-matrix, and a plane's cosines and pairing against O.
+Records are frozen, own read-only copies of their arrays, checked once when
+built, and keep what their routes factor: the SVD of a chart point's or
+tangent's matrix, and a plane's cosines and pairing against O.
+
+Records built from kept factors inherit them.  exp at B = U S V* is
+U ta(S) V* (Edelman, Arias & Smith 1998), so the SVD of the point exp0
+returns is (U sign ta(S), |ta(S)|, V), re-sorted descending, which
+SvdResult._mapped builds from the tangent's on first use; log0 and
+geodesic_chart's t B do the same with ata and t.  geodesic_group and haar_random_plane build
+orthonormal rows, which are their own frame: those planes run no SVD and no
+rank test.  Plane(basis) always validates, and chart_to_plane keeps its own
+SVD, independent of the chart point's.
 """
-from __future__ import annotations
 
 import itertools
 import math
@@ -74,7 +82,8 @@ _SIGNATURES = {
     # a chart image cannot be told from the boundary of the bounded domain
     "noncompact": _Signature(
         False, -1.0, np.tanh, np.arctanh, np.sinh, np.cosh,
-        lambda st: (np.ones_like(st), np.tanh(st)), lambda st: np.arctan(np.tanh(st)),
+        lambda st: np.stack([np.ones_like(st), np.tanh(st)]) / np.hypot(1.0, np.tanh(st)),
+        lambda st: np.arctan(np.tanh(st)),
         lambda s: np.full(np.shape(s), np.inf),
         lambda s: np.tanh(s) >= np.nextafter(1.0, 0.0)),
 }
@@ -87,41 +96,54 @@ def _check_signature(signature: str) -> _Signature:
     raise ValueError(f"signature must be 'compact' or 'noncompact', got {signature!r}")
 
 
-def _matrix_field(name: str) -> property:
-    """A _Factored record's matrix: set to a read-only copy of the checked
-    matrix, which drops the SVD kept for the one it replaces."""
-    def set_matrix(record, value) -> None:
-        record._matrix, record._factors = kernel.as_complex_matrix(value, name).copy(), None
-        record._matrix.flags.writeable = False
-    return property(operator.attrgetter("_matrix"), set_matrix)
+class _Factored(kernel._FrozenRecord):
+    """One n x m matrix, read-only, and a signature, frozen.  The record keeps
+    the SVD of its matrix from first use: factored by _svd, or, for a record
+    _inherit built from another's SVD res, res._mapped(vals), with no new
+    factorization."""
 
-
-class _Factored(kernel._Record):
-    """One n x m matrix and a signature; _svd factors the matrix once."""
-
-    __slots__ = ("_matrix", "_factors", "signature")
+    __slots__ = ("_matrix", "signature", "_factors", "_source")
 
     @property
     def shape(self) -> tuple[int, int]:
         return self._matrix.shape
 
+    def _own(self, matrix, signature, source) -> None:
+        """Set the fields once: the matrix read-only, the signature checked,
+        and the (function, argument) that builds the SVD on first use, or
+        None to factor the matrix."""
+        _check_signature(signature)
+        matrix.flags.writeable = False
+        self._set(_matrix=matrix, signature=signature, _factors=None, _source=source)
+
+    @classmethod
+    def _inherit(cls, res, vals, signature):
+        """The record of res.apply(vals), a spectral function of res's matrix."""
+        record = cls.__new__(cls)
+        record._own(res.apply(vals), signature, (res._mapped, vals))
+        return record
+
     def _svd(self) -> kernel.SvdResult:
         if self._factors is None:
-            self._factors = kernel._svd(self._matrix)
+            build, arg = self._source or (kernel._svd, self._matrix)
+            self._set(_factors=build(arg), _source=None)
         return self._factors
 
 
 class ChartPoint(_Factored):
     """Chart coordinate Z of a plane with row basis (1_n | Z).  DomainError
-    for a noncompact point unless every singular value of Z is below 1."""
+    for a noncompact point unless every singular value of Z is below 1.
+    exp0's point is not factored again: the bound holds for the values
+    tanh(S) it keeps, by exp0's saturation guard, though a fresh SVD of its
+    rounded matrix can read 1 where tanh(s) is within an ulp or two of 1."""
 
     __slots__ = ()
     _fields = ("z", "signature")
-    z = _matrix_field("z")
+    z = property(operator.attrgetter("_matrix"))
 
     def __init__(self, z: np.ndarray, signature: Signature = "compact"):
-        self.z, self.signature = z, signature
-        smax = 0.0 if _check_signature(signature).compact or not self.z.size else self._svd().s[0]
+        self._own(kernel.as_complex_matrix(z, "z").copy(), signature, None)
+        smax = 0.0 if _SIGNATURES[signature].compact or not self.z.size else self._svd().s[0]
         if smax >= 1.0:
             raise DomainError(
                 f"noncompact chart requires all singular values below 1, got {smax:.6f}")
@@ -132,11 +154,10 @@ class TangentCoord(_Factored):
 
     __slots__ = ()
     _fields = ("b", "signature")
-    b = _matrix_field("b")
+    b = property(operator.attrgetter("_matrix"))
 
     def __init__(self, b: np.ndarray, signature: Signature = "compact"):
-        self.b, self.signature = b, signature
-        _check_signature(signature)
+        self._own(kernel.as_complex_matrix(b, "b").copy(), signature, None)
 
 
 class Plane(kernel._FrozenRecord):
@@ -163,9 +184,19 @@ class Plane(kernel._FrozenRecord):
         res = kernel._svd(basis)
         if kernel.numerical_rank(res.s) != n:
             raise ValueError("basis rows are numerically dependent")
-        basis.flags.writeable = res.v.flags.writeable = False
-        for name, value in (("basis", basis), ("frame", res.v), ("_origin_block", None)):
-            object.__setattr__(self, name, value)
+        self._keep(basis, res.v)
+
+    def _keep(self, basis, frame) -> None:
+        basis.flags.writeable = frame.flags.writeable = False
+        self._set(basis=basis, frame=frame, _origin_block=None)
+
+    @classmethod
+    def _orthonormal(cls, rows):
+        """The plane of rows the caller made orthonormal, its own frame rows*:
+        no SVD and no rank test.  The rows become the plane's own."""
+        plane = cls.__new__(cls)
+        plane._keep(rows, rows.conj().T)
+        return plane
 
     def _origin(self) -> tuple[np.ndarray, float]:
         """Cosines against O, descending, and origin_pairing, kept from first
@@ -174,7 +205,7 @@ class Plane(kernel._FrozenRecord):
             block = self.frame[:self.n].conj().T
             cos = _cosines_of(block, self.big_n)
             cos.flags.writeable = False
-            object.__setattr__(self, "_origin_block", (cos, _pairing_of(block)))
+            self._set(_origin_block=(cos, _pairing_of(block)))
         return self._origin_block
 
     @property
@@ -225,7 +256,7 @@ class PluckerVector(kernel._Record):
 
 def base_plane(n: int, m: int) -> Plane:
     """The origin plane O spanned by the first n coordinate vectors."""
-    return Plane(np.hstack([np.eye(n), np.zeros((n, m))]).astype(complex))
+    return Plane(np.eye(n, n + m, dtype=complex))
 
 
 def hat_basis(point: ChartPoint) -> np.ndarray:
@@ -290,7 +321,7 @@ def cos_cayley(zp: ChartPoint, z: ChartPoint) -> float:
 
 def cayley_distance(zp: ChartPoint, z: ChartPoint) -> float:
     """arccos of the normalized overlap; lies in [0, pi/2]."""
-    return float(np.arccos(np.clip(cos_cayley(zp, z), 0.0, 1.0)))
+    return float(np.arccos(cos_cayley(zp, z)))
 
 
 def cos_cayley_planes(p: Plane, q: Plane) -> float:
@@ -335,7 +366,7 @@ def stationary_angles_svd(p: Plane, q: Plane) -> AngleSpectrum:
     """Stationary angles as arccos of the singular values of V1* V2 for the
     planes' orthonormal frames (Bjorck-Golub); defined for every pair of
     planes."""
-    if p.big_n != q.big_n or p.n != q.n:
+    if p.basis.shape != q.basis.shape:
         raise ValueError(f"plane shape mismatch: {p.basis.shape} vs {q.basis.shape}")
     return AngleSpectrum(_angles_of(p.frame.conj().T @ q.frame, p.big_n))
 
@@ -365,19 +396,25 @@ def _pairing_of(cross: np.ndarray) -> float:
 
 def exp0(tangent: TangentCoord) -> ChartPoint:
     """Chart coordinate of the geodesic exponential at the origin:
-    Z = B ta(sqrt(B*B)) / sqrt(B*B), _exp0_stack on the tangent's kept SVD,
+    Z = B ta(sqrt(B*B)) / sqrt(B*B) = U ta(S) V* on the tangent's kept SVD,
     with ta = tan (compact) or tanh (noncompact).  ChartEscapeError within
     1e-9 of a tan pole, where the geodesic passes the polar divisor outside
     the chart, and where a noncompact tanh saturates, so floating point
     cannot place the point inside the domain; geodesic_group reaches both.
+    The point inherits (U sign ta(S), |ta(S)|, V) as its SVD.
     """
-    z = _exp0_stack(tangent._svd(), tangent.signature)
-    return ChartPoint(z=z, signature=tangent.signature)
+    res = tangent._svd()
+    return ChartPoint._inherit(res, _exp0_values(res, tangent.signature), tangent.signature)
 
 
 def _exp0_stack(res: kernel.SvdResult, signature: Signature) -> np.ndarray:
-    """exp0, U ta(S) V*, from the SVD of a tangent or a (k, n, m) stack: its
-    ChartEscapeError within 1e-9 of a tan pole or where a tanh saturates."""
+    """exp0, U ta(S) V*, from the SVD of a tangent or a (k, n, m) stack."""
+    return res.apply(_exp0_values(res, signature))
+
+
+def _exp0_values(res: kernel.SvdResult, signature: Signature) -> np.ndarray:
+    """ta(S) for exp0: ChartEscapeError within 1e-9 of a tan pole or where a
+    tanh saturates."""
     sig = _check_signature(signature)
     if res.s.size and float(sig.pole_distance(res.s).min()) < POLE_TOL:
         raise ChartEscapeError("geodesic meets the polar divisor (tan pole); use "
@@ -387,16 +424,15 @@ def _exp0_stack(res: kernel.SvdResult, signature: Signature) -> np.ndarray:
             "noncompact chart saturates: tanh of a singular value rounds to 1, "
             "so the image cannot be told from the boundary; use geodesic_group "
             "(--route group)")
-    return res.apply(sig.ta(res.s))
+    return sig.ta(res.s)
 
 
 def log0(point: ChartPoint) -> TangentCoord:
-    """Inverse of exp0 on the chart: arctan / artanh of the singular values."""
-    sig = _check_signature(point.signature)
+    """Inverse of exp0 on the chart: arctan / artanh of the singular values.
+    The tangent inherits (U, ata(S), V) as its SVD."""
     res = point._svd()
-    if not sig.compact and res.s.size and float(res.s[0]) >= 1.0:
-        raise DomainError("noncompact log needs all singular values below 1")
-    return TangentCoord(b=res.apply(sig.ata(res.s)), signature=point.signature)
+    return TangentCoord._inherit(res, _check_signature(point.signature).ata(res.s),
+                                 point.signature)
 
 
 def _resolvable_times(t, scale: float) -> np.ndarray:
@@ -421,18 +457,22 @@ def _resolvable_times(t, scale: float) -> np.ndarray:
 
 
 def geodesic_chart(tangent: TangentCoord, t: float) -> ChartPoint:
-    """Geodesic through the origin with initial velocity B, in the chart."""
-    ts = _resolvable_times(t, tangent._svd().s[0])
-    return exp0(TangentCoord(b=ts * tangent.b, signature=tangent.signature))
+    """Geodesic through the origin with initial velocity B, in the chart:
+    exp0 of t B, which inherits the tangent's SVD with its values scaled by t."""
+    res = tangent._svd()
+    ts = _resolvable_times(t, res.s[0])
+    return exp0(TangentCoord._inherit(res, ts * res.s, tangent.signature))
 
 
 def geodesic_group(tangent: TangentCoord, t: float) -> Plane:
     """Geodesic through the origin as a plane, via the one-parameter subgroup:
     its first n rows (co(t sqrt(BB*)) | B si(t sqrt(B*B))/sqrt(B*B)), with
     co/si = cos/sin, for every t, poles of the chart form included.  On the
-    noncompact dual co = 1 and si = tanh: the rows (cosh | sinh) rescaled by
-    sech, the same plane as the dual never leaves the chart.  Unscaled, the
-    rows grow apart like e^(t h) until they are numerically dependent.
+    noncompact dual (co, si) = (1, tanh) / hypot(1, tanh): the rows
+    (cosh | sinh) rescaled to unit length, the same plane as the dual never
+    leaves the chart.  Unscaled, the rows grow apart like e^(t h) until they
+    are numerically dependent.  The rows are orthonormal on both signatures,
+    so the plane keeps them as its frame, with no SVD.
     """
     res = tangent._svd()
     co, si = _check_signature(tangent.signature).group(_resolvable_times(t, res.s[0]) * res.s)
@@ -440,7 +480,7 @@ def geodesic_group(tangent: TangentCoord, t: float) -> Plane:
     # cos(t sqrt(BB*)) = 1_n + U (co - 1) U*: the orthogonal complement of the
     # column space of B carries co(0) = 1
     left = np.eye(n, dtype=complex) + (res.u * (co - 1.0)) @ res.u.conj().T
-    return Plane(np.concatenate([left, res.apply(si)], axis=-1))
+    return Plane._orthonormal(np.concatenate([left, res.apply(si)], axis=-1))
 
 
 def geodesic_residual(tangent: TangentCoord, t: float, step: float = 1e-3) -> float:
@@ -487,7 +527,7 @@ def plucker_pairing(a: PluckerVector, b: PluckerVector) -> complex:
     return complex(np.vdot(b.coords, a.coords))
 
 
-def _rng(seed) -> np.random.Generator:
+def _rng(seed) -> "np.random.Generator":
     """The generator, or a new one; ValueError naming a negative seed."""
     if isinstance(seed, np.random.Generator):
         return seed
@@ -496,17 +536,19 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+def _complex_gaussian(rng: "np.random.Generator", rows: int, cols: int) -> np.ndarray:
     """A rows x cols matrix of independent complex Gaussians, real parts drawn
     first.  Its rows span a Haar-random plane when rows < cols."""
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
 def haar_random_plane(n: int, m: int, seed=None) -> Plane:
-    """Uniformly random n-plane in C^(n+m): orthonormalized complex Gaussian."""
+    """Uniformly random n-plane in C^(n+m): orthonormalized complex Gaussian.
+    The QR rows are orthonormal, so the plane keeps them as its frame, with
+    no SVD."""
     g = _complex_gaussian(_rng(seed), n, n + m)
     q, _ = np.linalg.qr(g.T / np.sqrt(2.0))
-    return Plane(q.T.copy())
+    return Plane._orthonormal(q.T.copy())
 
 
 def haar_random_chart(n: int, m: int, seed=None) -> ChartPoint:

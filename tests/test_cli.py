@@ -225,15 +225,22 @@ def test_outputs_are_overwritten_whole(tmp_path, capsys):
     assert _run(capsys, *_scan_argv(path, 3))[0] == 0
     assert _run(capsys, *_scan_argv(fresh, 3))[0] == 0
     assert path.read_bytes() == fresh.read_bytes() and path.stat().st_size < longer
+    # the timed report is the untimed one plus its elapsed fields, so it is
+    # longer by construction, whatever the lengths of the floats
     report, fresh = tmp_path / "report.json", tmp_path / "fresh.json"
-    for trials, out in ((3, report), (1, report), (1, fresh)):
-        code, _, _ = _run(capsys, "verify", "--seed", "1", "--trials", str(trials),
-                          "--no-timing", "--json", str(out))
+    for timing, out in ((), report), (("--no-timing",), report), (("--no-timing",), fresh):
+        code, _, _ = _run(capsys, "verify", "--seed", "1", "--trials", "1", *timing,
+                          "--json", str(out))
         assert code == 0
-        if trials == 3:
+        if not timing:
+            timed = json.loads(report.read_text())
             longer = report.stat().st_size
+    untimed = json.loads(fresh.read_text())
+    del timed["elapsed"]
+    for result in timed["results"]:
+        del result["elapsed"]
+    assert timed == untimed and fresh.stat().st_size < longer
     assert report.read_bytes() == fresh.read_bytes() and report.stat().st_size < longer
-    json.loads(report.read_text())
 
 
 def test_outputs_keep_symlinks_and_mode(tmp_path, capsys):

@@ -242,6 +242,28 @@ def test_one_tangent_and_one_chart_point_are_factored_once(monkeypatch):
     mf.stationary_angles_w(zp, z)
     mf.stationary_angles_w(z, zp)
     assert factored == []
+    # records built from kept factors inherit them.  The chain below factors
+    # B once: no point it builds is factored again, for the noncompact ball
+    # or otherwise, and its plane is built from orthonormal rows.  t B on the
+    # chart route inherits too, so a residual's three points and one more
+    # chart point read one SVD.  A Haar plane is orthonormal by its QR.
+    rng = np.random.default_rng(18)
+    for n, m in ((2, 3), (3, 2)):
+        b = 0.4 * mf._complex_gaussian(rng, n, m)
+        for signature in ("compact", "noncompact"):
+            factored.clear()
+            plane = mf.geodesic_group(mf.exp0(mf.log0(mf.exp0(mf.TangentCoord(b, signature)))),
+                                      0.8)
+            assert len(factored) == 1 and factored[0] is not b, (n, m, signature)
+            assert plane.basis.shape == (n, n + m)
+            factored.clear()
+            tc = mf.TangentCoord(b, signature)
+            mf.geodesic_residual(tc, 0.6)
+            mf.geodesic_chart(tc, -1.1)
+            assert len(factored) == 1 and factored[0] is tc.b, (n, m, signature)
+        factored.clear()
+        mf.haar_random_plane(n, m, rng)
+        assert factored == []
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from grassgeo import kernel, manifold as mf
+from grassgeo import kernel, loci, manifold as mf
 from grassgeo.errors import ChartEscapeError, DomainError, NotInChartError, NumericalFailure
 
 
@@ -308,6 +308,127 @@ def test_group_route_rows_stay_orthonormal_compact():
         assert np.linalg.norm(basis @ basis.conj().T - np.eye(2)) < 1e-12
 
 
+def test_group_route_rows_stay_orthonormal_noncompact():
+    # the dual's rows (1 | tanh) rescaled by 1/hypot(1, tanh): orthonormal,
+    # and the same plane as the unscaled rows, far past where they would
+    # grow numerically dependent
+    rng = np.random.default_rng(28)
+    for n, m in ((1, 1), (2, 3), (3, 2), (4, 6)):
+        b = mf._complex_gaussian(rng, n, m)
+        tc = mf.TangentCoord(b, "noncompact")
+        res = kernel.svd(b)
+        for t in (-2.0, 0.4, 3.0, 40.0):
+            basis = mf.geodesic_group(tc, t).basis
+            assert np.abs(basis @ basis.conj().T - np.eye(n)).max() < 4e-16 * (n + m), (n, m, t)
+            unscaled = np.concatenate([np.eye(n), res.apply(np.tanh(t * res.s))], axis=1)
+            cos = mf.stationary_angles_svd(mf.Plane(basis), mf.Plane(unscaled)).angles
+            assert np.abs(cos).max() < 1e-7, (n, m, t)
+
+
+def _group_and_haar_rows(rng):
+    """(shape, orthonormal rows) of geodesic_group planes on both signatures,
+    at the cut time of the compact one among others, and Haar planes."""
+    for n, m in ((1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 5), (4, 6)):
+        b = mf._complex_gaussian(rng, n, m)
+        s_max = np.linalg.svd(b, compute_uv=False)[0]
+        for signature in ("compact", "noncompact"):
+            tc = mf.TangentCoord(b, signature)
+            for t in (0.3, np.pi / (2 * s_max), 2.2, -1.7):
+                yield (n, m), mf.geodesic_group(tc, t).basis
+        yield (n, m), mf.haar_random_plane(n, m, rng).basis
+
+
+def test_orthonormal_row_planes_agree_with_validated_planes():
+    # a plane built from rows that are orthonormal by construction keeps
+    # them as its frame, with no SVD: its cut verdicts and angles match
+    # those of Plane(rows), which factors the same rows
+    rng = np.random.default_rng(29)
+    verdicts = set()
+    for (n, m), rows in _group_and_haar_rows(rng):
+        fast, checked = mf.Plane._orthonormal(rows.copy()), mf.Plane(rows)
+        assert np.array_equal(fast.basis, checked.basis)
+        assert not fast.basis.flags.writeable and not fast.frame.flags.writeable
+        got, want = loci.cut_locus_test(fast), loci.cut_locus_test(checked)
+        assert got.in_locus == want.in_locus
+        assert loci.cayley_cut_check(fast) == loci.cayley_cut_check(checked)
+        verdicts.add(got.in_locus)
+        assert abs(got.max_angle - want.max_angle) <= 1e-14
+        assert abs(fast.origin_pairing - checked.origin_pairing) <= 1e-14
+        other = mf.haar_random_plane(n, m, rng)
+        for q in (other, mf.base_plane(n, m)):
+            a = mf.stationary_angles_svd(fast, q).angles
+            assert np.abs(a - mf.stationary_angles_svd(checked, q).angles).max() <= 1e-14
+            assert abs(mf.cos_cayley_planes(fast, q) - mf.cos_cayley_planes(checked, q)) <= 1e-14
+    assert verdicts == {True, False}
+
+
+def _inherited_records(rng):
+    """(label, record) for records built from kept factors at 1x1 to 4x6:
+    exp0 on both signatures, compact tangents with singular values past
+    pi/2, where tan is negative and out of order, rank-deficient tangents
+    and n > m; log0 of those points; and t B at negative and positive t,
+    as geodesic_chart builds it."""
+    for n, m in ((1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 5), (4, 2), (4, 6)):
+        k = min(n, m)
+        u = np.linalg.qr(mf._complex_gaussian(rng, n, k))[0]
+        v = np.linalg.qr(mf._complex_gaussian(rng, m, k))[0]
+        for label, s in (("below pi/2", rng.uniform(0.05, 1.5, k)),
+                         ("past pi/2", rng.uniform(0.05, 3.05, k)),
+                         ("rank-deficient", np.r_[rng.uniform(0.2, 2.9, 1), np.zeros(k - 1)])):
+            s = s[mf.tan_pole_distance(s) > 0.05]
+            b = (u[:, :s.size] * s) @ v[:, :s.size].conj().T
+            for signature in ("compact", "noncompact"):
+                tc = mf.TangentCoord(b, signature)
+                for name, record in (("exp0", mf.exp0(tc)), ("log0", mf.log0(mf.exp0(tc)))):
+                    yield f"{name} {signature} {label} {n}x{m}", record
+                res = tc._svd()
+                for t in (-1.3, 0.7):
+                    yield f"t B {signature} {label} {n}x{m} t={t}", mf.TangentCoord._inherit(
+                        res, t * res.s, signature)
+
+
+def test_inherited_factors_are_the_svd_of_the_record():
+    # the SVD a record inherits is one of its own matrix: its singular values
+    # are those of a fresh SVD to 4 k eps s_max (k = min(n, m); the fresh
+    # SVD of the rounded matrix is itself off by up to 7 eps s_max at 4x6),
+    # descending and non-negative, with orthonormal columns that reproduce
+    # the matrix to the backward error of the SVD they came from
+    rng = np.random.default_rng(31)
+    eps = np.finfo(float).eps
+    labels = set()
+    for label, record in _inherited_records(rng):
+        # the SVD is mapped from the source's on first use
+        assert record._factors is None and record._source is not None, label
+        matrix = record.z if isinstance(record, mf.ChartPoint) else record.b
+        kept, fresh = record._svd(), kernel.svd(matrix)
+        assert record._factors is kept and record._source is None, label
+        k, s_max = kept.s.size, float(fresh.s[0])
+        assert np.abs(kept.s - fresh.s).max() <= 4 * k * eps * s_max, label
+        assert np.all(kept.s >= 0.0) and np.all(np.diff(kept.s) <= 0.0), label
+        for factor in (kept.u, kept.v):
+            assert np.abs(factor.conj().T @ factor - np.eye(k)).max() <= 8 * k * eps, label
+        assert np.abs(kept.apply(kept.s) - matrix).max() <= 16 * k * eps * s_max, label
+        labels.add(label.split()[0])
+    assert labels == {"exp0", "log0", "t"}
+
+
+def test_exp0_near_tanh_saturation_answers_on_its_kept_values():
+    # exp0's noncompact point is not factored again: its kept values are
+    # tanh(S), below 1 by exp0's saturation guard.  Where tanh(s) is within
+    # an ulp or two of 1, a fresh SVD of the rounded matrix can read 1 (about
+    # one draw in four here), and ChartPoint(z, "noncompact") would refuse
+    # that matrix; exp0 answers, and its point's bound is on the kept values
+    rng = np.random.default_rng(185)
+    for n, m in ((2, 2), (2, 3), (3, 4)):
+        k = min(n, m)
+        for _ in range(8):
+            u = np.linalg.qr(mf._complex_gaussian(rng, n, k))[0]
+            v = np.linalg.qr(mf._complex_gaussian(rng, m, k))[0]
+            tc = mf.TangentCoord((u * rng.uniform(17.5, 18.3, k)) @ v.conj().T, "noncompact")
+            kept = mf.exp0(tc)._svd().s
+            assert np.array_equal(kept, np.tanh(tc._svd().s)) and kept[0] < 1.0
+
+
 def test_geodesic_distance_matches_scalar_parameters():
     z = mf.ChartPoint(np.array([[np.tan(0.7) + 0j]]))
     assert mf.geodesic_distance0(z) == pytest.approx(0.7, rel=1e-12)
@@ -348,8 +469,18 @@ def test_residual_matches_curve_oracle():
     b /= np.linalg.norm(b)
     tc = mf.TangentCoord(b)
     direct = mf.geodesic_residual(tc, 0.8)
-    oracle = _curve_residual(lambda t: mf.geodesic_chart(tc, t).z, 0.8, "compact")
+    # the chart form U tan(tS) V* on one SVD of B, as the residual reads it:
+    # central differences amplify rounding by 1/step^2, so an oracle through
+    # fresh SVDs of t B agrees only to about 1e-10
+    u, s, vh = np.linalg.svd(b, full_matrices=False)
+
+    def curve(t):
+        return (u * np.tan(t * s)) @ vh
+
+    oracle = _curve_residual(curve, 0.8, "compact")
     assert direct == pytest.approx(oracle, abs=1e-12)
+    for t in (0.799, 0.8, 0.801):
+        assert np.abs(mf.geodesic_chart(tc, t).z - curve(t)).max() < 1e-14
 
 
 # ------------------------------------------------------------------ plucker
@@ -478,7 +609,8 @@ def _matrix(record):
 @pytest.mark.parametrize("cls, route", [(mf.ChartPoint, mf.log0), (mf.TangentCoord, mf.exp0)])
 def test_records_own_their_matrix_and_keep_no_stale_factorization(cls, route):
     # the record copies the matrix it is given and keeps it read-only, and
-    # rebinding the field drops the SVD kept for the old matrix
+    # it is frozen: no field can be rebound, so the SVD it keeps, computed
+    # or inherited, is always that of its matrix
     rng = np.random.default_rng(84)
     first = 0.3 * (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)))
     second = 0.2 * (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)))
@@ -490,9 +622,19 @@ def test_records_own_their_matrix_and_keep_no_stale_factorization(cls, route):
     with pytest.raises(ValueError, match="read-only"):
         _matrix(record)[0, 0] = 1.0
     assert np.array_equal(_matrix(route(record)), before)
-    setattr(record, record._fields[0], second)
-    assert np.array_equal(_matrix(record), second)
-    assert np.array_equal(_matrix(route(record)), _matrix(route(cls(second))))
+    for name, value in ((record._fields[0], second), ("signature", "noncompact"),
+                        ("_factors", None), ("_matrix", second)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+    assert np.array_equal(_matrix(record), first) and record.signature == "compact"
+    assert np.array_equal(_matrix(route(record)), before)
+    # a derived record is frozen and read-only too
+    derived = route(record)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(derived, derived._fields[0], second)
+    assert not _matrix(derived).flags.writeable
 
 
 def test_plane_to_chart_outside_chart():

@@ -95,6 +95,14 @@ def test_exports_are_the_home_modules_objects():
     assert grassgeo.__version__ == "0.1.0"
 
 
+def test_dir_lists_the_public_names_submodules_and_dunders_only():
+    listed = dir(grassgeo)
+    dunders = {name for name in vars(grassgeo) if name.startswith("__") and name.endswith("__")}
+    assert listed == sorted(set(grassgeo.__all__) | set(HOMES) | dunders)
+    assert "sys" not in listed and "__version__" in listed and "manifold" in listed
+    assert not [name for name in listed if name.startswith("_") and not name.startswith("__")]
+
+
 def test_exports_follow_a_rebound_home(monkeypatch):
     # nothing is cached in the package, so patching or tracing the home
     # binding is seen through grassgeo.<name> as well
@@ -117,8 +125,8 @@ _RESULT = dict(name="exp-log-roundtrip", passed=True, trials=3, worst_margin=-1e
 # only), and whether it is frozen
 RECORDS = [
     (kernel.SvdResult, dict(u=np.eye(2), s=np.ones(2), v=np.eye(2)), {}, False, True),
-    (manifold.ChartPoint, dict(z=_ROW[:, 1:]), dict(signature="compact"), False, False),
-    (manifold.TangentCoord, dict(b=_ROW[:, 1:]), dict(signature="compact"), False, False),
+    (manifold.ChartPoint, dict(z=_ROW[:, 1:]), dict(signature="compact"), False, True),
+    (manifold.TangentCoord, dict(b=_ROW[:, 1:]), dict(signature="compact"), False, True),
     (manifold.Plane, dict(basis=_ROW), {}, False, True),
     (manifold.AngleSpectrum, dict(angles=np.array([0.5, 0.25])), {}, False, False),
     (manifold.PluckerVector, dict(n=1, big_n=3, indices=((0,), (1,), (2,)), coords=_ROW[0]),
@@ -162,13 +170,12 @@ def test_public_records(cls, given, defaults, by_fields, frozen):
                 act()
     else:
         setattr(record, name, fields[name])
+        assert getattr(record, name) is fields[name]
+    if cls in (manifold.ChartPoint, manifold.TangentCoord):
+        # a chart point or tangent owns a read-only copy of its matrix
         got = getattr(record, name)
-        if cls in (manifold.ChartPoint, manifold.TangentCoord):
-            # a chart point or tangent owns a read-only copy of its matrix
-            assert np.array_equal(got, fields[name]) and not np.shares_memory(got, fields[name])
-            assert not got.flags.writeable
-        else:
-            assert got is fields[name]
+        assert np.array_equal(got, fields[name]) and not np.shares_memory(got, fields[name])
+        assert not got.flags.writeable
     # slotted: no attribute outside the fields
     with pytest.raises(AttributeError):
         record.extra = 1

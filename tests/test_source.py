@@ -58,14 +58,18 @@ def test_loc_tool_counts_every_module(tmp_path):
     done = subprocess.run([sys.executable, str(TOOL)], capture_output=True, text=True,
                           timeout=60)
     assert done.returncode == 0, done.stderr
-    header, *rows, total = [line.split() for line in done.stdout.splitlines()]
-    assert header == ["module", "lines", "defaults"]
+    header, *rows, total, path = [line.split() for line in done.stdout.splitlines()]
+    assert header == ["module", "lines", "defaults", "nodes"]
     assert [row[0] for row in rows] == sorted(p.name for p in PACKAGE.glob("*.py"))
-    for name, lines, _ in rows:
+    for name, lines, _, nodes in rows:
         text = (PACKAGE / name).read_text()
         assert int(lines) == sum(1 for line in text.splitlines() if line.strip())
-    assert total == ["total", str(sum(int(row[1]) for row in rows)),
-                     str(sum(int(row[2]) for row in rows))]
+        assert int(nodes) == sum(1 for _ in ast.walk(ast.parse(text)))
+    assert total == ["total", *(str(sum(int(row[i]) for row in rows)) for i in (1, 2, 3))]
+    # the modules a first grassgeo.exp0 imports
+    first = [row for row in rows if row[0] in ("errors.py", "kernel.py", "manifold.py")]
+    assert len(first) == 3
+    assert path == ["exp0-path", *(str(sum(int(row[i]) for row in first)) for i in (1, 2, 3))]
 
     spec = importlib.util.spec_from_file_location("loc", TOOL)
     loc = importlib.util.module_from_spec(spec)

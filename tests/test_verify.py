@@ -483,15 +483,20 @@ def test_scan_refuses_grids_too_coarse_for_the_angle_threshold(h, t1):
                                      (0.5, 2.0**32), 3, 1, 1)) == 3
 
 
-def test_benchmark_output_checks_pass_on_real_output(tmp_path, monkeypatch):
-    # the benchmark's own output checks, two cycles per workload: every real
-    # output must pass and every deliberately perturbed copy must fail
+def _benchmark_workloads(monkeypatch):
     path = ROOT / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     # dataclasses resolve their module through sys.modules
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_benchmark_output_checks_pass_on_real_output(tmp_path, monkeypatch):
+    # the benchmark's own output checks, two cycles per workload: every real
+    # output must pass and every deliberately perturbed copy must fail
+    workloads = _benchmark_workloads(monkeypatch)
     for name, cls in workloads.WORKLOADS.items():
         workload = cls(grassgeo, str(tmp_path))
         for k in range(2):
@@ -500,6 +505,33 @@ def test_benchmark_output_checks_pass_on_real_output(tmp_path, monkeypatch):
                 assert workload.check(op, out) == [], (name, k, op.kind, op.n, op.m)
                 for label, wrong in workload.perturb(op, out):
                     assert workload.check(op, wrong), (name, k, label)
+
+
+def test_chart_calls_sample_runs_twelve_svds_and_three_plane_validations(tmp_path, monkeypatch):
+    # records built from kept factors inherit them, and the group and Haar
+    # planes are built from orthonormal rows: a chart-calls sample runs 12
+    # numpy SVDs (16 before) and validates 3 planes (5 before); a probe runs
+    # one SVD, of its Jacobian
+    workload = _benchmark_workloads(monkeypatch).WORKLOADS["chart-calls"](grassgeo, str(tmp_path))
+    calls = {"svd": 0, "plane": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(grassgeo.manifold.Plane, "__post_init__",
+                        counted("plane", grassgeo.manifold.Plane.__post_init__))
+    samples = probes = 0
+    for k in range(2):
+        for op in workload.cycle(21, k):
+            workload.call(op)
+            samples += op.params["samples"]
+            probes += len(op.params["probes"])
+    assert (samples, probes) == (30, 10)
+    assert calls == {"svd": 12 * samples + probes, "plane": 3 * samples}
 
 
 def _traced_table():
