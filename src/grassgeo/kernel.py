@@ -6,11 +6,13 @@ tolerance-based rank, spectral matrix functions of rectangular matrices,
 real central-difference Jacobians of complex maps).
 
 numerical_rank is the package's one numerical-rank rule and RANK_TOL its
-one tolerance.  Each array is checked once: svd and rank_tol check their
-input with as_complex_matrix, and the records, checked when built, factor
-what they own through the unchecked cores _svd and _rank, or map the SVD
-of the record they were computed from (SvdResult._mapped); Plane
-validation applies numerical_rank to the SVD it keeps.  herm_eig has no
+one tolerance; it reads full rank from the smallest singular value alone,
+with no array operation, and counts only below full rank.  Each array is
+checked once: svd and rank_tol check their input with as_complex_matrix,
+and the records, checked when built, factor what they own through the
+unchecked cores _svd and _rank, or map the SVD of the record they were
+computed from (SvdResult._mapped); Plane validation applies
+numerical_rank to the SVD it keeps.  herm_eig has no
 caller in the package; it stays public for outside callers and the
 benchmark's tracer.
 
@@ -169,8 +171,11 @@ def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x, step: float = 1e-4) ->
 
 def numerical_rank(s: np.ndarray) -> int:
     """Numerical rank from descending singular values: those above
-    RANK_TOL * max(s_max, 1)."""
-    return int(np.count_nonzero(s > RANK_TOL * max(float(s[0]), 1.0))) if s.size else 0
+    RANK_TOL * max(s_max, 1).  As s descends, full rank reads s[-1] alone."""
+    if not s.size:
+        return 0
+    cut = RANK_TOL * max(s.item(0), 1.0)
+    return s.size if s.item(-1) > cut else int(np.count_nonzero(s > cut))
 
 
 def rank_tol(a) -> int:

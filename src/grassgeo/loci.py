@@ -10,7 +10,11 @@ the plane's coherent state with |0> and by Cauchy-Binet the normalized
 Pluecker pairing (the verify suite's cauchy-binet-pairing property checks
 the identity); schubert_membership, the one nontrivial condition of the
 Schubert variety of cut_locus_symbol, its rank in the raw basis with the
-rows scaled to a largest modulus of 1.
+rows scaled to a largest modulus of 1.  So a plane pays four LAPACK calls
+on the three routes: the Plane's validating SVD, the SVD and det of its
+frame's leading block, which it keeps from first use, and the Schubert
+route's SVD of the unit-row block.  cut_locus_symbol builds one frozen
+symbol per shape and flag_order one order per symbol and flag, both cached.
 
 Conjugate points along a geodesic with Cartan direction h (the singular
 values of the velocity) occur at the radii lam pi / |alpha(h)| over the
@@ -35,8 +39,7 @@ import numpy as np
 from . import kernel
 from .errors import ChartEscapeError, ConsistencyError, DomainError
 from .manifold import (ANGLE_TOL, AngleSpectrum, Plane, TangentCoord, _check_signature,
-                       _descending_angles, _exp0_stack, _resolvable_times, _rng,
-                       _unit_rows)
+                       _descending_angles, _exp0_stack, _resolvable_times, _rng)
 
 CONJUGATE_TOL = 1e-3
 PAIRING_TOL = 1e-12
@@ -44,26 +47,26 @@ DENOM_TOL = 1e-12
 _H_MAX = np.finfo(float).max / 2  # so every root length h_a + h_b is finite
 
 
-class SchubertSymbol(kernel._Record):
+class SchubertSymbol(kernel._FrozenRecord):
     """Nondecreasing tuple w of length n with entries in 0..m.
 
     The associated variety consists of the n-planes X with
     dim(X intersect V_{w_i + i}) >= i for every i, where V_1 < V_2 < ... is a
     complete flag of coordinate subspaces.  ValueError for an entry or an m
-    that is not an integer.
+    that is not an integer.  Frozen, so a cached symbol cannot be rebound.
     """
 
     __slots__ = _fields = ("w", "m")
 
     def __init__(self, w: tuple[int, ...], m: int):
-        self.w = tuple(kernel.as_index(v, "symbol entry") for v in w)
-        self.m = kernel.as_index(m, "m")
-        if len(self.w) == 0:
+        w, m = tuple(kernel.as_index(v, "symbol entry") for v in w), kernel.as_index(m, "m")
+        if len(w) == 0:
             raise ValueError("symbol must have at least one entry")
-        if any(b < a for a, b in zip(self.w, self.w[1:])):
-            raise ValueError(f"symbol entries must be nondecreasing, got {self.w}")
-        if self.w[0] < 0 or self.w[-1] > self.m:
-            raise ValueError(f"symbol entries must lie in 0..{self.m}, got {self.w}")
+        if any(b < a for a, b in zip(w, w[1:])):
+            raise ValueError(f"symbol entries must be nondecreasing, got {w}")
+        if w[0] < 0 or w[-1] > m:
+            raise ValueError(f"symbol entries must lie in 0..{m}, got {w}")
+        self._set(w=w, m=m)
 
     @property
     def n(self) -> int:
@@ -92,15 +95,26 @@ def v_pl_symbol(p: int, l: int, n: int, m: int) -> SchubertSymbol:
 def cut_locus_symbol(n: int, m: int) -> SchubertSymbol:
     """Symbol of the cut locus of the origin: (m-1, m, ..., m) against the
     flag that starts with the orthogonal complement of the origin plane.
-    ValueError for an argument that is not an integer."""
-    n = kernel.as_index(n, "n")
-    if m < 1:
-        raise ValueError("need m >= 1")
+    One frozen instance per shape, built on first use.  ValueError for an
+    argument that is not an integer, or an n or m below 1."""
+    n, m = kernel.as_index(n, "n"), kernel.as_index(m, "m")
+    if n < 1 or m < 1:
+        raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    return _cut_symbol(n, m)
+
+
+@functools.cache
+def _cut_symbol(n: int, m: int) -> SchubertSymbol:
+    """cut_locus_symbol of a checked shape."""
     return SchubertSymbol(w=(m - 1,) + (m,) * (n - 1), m=m)
 
 
+_FLAGS = ("standard", "perp", "chart")
+
+
 def flag_order(symbol: SchubertSymbol, flag: str = "standard") -> tuple[int, ...]:
-    """0-based ordering of the coordinate vectors generating the flag.
+    """0-based ordering of the coordinate vectors generating the flag, built
+    once per symbol and flag.
 
     standard: e_1, ..., e_N in place.
     perp: the complement block e_{n+1}, ..., e_N first, then e_1, ..., e_n;
@@ -110,21 +124,33 @@ def flag_order(symbol: SchubertSymbol, flag: str = "standard") -> tuple[int, ...
         exactly w_i complement vectors; staircase samples built row by row in
         this order always satisfy the membership conditions.
     """
-    n, m = symbol.n, symbol.m
+    if flag not in _FLAGS:
+        raise ValueError(f"unknown flag {flag!r}; choose standard, perp, or chart")
+    return _flag_order(symbol.w, symbol.m, flag)
+
+
+@functools.cache
+def _flag_order(w: tuple[int, ...], m: int, flag: str) -> tuple[int, ...]:
+    """flag_order of the symbol (w, m) and a known flag."""
+    n = len(w)
     if flag == "standard":
         return tuple(range(n + m))
     if flag == "perp":
         return tuple(range(n, n + m)) + tuple(range(n))
-    if flag == "chart":
-        order: list[int] = []
-        prev = 0
-        for i in range(n):
-            order.extend(n + j for j in range(prev, symbol.w[i]))
-            order.append(i)
-            prev = symbol.w[i]
-        order.extend(n + j for j in range(prev, m))
-        return tuple(order)
-    raise ValueError(f"unknown flag {flag!r}; choose standard, perp, or chart")
+    order: list[int] = []
+    prev = 0
+    for i in range(n):
+        order.extend(n + j for j in range(prev, w[i]))
+        order.append(i)
+        prev = w[i]
+    order.extend(n + j for j in range(prev, m))
+    return tuple(order)
+
+
+def _unit_rows(a: np.ndarray) -> np.ndarray:
+    """Each row of a basis scaled to a largest modulus of 1: the same plane.
+    (A row norm would overflow from entries of about 1e154.)"""
+    return a / np.abs(a).max(axis=1, keepdims=True)
 
 
 def schubert_membership(plane: Plane, symbol: SchubertSymbol,
@@ -139,7 +165,8 @@ def schubert_membership(plane: Plane, symbol: SchubertSymbol,
     rows scaled to a largest modulus of 1 (_unit_rows), so the verdict does
     not depend on the basis scale.  A condition with w_i = m is skipped:
     there N - p = n - i - 1 columns are left, so the meet is at least i + 1
-    for every plane and flag.  Of the n conditions of cut_locus_symbol only
+    for every plane and flag, and the rows are scaled only when some
+    condition is computed.  Of the n conditions of cut_locus_symbol only
     the first is computed, and against the perp flag it is the rank of the
     plane's leading n x n block.
     """
@@ -147,14 +174,9 @@ def schubert_membership(plane: Plane, symbol: SchubertSymbol,
     if plane.basis.shape != (n, n + m):
         raise ValueError(f"plane shape {plane.basis.shape} does not match symbol ({n},{n + m})")
     order = flag_order(symbol, flag)
-    rows = _unit_rows(plane.basis)
-    for i in range(n):
-        if symbol.w[i] == m:
-            continue
-        p = symbol.w[i] + i + 1
-        if n - kernel._rank(rows[:, list(order[p:])]) < i + 1:
-            return False
-    return True
+    conditions = [(i, order[w + i + 1:]) for i, w in enumerate(symbol.w) if w < m]
+    rows = _unit_rows(plane.basis) if conditions else None
+    return all(n - kernel._rank(rows.take(cols, 1)) >= i + 1 for i, cols in conditions)
 
 
 def schubert_generic_sample(symbol: SchubertSymbol, seed=None,
@@ -200,7 +222,7 @@ def cut_locus_test(plane: Plane) -> LocusVerdict:
     if not err <= PAIRING_TOL:  # a nan raises too
         raise ConsistencyError(f"pairing {pairing:.3e} is off the cosine product by {err:.3e}")
     return LocusVerdict(in_locus=kernel.numerical_rank(cos) < plane.n,
-                        max_angle=float(np.arccos(cos).max()), pairing_abs=pairing)
+                        max_angle=float(np.arccos(cos[-1])), pairing_abs=pairing)
 
 
 def cayley_cut_check(plane: Plane) -> bool:

@@ -24,10 +24,11 @@ Records built from kept factors inherit them.  exp at B = U S V* is
 U ta(S) V* (Edelman, Arias & Smith 1998), so the SVD of the point exp0
 returns is (U sign ta(S), |ta(S)|, V), re-sorted descending, which
 SvdResult._mapped builds from the tangent's on first use; log0 and
-geodesic_chart's t B do the same with ata and t.  geodesic_group and haar_random_plane build
-orthonormal rows, which are their own frame: those planes run no SVD and no
-rank test.  Plane(basis) always validates, and chart_to_plane keeps its own
-SVD, independent of the chart point's.
+geodesic_chart's t B do the same with ata and t.  geodesic_group,
+haar_random_plane and base_plane build orthonormal rows, which are their
+own frame: those planes run no SVD and no rank test, and refuse the shapes
+Plane refuses.  Plane(basis) always validates, and chart_to_plane keeps
+its own SVD, independent of the chart point's.
 """
 
 import itertools
@@ -177,12 +178,9 @@ class Plane(kernel._FrozenRecord):
         self.__post_init__(basis)
 
     def __post_init__(self, basis):
-        basis = kernel.as_complex_matrix(basis, "basis").copy()
-        n, big_n = basis.shape
-        if not 1 <= n < big_n:
-            raise ValueError(f"need 1 <= n < N for a proper plane, got {n} x {big_n}")
+        basis = _proper(kernel.as_complex_matrix(basis, "basis").copy())
         res = kernel._svd(basis)
-        if kernel.numerical_rank(res.s) != n:
+        if kernel.numerical_rank(res.s) != len(basis):
             raise ValueError("basis rows are numerically dependent")
         self._keep(basis, res.v)
 
@@ -193,9 +191,10 @@ class Plane(kernel._FrozenRecord):
     @classmethod
     def _orthonormal(cls, rows):
         """The plane of rows the caller made orthonormal, its own frame rows*:
-        no SVD and no rank test.  The rows become the plane's own."""
+        no SVD and no rank test, only _proper's.  The rows become the plane's
+        own."""
         plane = cls.__new__(cls)
-        plane._keep(rows, rows.conj().T)
+        plane._keep(_proper(rows), rows.conj().T)
         return plane
 
     def _origin(self) -> tuple[np.ndarray, float]:
@@ -220,6 +219,14 @@ class Plane(kernel._FrozenRecord):
     @property
     def big_n(self) -> int:
         return self.basis.shape[1]
+
+
+def _proper(rows):
+    """The n x N rows of a plane; ValueError unless 1 <= n < N."""
+    n, big_n = rows.shape
+    if not 1 <= n < big_n:
+        raise ValueError(f"need 1 <= n < N for a proper plane, got {n} x {big_n}")
+    return rows
 
 
 def _descending_angles(a: np.ndarray) -> np.ndarray:
@@ -255,8 +262,10 @@ class PluckerVector(kernel._Record):
 
 
 def base_plane(n: int, m: int) -> Plane:
-    """The origin plane O spanned by the first n coordinate vectors."""
-    return Plane(np.eye(n, n + m, dtype=complex))
+    """The origin plane O spanned by the first n coordinate vectors.  Its
+    rows are orthonormal, and LAPACK's frame of them is (1_n | 0)^T bit for
+    bit, so it runs no SVD."""
+    return Plane._orthonormal(np.eye(n, n + m, dtype=complex))
 
 
 def hat_basis(point: ChartPoint) -> np.ndarray:
@@ -332,12 +341,6 @@ def cos_cayley_planes(p: Plane, q: Plane) -> float:
     return _pairing_of(p.frame.conj().T @ q.frame)
 
 
-def _unit_rows(a: np.ndarray) -> np.ndarray:
-    """Each row of a basis scaled to a largest modulus of 1: the same plane.
-    (A row norm would overflow from entries of about 1e154.)"""
-    return a / np.abs(a).max(axis=1, keepdims=True)
-
-
 def stationary_angles_w(zp: ChartPoint, z: ChartPoint) -> AngleSpectrum:
     """Stationary angles from the eigenvalues of the chart product matrix
     W = (1+ZZ*)^-1 (1+ZZp*) (1+ZpZp*)^-1 (1+ZpZ*), whose spectrum is cos^2
@@ -374,10 +377,9 @@ def stationary_angles_svd(p: Plane, q: Plane) -> AngleSpectrum:
 def _cosines_of(cross: np.ndarray, big_n: int) -> np.ndarray:
     """Cosines of the stationary angles, descending: the singular values of
     the n x n product V1* V2 of orthonormal frames of two n-planes in C^N."""
-    n = cross.shape[-1]
     cos = np.minimum(np.linalg.svd(cross, compute_uv=False), 1.0)
     # two n-planes in C^N meet in at least 2n - N dimensions
-    cos[:max(0, 2 * n - big_n)] = 1.0
+    cos[:max(0, 2 * cos.size - big_n)] = 1.0
     return cos
 
 

@@ -41,18 +41,6 @@ def _pair(rng, n, m, min_overlap=0.0):
     raise AssertionError("no usable pair sampled")
 
 
-def _tangent_with_top_sv(rng, n, m, smax, signature="compact"):
-    b = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    b *= smax / np.linalg.svd(b, compute_uv=False)[0]
-    return mf.TangentCoord(b, signature=signature)
-
-
-def _tangent_with_norm(rng, n, m, fro, signature="compact"):
-    b = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    b *= fro / np.linalg.norm(b)
-    return mf.TangentCoord(b, signature=signature)
-
-
 def _random_direction(rng, min_gap=0.0, min_entry=0.0):
     for _ in range(256):
         h = np.sort(np.abs(rng.standard_normal(2)))[::-1]
@@ -61,11 +49,6 @@ def _random_direction(rng, min_gap=0.0, min_entry=0.0):
             continue
         return loci.CartanDirection(h)
     raise AssertionError("no separated direction sampled")
-
-
-def _testable_radii(params, h, t_cap=40.0):
-    return [p for p in params if p.t <= t_cap
-            and float(np.min(mf.tan_pole_distance(p.t * h))) > 0.05]
 
 
 def test_criterion_01_normalized_overlap_is_angle_cosine_product():
@@ -118,7 +101,7 @@ def test_criterion_04_geodesics_satisfy_second_order_equation():
         for signature in ("compact", "noncompact"):
             for k in range(100):
                 n, m = [(2, 2), (2, 3), (3, 3)][k % 3]
-                tc = _tangent_with_norm(rng, n, m, 1.0, signature)
+                tc = verify._tangent(rng, n, m, 1.0, None, signature)
                 t = rng.uniform(0.1, 1.0)
                 worst = max(worst, mf.geodesic_residual(tc, t, step=1e-3))
         assert worst < 1e-4, f"worst residual {worst:.3e}"
@@ -131,7 +114,7 @@ def test_criterion_05_exponential_roundtrip_and_angles():
         for k in range(200):
             n, m = _SHAPES[k % len(_SHAPES)]
             smax = rng.uniform(0.05, np.pi / 2 - 0.11)
-            tc = _tangent_with_top_sv(rng, n, m, smax)
+            tc = verify._tangent(rng, n, m, smax, 2, "compact")
             point = mf.exp0(tc)
             worst_rt = max(worst_rt, float(np.linalg.norm(mf.log0(point).b - tc.b)))
             svals = np.sort(np.linalg.svd(tc.b, compute_uv=False))[::-1]
@@ -168,7 +151,7 @@ def test_criterion_07a_jacobian_collapses_at_every_predicted_radius():
             d = _random_direction(rng)
             tc = loci.cartan_to_tangent(d, 2, 2)
             params = loci.tangent_conjugate_params(d, 2, 2, lambda_max=2)
-            for par in _testable_radii(params, d.h):
+            for par in verify._testable_radii(params, d):
                 worst = max(worst, loci.conjugate_test_jacobian(tc, par.t).ratio)
                 tested += 1
         assert tested >= 100, f"only {tested} radii were probe-safe"
@@ -253,7 +236,7 @@ def test_criterion_08_conjugate_points_classify_by_angles():
             pair_params = [p for p in
                            loci.tangent_conjugate_params(d, 2, 2, lambda_max=1)
                            if p.family.startswith("t1")]
-            par = _testable_radii(pair_params, d.h)[0]
+            par = verify._testable_radii(pair_params, d)[0]
             verdict = loci.classify_conjugate(tc, par.t)
             assert verdict.label == "interior"
             top = verdict.angles.angles[:2]
@@ -273,7 +256,7 @@ def test_criterion_09_noncompact_jacobian_never_dips():
         rng = np.random.default_rng(1009)
         worst = np.inf
         for _ in range(100):
-            tc = _tangent_with_norm(rng, 2, 2, 0.5, "noncompact")
+            tc = verify._tangent(rng, 2, 2, 0.5, None, "noncompact")
             for t in (0.3, 0.8, 1.4, 2.0, 2.6, 3.0):
                 worst = min(worst, loci.conjugate_test_jacobian(tc, t).ratio)
         assert worst > 1e-1, f"worst ratio {worst:.4f}"

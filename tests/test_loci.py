@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -41,18 +42,36 @@ def test_v_pl_symbols():
     for args in ((2.5, 1, 2, 2), (2, 1.5, 2, 2), (2, 1, 2.0, 2), (2, 1, 2, 2.5)):
         with pytest.raises(ValueError, match="must be an integer"):
             loci.v_pl_symbol(*args)
-    for args in ((2.5, 2), (2, 2.0)):
+    for args in ((2.5, 2), (2, 2.0), (2, "3")):
         with pytest.raises(ValueError, match="must be an integer"):
             loci.cut_locus_symbol(*args)
+    for args in ((0, 2), (2, 0), (-1, 3)):
+        with pytest.raises(ValueError, match="need n >= 1 and m >= 1"):
+            loci.cut_locus_symbol(*args)
+
+
+def test_cut_locus_symbol_is_one_frozen_instance_per_shape():
+    sym = loci.cut_locus_symbol(3, 5)
+    assert sym.w == (4, 5, 5) and sym.m == 5
+    assert loci.cut_locus_symbol(np.int64(3), np.int64(5)) is sym
+    assert loci.cut_locus_symbol(5, 3) is not sym
+    for name, value in (("w", (0, 0, 0)), ("m", 6)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sym, name, value)
+    assert loci.cut_locus_symbol(3, 5).w == (4, 5, 5)
 
 
 def test_flag_orders():
     sym = loci.SchubertSymbol(w=(1, 2), m=2)
-    assert loci.flag_order(sym, "standard") == (0, 1, 2, 3)
-    assert loci.flag_order(sym, "perp") == (2, 3, 0, 1)
-    assert loci.flag_order(sym, "chart") == (2, 0, 3, 1)
-    with pytest.raises(ValueError):
-        loci.flag_order(sym, "random")
+    for _ in range(2):  # the second call reads the cached order
+        assert loci.flag_order(sym, "standard") == (0, 1, 2, 3)
+        assert loci.flag_order(sym, "perp") == (2, 3, 0, 1)
+        assert loci.flag_order(sym, "chart") == (2, 0, 3, 1)
+    # an equal symbol reads the same order
+    assert loci.flag_order(loci.SchubertSymbol(w=(1, 2), m=2), "chart") == (2, 0, 3, 1)
+    for flag in ("random", ["perp"], None):
+        with pytest.raises(ValueError, match="unknown flag"):
+            loci.flag_order(sym, flag)
 
 
 # ------------------------------------------------------------- membership
@@ -195,15 +214,16 @@ def test_planes_are_factored_once(monkeypatch):
     monkeypatch.setattr(kernel, "_svd", counted("svd", kernel._svd))
     monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
     # the origin pairing reads the frame, not the unit-row basis
-    monkeypatch.setattr(mf, "_unit_rows", counted("pairing", mf._unit_rows))
+    monkeypatch.setattr(loci, "_unit_rows", counted("pairing", loci._unit_rows))
     rng = np.random.default_rng(71)
     for n, m in ((1, 4), (3, 5), (6, 8)):
         built = verify._cut_plane(rng, n, m)
         g = rng.standard_normal((n, n + m)) + 1j * rng.standard_normal((n, n + m))
         calls.update(svd=0, qr=0, pairing=0)
         other = mf.Plane(g)
+        # the origin plane's rows are their own frame: it runs no SVD
         origin = mf.base_plane(n, m)
-        assert calls == {"svd": 2, "qr": 0, "pairing": 0}
+        assert calls == {"svd": 1, "qr": 0, "pairing": 0}
         for plane in (built, other):
             calls.update(svd=0, pairing=0)
             for _ in range(2):
@@ -213,6 +233,38 @@ def test_planes_are_factored_once(monkeypatch):
                 mf.stationary_angles_svd(built, other)
             assert calls == {"svd": 0, "qr": 0, "pairing": 0}, (n, m)
         assert loci.cut_locus_test(built).in_locus and not loci.cut_locus_test(other).in_locus
+
+
+@pytest.mark.parametrize("n, m", [(3, 5), (6, 8), (7, 9)])
+def test_cut_routes_run_three_svds_and_one_det_per_plane(n, m, monkeypatch):
+    # a plane pays for its validating SVD, the SVD of its frame's leading
+    # block (the cosines), the det of that block (the pairing) and the
+    # Schubert route's SVD of the unit-row block, and for nothing else;
+    # the cosines and pairing are kept, so repeating the routes adds none
+    calls = {"svd": 0, "det": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    rng = np.random.default_rng(29 + n)
+    bases = [verify._cut_plane(rng, n, m).basis, mf.haar_random_plane(n, m, rng).basis]
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
+    for basis, in_locus in zip(bases, (True, False)):
+        calls.update(svd=0, det=0)
+        plane = mf.Plane(basis)
+        verdict = loci.cut_locus_test(plane)
+        cayley = loci.cayley_cut_check(plane)
+        schubert = loci.schubert_membership(plane, loci.cut_locus_symbol(n, m), flag="perp")
+        assert calls == {"svd": 3, "det": 1}
+        assert verdict.in_locus == cayley == schubert == in_locus
+        calls.update(svd=0, det=0)
+        assert loci.cut_locus_test(plane) == verdict
+        assert loci.cayley_cut_check(plane) == cayley
+        assert calls == {"svd": 0, "det": 0}
 
 
 def test_one_tangent_and_one_chart_point_are_factored_once(monkeypatch):
@@ -358,7 +410,7 @@ def _membership_by_columns(plane, symbol, flag):
     """Every condition, none skipped, as n - rank_tol of the unit-row
     columns outside V_p, taken in ascending order."""
     n, big_n = plane.basis.shape
-    rows = mf._unit_rows(plane.basis)
+    rows = loci._unit_rows(plane.basis)
     order = loci.flag_order(symbol, flag)
     for i in range(n):
         outside = sorted(set(range(big_n)) - set(order[:symbol.w[i] + i + 1]))

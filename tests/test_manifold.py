@@ -214,7 +214,7 @@ def _complement_angles(zp, z):
     that are not forced to 0 when n > m."""
     def complement(point):
         rows = np.hstack([-point.z.conj().T, np.eye(point.shape[1])])
-        return mf.Plane(mf._unit_rows(rows))
+        return mf.Plane(loci._unit_rows(rows))
     return mf.stationary_angles_svd(complement(zp), complement(z)).angles
 
 
@@ -226,7 +226,7 @@ def test_chart_angle_route_holds_at_n_above_m():
     zp = mf.ChartPoint(np.array([[0.3], [0.1], [0.2]]))
     z = mf.ChartPoint(1e7 * np.array([[1.0], [1.0001], [0.9999]]))
     want = mf.stationary_angles_svd(mf.chart_to_plane(zp),
-                                    mf.Plane(mf._unit_rows(mf.hat_basis(z)))).angles
+                                    mf.Plane(loci._unit_rows(mf.hat_basis(z)))).angles
     got = mf.stationary_angles_w(zp, z).angles
     assert np.max(np.abs(got - want)) < 1e-9
     assert np.array_equal(got[1:], [0.0, 0.0])
@@ -587,6 +587,28 @@ def test_haar_line_angle_distribution_is_uniform_in_cos2():
 def test_plane_rejects_dependent_rows():
     with pytest.raises(ValueError):
         mf.Plane(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], dtype=complex))
+
+
+def test_every_plane_constructor_refuses_improper_shapes():
+    # Plane validates with an SVD; base_plane, geodesic_group and
+    # haar_random_plane keep orthonormal rows with none, and refuse the same
+    # shapes in the same words
+    for n, m in ((0, 3), (2, 0), (2, -1)):
+        for build in (lambda: mf.Plane(np.eye(n, n + m)), lambda: mf.base_plane(n, m),
+                      lambda: mf.haar_random_plane(n, m, seed=1)):
+            with pytest.raises(ValueError, match="need 1 <= n < N for a proper plane"):
+                build()
+
+
+def test_origin_plane_keeps_its_rows_as_lapacks_frame():
+    # base_plane runs no SVD: LAPACK's frame of (1_n | 0) is its rows, bit
+    # for bit, so every route reads the same numbers as before
+    for n in range(1, 9):
+        for m in range(1, 11):
+            rows = np.eye(n, n + m, dtype=complex)
+            origin = mf.base_plane(n, m)
+            assert origin.frame.tobytes() == mf.Plane(rows).frame.tobytes(), (n, m)
+            assert origin.basis.tobytes() == rows.tobytes()
 
 
 def test_plane_is_frozen():

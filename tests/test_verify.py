@@ -359,8 +359,9 @@ def test_scan_and_classify_read_one_svd_and_build_no_plane(monkeypatch):
         calls.update(svd=0, plane=0)
         loci.classify_conjugate(tc, 1.3)
         assert calls == {"svd": 1, "plane": 0}, shape
+    # the origin plane runs neither an SVD nor a Plane validation
     grassgeo.manifold.base_plane(2, 2)
-    assert calls == {"svd": 2, "plane": 1}
+    assert calls == {"svd": 1, "plane": 0}
 
 
 def _reference_radius(params, t, half_step):

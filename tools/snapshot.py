@@ -290,6 +290,13 @@ def _class_text(cls) -> str:
     return f"{cls.label} {cls.jacobian_ratio!r} {_floats(cls.angles.angles)}"
 
 
+def _rebuilt(point):
+    """The chart point rebuilt from its matrix, so log0 factors it afresh:
+    exp0's point keeps the tangent's SVD, and log0 of that point would check
+    only arctan of tan."""
+    return manifold.ChartPoint(point.z, point.signature)
+
+
 def _tangent_lines(rng) -> list[str]:
     """Geodesic and Jacobian answers on seeded tangents from 1x1 to 4x6, on
     both signatures, at a random time, at the first tan pole of the top
@@ -311,8 +318,8 @@ def _tangent_lines(rng) -> list[str]:
                 "class": lambda: _class_text(loci.classify_conjugate(tc, t)),
                 "geo-group": lambda: manifold.geodesic_group(tc, t).basis.view(np.float64),
                 "geo-chart": lambda: manifold.geodesic_chart(tc, t).z.view(np.float64),
-                "log-exp": lambda: manifold.log0(manifold.exp0(tc)).b.view(np.float64),
-                "distance": lambda: manifold.geodesic_distance0(manifold.exp0(tc)),
+                "log-exp": lambda: manifold.log0(_rebuilt(manifold.exp0(tc))).b.view(np.float64),
+                "distance": lambda: manifold.geodesic_distance0(_rebuilt(manifold.exp0(tc))),
             }
             for kind, func in answers.items():
                 lines.append(f"{kind} {k} {n}x{m} {signature} t={t!r} {_answer(func)}")
