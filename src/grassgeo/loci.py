@@ -266,9 +266,11 @@ def cartan_to_tangent(direction: CartanDirection, n: int, m: int,
 
 def _padded(direction: CartanDirection, n: int, m: int) -> np.ndarray:
     """The direction padded with zeros to length min(n, m) + 1; ValueError if
-    n or m is below 1 or the direction is longer than min(n, m).  The first
-    min(n, m) entries are the singular values of cartan_to_tangent's matrix,
-    bit for bit, and the last is the x_r = 0 that _root_table's roots read."""
+    n or m is not an integer or is below 1, or the direction is longer than
+    min(n, m).  The first min(n, m) entries are the singular values of
+    cartan_to_tangent's matrix, bit for bit, and the last is the x_r = 0 that
+    _root_table's roots read."""
+    n, m = kernel.as_index(n, "n"), kernel.as_index(m, "m")
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     r = min(n, m)
@@ -339,10 +341,16 @@ def tangent_conjugate_params(direction: CartanDirection, n: int, m: int,
     the implicit zero entries pair with the given ones.  Roots with
     |alpha(h)| below DENOM_TOL contribute nothing.
     """
-    if lambda_max < 1:
-        raise ValueError("lambda_max must be at least 1")
-    t, root, lam = _radii(direction, n, m, lambda_max)
+    t, root, lam = _radii(direction, n, m, _winding_cap(lambda_max, 1))
     return [_radius_param(n, m, tk, k, lk) for tk, k, lk in zip(t, root.tolist(), lam.tolist())]
+
+
+def _winding_cap(lambda_max, least: int) -> int:
+    """lambda_max as an int; ValueError unless it is an integer of at least least."""
+    lambda_max = kernel.as_index(lambda_max, "lambda_max")
+    if lambda_max < least:
+        raise ValueError(f"lambda_max must be at least {least}")
+    return lambda_max
 
 
 def _radii(direction: CartanDirection, n: int, m: int, lambda_max: int):
@@ -375,8 +383,7 @@ def coverage_limit(direction: CartanDirection, n: int, m: int,
     """Smallest conjugate time the winding cap misses: the first radius that
     winding lambda_max + 1 would add, on the largest root, 2 h_1 (inf below
     DENOM_TOL).  Scans past this limit run into radii absent from the list."""
-    if lambda_max < 0:
-        raise ValueError("lambda_max must be at least 0")
+    lambda_max = _winding_cap(lambda_max, 0)
     top = 2.0 * _padded(direction, n, m)[0]
     return (lambda_max + 1) * np.pi / top if top >= DENOM_TOL else np.inf
 

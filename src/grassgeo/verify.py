@@ -167,19 +167,15 @@ def _cut_plane(rng, n, m):
 
 
 def _cartan_tangent(rng, cfg, min_gap, min_entry):
-    """A unit direction with gaps > min_gap and entries > min_entry, and its tangent."""
+    """A direction with gaps > min_gap and entries > min_entry, and its tangent:
+    h_r = min_entry u_r and h_i = h_{i+1} + min_gap u_i with u ~ U(1, 2)^r, not
+    normalized, since the checks read only t h and put their thresholds on t |h|."""
     r = min(cfg.n, cfg.m)
-    for _ in range(256):
-        h = np.sort(np.abs(rng.standard_normal(r)))[::-1]
-        h /= np.linalg.norm(h)
-        if h[-1] <= min_entry:
-            continue
-        if r > 1 and float(np.min(h[:-1] - h[1:])) <= min_gap:
-            continue
-        direction = loci.CartanDirection(h)
-        return direction, loci.cartan_to_tangent(direction, cfg.n, cfg.m)
-    raise ConsistencyError(f"could not sample a separated unit direction of length r = {r}: "
-                           f"none of 256 draws had gaps > {min_gap} and entries > {min_entry}")
+    u = rng.uniform(1.0, 2.0, r)
+    steps = np.append(min_gap * u[:-1], min_entry * u[-1])
+    h = np.cumsum(steps[::-1])[::-1]
+    direction = loci.CartanDirection(h)
+    return direction, loci.cartan_to_tangent(direction, cfg.n, cfg.m)
 
 
 def _pole_clear(t, s, clearance, pole_distance):
@@ -190,7 +186,7 @@ def _pole_clear(t, s, clearance, pole_distance):
 def _pole_safe_time(rng, tc, t_max):
     """A time drawn from (0.1, t_max) where the compact chart stays
     _POLE_CLEARANCE clear of every tan pole; the first draw for the dual."""
-    svals = np.linalg.svd(tc.b, compute_uv=False)
+    svals = tc._svd().s
     pole_distance = manifold._check_signature(tc.signature).pole_distance
     for _ in range(64):
         t = rng.uniform(0.1, t_max)
@@ -200,8 +196,9 @@ def _pole_safe_time(rng, tc, t_max):
 
 
 def _testable_radii(params, direction):
-    """Conjugate times where the chart Jacobian can actually be probed."""
-    return [par for par in params if par.t <= _T_CAP and _pole_clear(
+    """Conjugate times where the chart Jacobian can be probed: t |h| <= _T_CAP, t h pole-clear."""
+    size = np.linalg.norm(direction.h)
+    return [par for par in params if par.t * size <= _T_CAP and _pole_clear(
         par.t, direction.h, _POLE_CLEARANCE, manifold.tan_pole_distance)]
 
 
@@ -330,13 +327,14 @@ def _prop_conjugate_radii(rng, cfg, tol):
 
     horizon = loci.coverage_limit(direction, cfg.n, cfg.m, LAMBDA_MAX)
     times = sorted({par.t for par in params if par.t <= horizon})
+    size = np.linalg.norm(direction.h)
     for ta, tb in zip(times, times[1:]):
         width = tb - ta
         mid = 0.5 * (ta + tb)
         # between a near-pole radius and a close neighbor the ratio dips for
-        # an honest reason: sec^2 growth meets an adjacent zero.  Only gaps
-        # wide enough and pole-clear enough make a fair no-collapse check.
-        if width < 0.5:
+        # an honest reason: sec^2 growth meets an adjacent zero.  Only gaps wide
+        # enough in t |h| and pole-clear enough make a fair no-collapse check.
+        if width * size < 0.5:
             continue
         if not _pole_clear(mid, direction.h, 0.15, manifold.tan_pole_distance):
             continue
@@ -449,15 +447,16 @@ def scan_conjugate(direction: loci.CartanDirection, t_range: tuple[float, float]
     an empty ratio.  The whole grid is evaluated as stacks through the code
     behind classify_conjugate, on the singular values of the direction's
     tangent, which are its entries padded with zeros, with no SVD.
-    ValueError, before any stacked call: lambda_max below 1, for either
-    signature, a direction longer than min(n, m), and a grid reaching so far
-    that manifold._resolvable_times refuses t1.
+    ValueError, before any stacked call: a steps, n, m or lambda_max that is
+    not an integer, lambda_max below 1, for either signature, a direction
+    longer than min(n, m), and a grid reaching so far that
+    manifold._resolvable_times refuses t1.
     """
     t0, t1 = float(t_range[0]), float(t_range[1])
+    steps = kernel.as_index(steps, "steps")
     if not (steps >= 2 and np.isfinite(t1) and t1 > t0 > 0.0):
         raise ValueError("need steps >= 2 and finite 0 < t0 < t1")
-    if lambda_max < 1:
-        raise ValueError("lambda_max must be at least 1")
+    lambda_max = loci._winding_cap(lambda_max, 1)
     manifold._resolvable_times(t1, direction.h[0])
     s = loci._padded(direction, n, m)[:-1]
     sig = manifold._check_signature(signature)

@@ -607,6 +607,28 @@ def test_coverage_limit_is_the_first_radius_of_the_next_winding(n, m):
         loci.coverage_limit(direction, n, m, -1)
 
 
+def test_radius_routes_refuse_non_integer_shapes_and_windings():
+    # a float winding cap gave float windings and a coverage limit at 3.5 pi
+    # / 1.6; a float steps, n or m died of a TypeError deep in numpy
+    d = loci.CartanDirection(np.array([0.8, 0.6]))
+    calls = {
+        "lambda_max": [lambda: loci.tangent_conjugate_params(d, 2, 2, lambda_max=2.5),
+                       lambda: loci.coverage_limit(d, 2, 2, 2.5),
+                       lambda: verify.scan_conjugate(d, (1.0, 2.0), 5, 2, 2, lambda_max=1.5)],
+        "steps": [lambda: verify.scan_conjugate(d, (1.0, 2.0), 2.5, 2, 2)],
+        "n": [lambda: loci.cartan_to_tangent(d, 2.5, 3),
+              lambda: loci.tangent_conjugate_params(d, 2.0, 2)],
+        "m": [lambda: loci.coverage_limit(d, 2, 3.0)],
+    }
+    for name, funcs in calls.items():
+        for func in funcs:
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                func()
+    params = loci.tangent_conjugate_params(d, np.int64(2), np.int32(2), lambda_max=np.int8(2))
+    assert [p.lam for p in params] == [p.lam for p in loci.tangent_conjugate_params(d, 2, 2)]
+    assert all(type(p.lam) is int for p in params)
+
+
 def _reference_radii(direction, n, m, lambda_max):
     """The radius rule of tangent_conjugate_params, written out: on h padded
     with zeros to r = min(n, m), per a the pairs over a < b < r, h_a + h_b

@@ -45,15 +45,29 @@ def test_suite_config_validation():
         assert verify.SuiteConfig(seed=seed).seed == seed
 
 
-def test_unseparable_direction_is_reported_with_its_bounds():
-    # no unit vector of length 5 has gaps above 0.15 and entries above 0.2,
-    # so conjugate-class-angles fails on its first trial and says why
-    report = verify.run_suite(verify.SuiteConfig(seed=1, trials=1, n=5, m=5))
-    by_name = {r.name: r for r in report.results}
-    assert not by_name["conjugate-class-angles"].passed
-    assert by_name["conjugate-class-angles"].detail == (
-        "trial 0: ConsistencyError: could not sample a separated unit direction of length "
-        "r = 5: none of 256 draws had gaps > 0.15 and entries > 0.2")
+@pytest.mark.parametrize("min_gap, min_entry", [(0.05, 0.1), (0.15, 0.2)])
+def test_cartan_tangent_meets_its_bounds_at_every_length(min_gap, min_entry):
+    # every draw meets the bounds at every r, also at r >= 5, where no unit
+    # vector meets the (0.15, 0.2) pair; equal streams give equal directions
+    for r in range(1, 9):
+        cfg = verify.SuiteConfig(n=r, m=r + 2)
+        for trial in range(1000):
+            direction, tc = verify._cartan_tangent(verify._trial_rng(3, trial, r), cfg,
+                                                   min_gap, min_entry)
+            h = direction.h
+            assert h.size == r and h[-1] > min_entry
+            assert np.all(h[:-1] - h[1:] > min_gap)
+        assert np.array_equal(tc.b[np.diag_indices(r)], h)
+        again, _ = verify._cartan_tangent(verify._trial_rng(3, trial, r), cfg, min_gap, min_entry)
+        assert np.array_equal(again.h, h)
+
+
+@pytest.mark.parametrize("n, m", [(4, 6), (5, 5), (6, 8), (7, 9), (8, 3), (8, 10)])
+def test_suite_passes_at_the_larger_shapes(n, m):
+    # r = 3 to 8, n > m at 8x3: from r = 4 on few unit vectors, and from
+    # r = 5 none, are as separated as conjugate-class-angles needs
+    report = verify.run_suite(verify.SuiteConfig(seed=1, trials=2, n=n, m=m))
+    assert report.passed, verify.report_json(report, include_timing=False)
 
 
 def test_required_property_names_are_frozen():

@@ -79,8 +79,9 @@ CASES = (
     # r = 1: no pair radius, a one-entry direction; and n < m as in the benchmark
     ("verify-0-20-1x1", _verify(0, 20, 1, 1), 0),
     ("verify-42-20-3x5", _verify(42, 20, 3, 5), 0),
-    # no unit vector of length 5 is separated enough for conjugate-class-angles
-    ("verify-1-1-5x5", _verify(1, 1, 5, 5), 1),
+    # r = 5 and r = 8: the conjugate properties build their separated directions
+    ("verify-1-1-5x5", _verify(1, 1, 5, 5), 0),
+    ("verify-1-1-8x10", _verify(1, 1, 8, 10), 0),
     # outside the Philox key range
     ("verify-seed-negative", _verify(-1, 1, 2, 2), 2),
     ("cut-test-in-locus", ["cut-test", _mat([[1, 0, 0.3, 0.1j], [0, 0, 1.0, 0.5]])], 0),
