@@ -44,14 +44,10 @@ def _parse_matrix(text: str, n: int | None, m: int | None) -> np.ndarray:
     try:
         if len(data) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
-        flat = np.array([complex(re, im) for re, im in data])
-        mat = flat.reshape(rows, cols)
+        return np.array([complex(re, im) for re, im in data]).reshape(rows, cols)
     except TypeError as exc:
         # wrongly typed JSON values (strings, nulls, nested lists) are bad input
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
-    if mat.size == 0:
-        raise ValueError(f"matrix must have at least one row and one column, got {mat.shape}")
-    return mat
 
 
 def _matrix_json(a: np.ndarray) -> dict:
@@ -100,9 +96,8 @@ def _cmd_overlap(args) -> int:
 def _cmd_dist(args) -> int:
     point = _chart(args, args.z)
     out = {"geodesic": manifold.geodesic_distance0(point)}
-    if manifold._check_signature(point.signature).compact:
-        origin = manifold.ChartPoint(z=np.zeros(point.shape))
-        out["cayley"] = manifold.cayley_distance(point, origin)
+    if point._sig.compact:
+        out["cayley"] = manifold.cayley_distance(point, manifold.ChartPoint(np.zeros(point.shape)))
     _emit(out)
     return 0
 
@@ -133,8 +128,7 @@ def _cmd_plucker(args) -> int:
 def _cmd_cut_test(args) -> int:
     plane = _plane(args, args.plane)
     verdict = loci.cut_locus_test(plane)
-    n, big_n = plane.basis.shape
-    symbol = loci.cut_locus_symbol(n, big_n - n)
+    symbol = loci.cut_locus_symbol(plane.n, plane.big_n - plane.n)
     _emit({
         "in_locus": verdict.in_locus,
         "max_angle": verdict.max_angle,

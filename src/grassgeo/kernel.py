@@ -158,8 +158,8 @@ def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x, step: float = 1e-4) ->
     x + step e_j, row d + j is x - step e_j), and returns a row per point.
     """
     x0 = np.asarray(x, dtype=float).ravel()
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < np.inf:  # a nan fails too
+        raise ValueError("step must be positive and finite")
     d = x0.size
     points = np.tile(x0, (2 * d, 1))
     diag = np.arange(d)

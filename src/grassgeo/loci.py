@@ -28,7 +28,9 @@ multiplicities.  classify_conjugate and the scanner read their ratio from
 it, and their angles from the Cartan closed form in t h.  A
 finite-difference Jacobian of the exponential (conjugate_test_jacobian)
 measures the same spectrum independently and is the route the verify
-suite checks it against.
+suite checks it against.  Shapes pass manifold._shape, routes read the
+signature record their tangent keeps, and of the routes along a geodesic
+only jacobian_spectrum and the scan take an array of times.
 """
 from __future__ import annotations
 
@@ -38,8 +40,8 @@ import numpy as np
 
 from . import kernel
 from .errors import ChartEscapeError, ConsistencyError, DomainError
-from .manifold import (ANGLE_TOL, AngleSpectrum, Plane, TangentCoord, _check_signature,
-                       _descending_angles, _exp0_stack, _resolvable_times, _rng)
+from .manifold import (ANGLE_TOL, AngleSpectrum, Plane, TangentCoord, _descending_angles,
+                       _exp0_values, _resolvable_times, _rng, _shape)
 
 CONJUGATE_TOL = 1e-3
 PAIRING_TOL = 1e-12
@@ -95,12 +97,9 @@ def v_pl_symbol(p: int, l: int, n: int, m: int) -> SchubertSymbol:
 def cut_locus_symbol(n: int, m: int) -> SchubertSymbol:
     """Symbol of the cut locus of the origin: (m-1, m, ..., m) against the
     flag that starts with the orthogonal complement of the origin plane.
-    One frozen instance per shape, built on first use.  ValueError for an
-    argument that is not an integer, or an n or m below 1."""
-    n, m = kernel.as_index(n, "n"), kernel.as_index(m, "m")
-    if n < 1 or m < 1:
-        raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    return _cut_symbol(n, m)
+    One frozen instance per shape, built on first use.  ValueError for a
+    shape that manifold._shape refuses."""
+    return _cut_symbol(*_shape(n, m))
 
 
 @functools.cache
@@ -265,15 +264,11 @@ def cartan_to_tangent(direction: CartanDirection, n: int, m: int,
 
 
 def _padded(direction: CartanDirection, n: int, m: int) -> np.ndarray:
-    """The direction padded with zeros to length min(n, m) + 1; ValueError if
-    n or m is not an integer or is below 1, or the direction is longer than
-    min(n, m).  The first min(n, m) entries are the singular values of
-    cartan_to_tangent's matrix, bit for bit, and the last is the x_r = 0 that
-    _root_table's roots read."""
-    n, m = kernel.as_index(n, "n"), kernel.as_index(m, "m")
-    if n < 1 or m < 1:
-        raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    r = min(n, m)
+    """The direction padded with zeros to length min(n, m) + 1: the singular
+    values of cartan_to_tangent's matrix, bit for bit, then the x_r = 0 that
+    _root_table's roots read.  ValueError for a shape that manifold._shape
+    refuses, or a direction longer than min(n, m)."""
+    r = min(_shape(n, m))
     if direction.r > r:
         raise ValueError(f"direction has {direction.r} entries but rank is {r}")
     return np.concatenate([direction.h, np.zeros(r + 1 - direction.r)])
@@ -419,20 +414,19 @@ def _probe_clear(st: np.ndarray, step, sig) -> np.ndarray:
 def _fd_spectrum(tangent: TangentCoord, t: float) -> np.ndarray:
     """Descending singular values of the central-difference Jacobian of the
     chart map at t B, with _probe_clear's guard: ChartEscapeError near a tan
-    pole, DomainError where a noncompact tanh saturates.  The time guard
-    reads the largest singular value of B, as geodesic_group's does."""
-    s = tangent._svd().s
-    ts = _resolvable_times(t, s[0])
-    bt = ts * tangent.b
+    pole, DomainError where a noncompact tanh saturates.  It takes one time,
+    through tangent._at, as geodesic_group does."""
+    res, t = tangent._at(t)
+    bt = t * tangent.b
     step = float(_stencil_step(np.linalg.norm(bt)))
-    if not _probe_clear(ts * s[None], step, _check_signature(tangent.signature))[0]:
+    if not _probe_clear(t * res.s[None], step, tangent._sig)[0]:
         raise ChartEscapeError("evaluation point too close to a tan pole for finite differences")
     n, m = tangent.shape
 
     def chart_map(x: np.ndarray) -> np.ndarray:
         # rows of interleaved (re, im) coordinates are (k, n, m) complex stacks
-        b = np.ascontiguousarray(x).view(np.complex128).reshape(-1, n, m)
-        z = _exp0_stack(kernel.svd(b), tangent.signature)
+        stack = kernel.svd(np.ascontiguousarray(x).view(np.complex128).reshape(-1, n, m))
+        z = stack.apply(_exp0_values(stack, tangent._sig))
         return z.reshape(len(x), -1).view(np.float64)
 
     jac = kernel.fd_jacobian(chart_map, kernel.realvec(bt), step=step)
@@ -451,9 +445,9 @@ def conjugate_test_jacobian(tangent: TangentCoord, t: float) -> JacobianProbe:
     above it are flagged indeterminate so callers can re-probe at a nudged
     time.  Compact evaluation closer to a tan pole than the difference
     stencil can resolve raises ChartEscapeError; noncompact evaluation whose
-    stencil reaches a saturated tanh raises DomainError.  Times that
-    _resolvable_times refuses raise ValueError.  This is the independent
-    route to jacobian_spectrum's closed form.
+    stencil reaches a saturated tanh raises DomainError.  An array of times,
+    or a time that _resolvable_times refuses, raises ValueError.  This is the
+    independent route to jacobian_spectrum's closed form.
     """
     svs = _fd_spectrum(tangent, t)
     ratio = float(svs[-1] / svs[0])
@@ -506,7 +500,7 @@ def jacobian_spectrum(tangent: TangentCoord, t) -> np.ndarray:
     n, m = tangent.shape
     s = tangent._svd().s
     ts = _resolvable_times(t, s[0])
-    vals = _spectrum_stack(ts.reshape(-1, 1) * s, _check_signature(tangent.signature), n, m)
+    vals = _spectrum_stack(ts.reshape(-1, 1) * s, tangent._sig, n, m)
     vals = np.repeat(vals, _root_table(n, m)[-1], axis=-1)  # by multiplicity
     return -np.sort(-vals, axis=-1).reshape(ts.shape + (-1,))
 
@@ -549,12 +543,10 @@ def classify_conjugate(tangent: TangentCoord, t: float) -> ConjugateClass:
     attached, or nan within 10 stencil steps of a tan pole, where the
     finite-difference route cannot read it.  This is the stacked scan path
     on a stack of one; stationary_angles_svd of geodesic_group checks it.
-    ValueError where _resolvable_times refuses t, as the scan refuses its
-    grid.
+    ValueError for an array of times, or a t that _resolvable_times refuses,
+    as the scan refuses its grid.
     """
-    s = tangent._svd().s
-    ts = _resolvable_times(t, s[0]).reshape(1)
-    labels, angles, ratios = _classify_stack(*tangent.shape, _check_signature(tangent.signature),
-                                             s, ts)
+    res, t = tangent._at(t)
+    labels, angles, ratios = _classify_stack(*tangent.shape, tangent._sig, res.s, t.reshape(1))
     return ConjugateClass(label=str(labels[0]), angles=AngleSpectrum(angles[0]),
                           jacobian_ratio=float(ratios[0]))

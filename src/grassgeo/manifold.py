@@ -20,15 +20,19 @@ Records are frozen, own read-only copies of their arrays, checked once when
 built, and keep what their routes factor: the SVD of a chart point's or
 tangent's matrix, and a plane's cosines and pairing against O.
 
+Each input is checked once, where it enters: a shape (n, m) by _shape, a
+record's signature tag when it is built (routes read the _Signature record
+it keeps), and a route's one time along a geodesic by _Factored._at.
+
 Records built from kept factors inherit them.  exp at B = U S V* is
 U ta(S) V* (Edelman, Arias & Smith 1998), so the SVD of the point exp0
 returns is (U sign ta(S), |ta(S)|, V), re-sorted descending, which
 SvdResult._mapped builds from the tangent's on first use; log0 and
 geodesic_chart's t B do the same with ata and t.  geodesic_group,
-haar_random_plane and base_plane build orthonormal rows, which are their
-own frame: those planes run no SVD and no rank test, and refuse the shapes
-Plane refuses.  Plane(basis) always validates, and chart_to_plane keeps
-its own SVD, independent of the chart point's.
+haar_random_plane and base_plane build orthonormal rows from a checked
+shape, which are their own frame: those planes run no SVD and no rank
+test.  Plane(basis) always validates, an n x N basis with 1 <= n < N, and
+chart_to_plane keeps its own SVD, independent of the chart point's.
 """
 
 import itertools
@@ -57,32 +61,32 @@ def tan_pole_distance(s: np.ndarray) -> np.ndarray:
 
 
 class _Signature:
-    """What a signature selects (Helgason, Ch. V): the eps of 1 + eps Z Z*, the
-    chart's spectral function ta and its inverse ata, the sn/cs pair of the
-    Jacobian spectrum, geodesic_group's (co, si), the fold of t s to its
-    angle, the tan pole distance, and whether ta saturates to the boundary: a
-    plain slotted class, built in microseconds, read twice as fast as a tuple."""
+    """A signature's name and what it selects (Helgason, Ch. V): eps in
+    1 + eps Z Z*, the chart function ta and its inverse ata, the Jacobian's
+    sn/cs pair, geodesic_group's (co, si), the fold of t s to its angle, the
+    tan pole distance, and whether ta saturates to the boundary: a plain
+    slotted class, built in microseconds, read twice as fast as a tuple."""
 
-    __slots__ = ("compact", "eps", "ta", "ata", "sn", "cs", "group", "fold",
+    __slots__ = ("name", "compact", "eps", "ta", "ata", "sn", "cs", "group", "fold",
                  "pole_distance", "saturates")
 
-    def __init__(self, compact: bool, eps: float, ta: Callable, ata: Callable, sn: Callable,
-                 cs: Callable, group: Callable, fold: Callable, pole_distance: Callable,
-                 saturates: Callable):
-        self.compact, self.eps, self.ta, self.ata, self.sn = compact, eps, ta, ata, sn
-        self.cs, self.group, self.fold = cs, group, fold
+    def __init__(self, name: str, compact: bool, eps: float, ta: Callable, ata: Callable,
+                 sn: Callable, cs: Callable, group: Callable, fold: Callable,
+                 pole_distance: Callable, saturates: Callable):
+        self.name, self.compact, self.eps, self.ta, self.ata = name, compact, eps, ta, ata
+        self.sn, self.cs, self.group, self.fold = sn, cs, group, fold
         self.pole_distance, self.saturates = pole_distance, saturates
 
 
 _SIGNATURES = {
     "compact": _Signature(
-        True, 1.0, np.tan, np.arctan, np.sin, np.cos, lambda st: (np.cos(st), np.sin(st)),
-        lambda st: np.pi / 2 - tan_pole_distance(st), tan_pole_distance,
-        lambda s: np.False_),
+        "compact", True, 1.0, np.tan, np.arctan, np.sin, np.cos,
+        lambda st: (np.cos(st), np.sin(st)), lambda st: np.pi / 2 - tan_pole_distance(st),
+        tan_pole_distance, lambda s: np.False_),
     # tanh has no poles; where it rounds to 1 or to the last double below it,
     # a chart image cannot be told from the boundary of the bounded domain
     "noncompact": _Signature(
-        False, -1.0, np.tanh, np.arctanh, np.sinh, np.cosh,
+        "noncompact", False, -1.0, np.tanh, np.arctanh, np.sinh, np.cosh,
         lambda st: np.stack([np.ones_like(st), np.tanh(st)]) / np.hypot(1.0, np.tanh(st)),
         lambda st: np.arctan(np.tanh(st)),
         lambda s: np.full(np.shape(s), np.inf),
@@ -97,31 +101,46 @@ def _check_signature(signature: str) -> _Signature:
     raise ValueError(f"signature must be 'compact' or 'noncompact', got {signature!r}")
 
 
-class _Factored(kernel._FrozenRecord):
-    """One n x m matrix, read-only, and a signature, frozen.  The record keeps
-    the SVD of its matrix from first use: factored by _svd, or, for a record
-    _inherit built from another's SVD res, res._mapped(vals), with no new
-    factorization."""
+def _shape(n, m) -> tuple[int, int]:
+    """The shape (n, m) of Gr(n, n+m) as ints, by kernel.as_index; ValueError
+    unless both are at least 1."""
+    n, m = kernel.as_index(n, "n"), kernel.as_index(m, "m")
+    if n < 1 or m < 1:
+        raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    return n, m
 
-    __slots__ = ("_matrix", "signature", "_factors", "_source")
+
+class _Factored(kernel._FrozenRecord):
+    """One n x m matrix, read-only, and the _Signature record of its tag,
+    frozen.  The record keeps the SVD of its matrix from first use: factored
+    by _svd, or, for a record _inherit built from another's SVD res,
+    res._mapped(vals), with no new factorization."""
+
+    __slots__ = ("_matrix", "_sig", "_factors", "_source")
+    signature = property(operator.attrgetter("_sig.name"))
+
+    def __init__(self, matrix, signature):
+        """Check the matrix, its shape and the signature tag, and own a copy."""
+        matrix = kernel.as_complex_matrix(matrix, self._fields[0]).copy()
+        _shape(*matrix.shape)
+        self._own(matrix, _check_signature(signature), None)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self._matrix.shape
 
-    def _own(self, matrix, signature, source) -> None:
-        """Set the fields once: the matrix read-only, the signature checked,
+    def _own(self, matrix, sig, source) -> None:
+        """Set the fields once: the matrix read-only, the signature record,
         and the (function, argument) that builds the SVD on first use, or
         None to factor the matrix."""
-        _check_signature(signature)
         matrix.flags.writeable = False
-        self._set(_matrix=matrix, signature=signature, _factors=None, _source=source)
+        self._set(_matrix=matrix, _sig=sig, _factors=None, _source=source)
 
     @classmethod
-    def _inherit(cls, res, vals, signature):
+    def _inherit(cls, res, vals, sig):
         """The record of res.apply(vals), a spectral function of res's matrix."""
         record = cls.__new__(cls)
-        record._own(res.apply(vals), signature, (res._mapped, vals))
+        record._own(res.apply(vals), sig, (res._mapped, vals))
         return record
 
     def _svd(self) -> kernel.SvdResult:
@@ -129,6 +148,14 @@ class _Factored(kernel._FrozenRecord):
             build, arg = self._source or (kernel._svd, self._matrix)
             self._set(_factors=build(arg), _source=None)
         return self._factors
+
+    def _at(self, t) -> tuple[kernel.SvdResult, np.ndarray]:
+        """The kept SVD and t, one time that _resolvable_times accepts, as a 0-d array."""
+        res = self._svd()
+        ts = _resolvable_times(t, res.s[0])
+        if ts.ndim:
+            raise ValueError(f"t must be a single time, got an array of shape {ts.shape}")
+        return res, ts
 
 
 class ChartPoint(_Factored):
@@ -143,11 +170,10 @@ class ChartPoint(_Factored):
     z = property(operator.attrgetter("_matrix"))
 
     def __init__(self, z: np.ndarray, signature: Signature = "compact"):
-        self._own(kernel.as_complex_matrix(z, "z").copy(), signature, None)
-        smax = 0.0 if _SIGNATURES[signature].compact or not self.z.size else self._svd().s[0]
-        if smax >= 1.0:
-            raise DomainError(
-                f"noncompact chart requires all singular values below 1, got {smax:.6f}")
+        _Factored.__init__(self, z, signature)
+        if not self._sig.compact and self._svd().s[0] >= 1.0:
+            raise DomainError("noncompact chart requires all singular values below 1, "
+                              f"got {self._svd().s[0]:.6f}")
 
 
 class TangentCoord(_Factored):
@@ -158,7 +184,7 @@ class TangentCoord(_Factored):
     b = property(operator.attrgetter("_matrix"))
 
     def __init__(self, b: np.ndarray, signature: Signature = "compact"):
-        self._own(kernel.as_complex_matrix(b, "b").copy(), signature, None)
+        _Factored.__init__(self, b, signature)
 
 
 class Plane(kernel._FrozenRecord):
@@ -178,9 +204,12 @@ class Plane(kernel._FrozenRecord):
         self.__post_init__(basis)
 
     def __post_init__(self, basis):
-        basis = _proper(kernel.as_complex_matrix(basis, "basis").copy())
+        basis = kernel.as_complex_matrix(basis, "basis").copy()
+        n, big_n = basis.shape
+        if not 1 <= n < big_n:
+            raise ValueError(f"need 1 <= n < N for a proper plane, got {n} x {big_n}")
         res = kernel._svd(basis)
-        if kernel.numerical_rank(res.s) != len(basis):
+        if kernel.numerical_rank(res.s) != n:
             raise ValueError("basis rows are numerically dependent")
         self._keep(basis, res.v)
 
@@ -190,11 +219,11 @@ class Plane(kernel._FrozenRecord):
 
     @classmethod
     def _orthonormal(cls, rows):
-        """The plane of rows the caller made orthonormal, its own frame rows*:
-        no SVD and no rank test, only _proper's.  The rows become the plane's
-        own."""
+        """The plane of n x (n + m) rows the caller made orthonormal, from a
+        checked shape, its own frame rows*: no SVD and no rank test.  The
+        rows become the plane's own."""
         plane = cls.__new__(cls)
-        plane._keep(_proper(rows), rows.conj().T)
+        plane._keep(rows, rows.conj().T)
         return plane
 
     def _origin(self) -> tuple[np.ndarray, float]:
@@ -219,14 +248,6 @@ class Plane(kernel._FrozenRecord):
     @property
     def big_n(self) -> int:
         return self.basis.shape[1]
-
-
-def _proper(rows):
-    """The n x N rows of a plane; ValueError unless 1 <= n < N."""
-    n, big_n = rows.shape
-    if not 1 <= n < big_n:
-        raise ValueError(f"need 1 <= n < N for a proper plane, got {n} x {big_n}")
-    return rows
 
 
 def _descending_angles(a: np.ndarray) -> np.ndarray:
@@ -265,6 +286,7 @@ def base_plane(n: int, m: int) -> Plane:
     """The origin plane O spanned by the first n coordinate vectors.  Its
     rows are orthonormal, and LAPACK's frame of them is (1_n | 0)^T bit for
     bit, so it runs no SVD."""
+    n, m = _shape(n, m)
     return Plane._orthonormal(np.eye(n, n + m, dtype=complex))
 
 
@@ -296,7 +318,7 @@ def _chart_solve(rows: np.ndarray) -> np.ndarray:
 def _check_pair(zp: ChartPoint, z: ChartPoint) -> None:
     if zp.shape != z.shape:
         raise ValueError(f"shape mismatch: {zp.shape} vs {z.shape}")
-    if zp.signature != z.signature:
+    if zp._sig is not z._sig:
         raise ValueError(f"signature mismatch: {zp.signature} vs {z.signature}")
 
 
@@ -312,7 +334,7 @@ def overlap(zp: ChartPoint, z: ChartPoint) -> complex:
     det(1 + eps Z Zp*), the Gram determinant det((zp_i, z_j)) of their hat
     bases.  DomainError where the product or its determinant overflows."""
     _check_pair(zp, z)
-    eps = _check_signature(z.signature).eps
+    eps = z._sig.eps
     with _fp_guard("the chart products"):
         return complex(np.linalg.det(np.eye(z.shape[0]) + eps * (z.z @ zp.z.conj().T)))
 
@@ -321,7 +343,7 @@ def cos_cayley(zp: ChartPoint, z: ChartPoint) -> float:
     """Normalized overlap in [0, 1] of compact chart points: cos_cayley_planes
     on the SVD frames of their hat bases, with no Plane, so no rank rule."""
     _check_pair(zp, z)
-    if not _check_signature(z.signature).compact:
+    if not z._sig.compact:
         raise DomainError(
             "the Cayley distance comes from the projective embedding of the "
             "compact space; the noncompact normalized overlap is not a cosine")
@@ -406,19 +428,13 @@ def exp0(tangent: TangentCoord) -> ChartPoint:
     The point inherits (U sign ta(S), |ta(S)|, V) as its SVD.
     """
     res = tangent._svd()
-    return ChartPoint._inherit(res, _exp0_values(res, tangent.signature), tangent.signature)
+    return ChartPoint._inherit(res, _exp0_values(res, tangent._sig), tangent._sig)
 
 
-def _exp0_stack(res: kernel.SvdResult, signature: Signature) -> np.ndarray:
-    """exp0, U ta(S) V*, from the SVD of a tangent or a (k, n, m) stack."""
-    return res.apply(_exp0_values(res, signature))
-
-
-def _exp0_values(res: kernel.SvdResult, signature: Signature) -> np.ndarray:
-    """ta(S) for exp0: ChartEscapeError within 1e-9 of a tan pole or where a
-    tanh saturates."""
-    sig = _check_signature(signature)
-    if res.s.size and float(sig.pole_distance(res.s).min()) < POLE_TOL:
+def _exp0_values(res: kernel.SvdResult, sig: _Signature) -> np.ndarray:
+    """ta(S) for exp0 from the SVD of a tangent or a (k, n, m) stack:
+    ChartEscapeError within 1e-9 of a tan pole or where a tanh saturates."""
+    if float(sig.pole_distance(res.s).min()) < POLE_TOL:
         raise ChartEscapeError("geodesic meets the polar divisor (tan pole); use "
                                "geodesic_group (--route group)")
     if sig.saturates(res.s).any():
@@ -433,8 +449,7 @@ def log0(point: ChartPoint) -> TangentCoord:
     """Inverse of exp0 on the chart: arctan / artanh of the singular values.
     The tangent inherits (U, ata(S), V) as its SVD."""
     res = point._svd()
-    return TangentCoord._inherit(res, _check_signature(point.signature).ata(res.s),
-                                 point.signature)
+    return TangentCoord._inherit(res, point._sig.ata(res.s), point._sig)
 
 
 def _resolvable_times(t, scale: float) -> np.ndarray:
@@ -461,9 +476,8 @@ def _resolvable_times(t, scale: float) -> np.ndarray:
 def geodesic_chart(tangent: TangentCoord, t: float) -> ChartPoint:
     """Geodesic through the origin with initial velocity B, in the chart:
     exp0 of t B, which inherits the tangent's SVD with its values scaled by t."""
-    res = tangent._svd()
-    ts = _resolvable_times(t, res.s[0])
-    return exp0(TangentCoord._inherit(res, ts * res.s, tangent.signature))
+    res, t = tangent._at(t)
+    return exp0(TangentCoord._inherit(res, t * res.s, tangent._sig))
 
 
 def geodesic_group(tangent: TangentCoord, t: float) -> Plane:
@@ -476,8 +490,8 @@ def geodesic_group(tangent: TangentCoord, t: float) -> Plane:
     are numerically dependent.  The rows are orthonormal on both signatures,
     so the plane keeps them as its frame, with no SVD.
     """
-    res = tangent._svd()
-    co, si = _check_signature(tangent.signature).group(_resolvable_times(t, res.s[0]) * res.s)
+    res, t = tangent._at(t)
+    co, si = tangent._sig.group(t * res.s)
     n = res.u.shape[0]
     # cos(t sqrt(BB*)) = 1_n + U (co - 1) U*: the orthogonal complement of the
     # column space of B carries co(0) = 1
@@ -489,14 +503,14 @@ def geodesic_residual(tangent: TangentCoord, t: float, step: float = 1e-3) -> fl
     """Frobenius norm of the second-order geodesic equation residual
     Zdd - 2 eps Zd Z* (1 + eps Z Z*)^-1 Zd at time t, with derivatives by
     central differences of half-width step."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < np.inf:  # a nan fails too
+        raise ValueError("step must be positive and finite")
     zm = geodesic_chart(tangent, t - step).z
     z0 = geodesic_chart(tangent, t).z
     zp = geodesic_chart(tangent, t + step).z
     zdd = (zp - 2.0 * z0 + zm) / step**2
     zd = (zp - zm) / (2.0 * step)
-    eps = _check_signature(tangent.signature).eps
+    eps = tangent._sig.eps
     n = z0.shape[0]
     core = np.linalg.solve(np.eye(n) + eps * (z0 @ z0.conj().T), zd)
     return float(np.linalg.norm(zdd - 2.0 * eps * (zd @ z0.conj().T) @ core))
@@ -530,10 +544,10 @@ def plucker_pairing(a: PluckerVector, b: PluckerVector) -> complex:
 
 
 def _rng(seed) -> "np.random.Generator":
-    """The generator, or a new one; ValueError naming a negative seed."""
+    """The generator, or a new one from None or an integer seed >= 0; else ValueError."""
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, (int, np.integer)) and seed < 0:
+    if seed is not None and kernel.as_index(seed, "seed") < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return np.random.default_rng(seed)
 
@@ -548,6 +562,7 @@ def haar_random_plane(n: int, m: int, seed=None) -> Plane:
     """Uniformly random n-plane in C^(n+m): orthonormalized complex Gaussian.
     The QR rows are orthonormal, so the plane keeps them as its frame, with
     no SVD."""
+    n, m = _shape(n, m)
     g = _complex_gaussian(_rng(seed), n, n + m)
     q, _ = np.linalg.qr(g.T / np.sqrt(2.0))
     return Plane._orthonormal(q.T.copy())
@@ -558,6 +573,7 @@ def haar_random_chart(n: int, m: int, seed=None) -> ChartPoint:
     the Gaussian rows G that haar_random_plane draws and orthonormalizes,
     with the same generator calls and plane_to_chart's solve and chart test.
     A draw outside the chart is drawn again; NumericalFailure after 64."""
+    n, m = _shape(n, m)
     rng = _rng(seed)
     for _ in range(64):
         try:

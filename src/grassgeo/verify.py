@@ -187,10 +187,9 @@ def _pole_safe_time(rng, tc, t_max):
     """A time drawn from (0.1, t_max) where the compact chart stays
     _POLE_CLEARANCE clear of every tan pole; the first draw for the dual."""
     svals = tc._svd().s
-    pole_distance = manifold._check_signature(tc.signature).pole_distance
     for _ in range(64):
         t = rng.uniform(0.1, t_max)
-        if _pole_clear(t, svals, _POLE_CLEARANCE, pole_distance):
+        if _pole_clear(t, svals, _POLE_CLEARANCE, tc._sig.pole_distance):
             return t
     raise ConsistencyError("no pole-safe time found")
 

@@ -130,6 +130,16 @@ def test_fd_jacobian_evaluates_the_stencil_in_one_call():
         kernel.fd_jacobian(f, x0, step=0.0)
 
 
+def test_difference_steps_must_be_positive_and_finite():
+    tc = mf.TangentCoord(np.array([[0.5, 0.2j], [0.1, 0.3]]))
+    for step in (0.0, -1e-3, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            kernel.fd_jacobian(np.sin, np.array([0.3, -0.7]), step=step)
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            mf.geodesic_residual(tc, 0.5, step=step)
+    assert mf.geodesic_residual(tc, 0.5, step=1e-3) < 1e-4
+
+
 def test_svd_of_a_stack_matches_each_member():
     rng = np.random.default_rng(12)
     a = rng.standard_normal((5, 3, 4)) + 1j * rng.standard_normal((5, 3, 4))

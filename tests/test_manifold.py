@@ -590,14 +590,88 @@ def test_plane_rejects_dependent_rows():
 
 
 def test_every_plane_constructor_refuses_improper_shapes():
-    # Plane validates with an SVD; base_plane, geodesic_group and
-    # haar_random_plane keep orthonormal rows with none, and refuse the same
-    # shapes in the same words
+    # Plane validates an n x N basis with an SVD; base_plane and
+    # haar_random_plane keep orthonormal rows with none, built from a shape
+    # that the shape rule has checked
     for n, m in ((0, 3), (2, 0), (2, -1)):
-        for build in (lambda: mf.Plane(np.eye(n, n + m)), lambda: mf.base_plane(n, m),
-                      lambda: mf.haar_random_plane(n, m, seed=1)):
-            with pytest.raises(ValueError, match="need 1 <= n < N for a proper plane"):
+        with pytest.raises(ValueError, match="need 1 <= n < N for a proper plane"):
+            mf.Plane(np.eye(n, n + m))
+        for build in (lambda: mf.base_plane(n, m), lambda: mf.haar_random_plane(n, m, seed=1)):
+            with pytest.raises(ValueError, match=f"need n >= 1 and m >= 1, got n={n}, m={m}"):
                 build()
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+def test_every_route_refuses_an_empty_chart_record_with_valueerror(shape):
+    # an empty matrix is refused where it enters, by the shape rule, so no
+    # route meets a record without singular values, and none raises IndexError
+    words = f"need n >= 1 and m >= 1, got n={shape[0]}, m={shape[1]}"
+    tangent_routes = (mf.exp0, lambda tc: mf.geodesic_chart(tc, 1.0),
+                      lambda tc: mf.geodesic_group(tc, 1.0),
+                      lambda tc: mf.geodesic_residual(tc, 1.0),
+                      lambda tc: loci.classify_conjugate(tc, 1.0),
+                      lambda tc: loci.jacobian_spectrum(tc, 1.0),
+                      lambda tc: loci.conjugate_test_jacobian(tc, 1.0))
+    chart_routes = (mf.log0, mf.geodesic_distance0, mf.chart_to_plane, mf.hat_basis,
+                    lambda z: mf.geodesic_group(z, 1.0), lambda z: mf.overlap(z, z),
+                    lambda z: mf.stationary_angles_w(z, z), lambda z: mf.cos_cayley(z, z))
+    for signature in ("compact", "noncompact"):
+        for cls, routes in ((mf.TangentCoord, tangent_routes), (mf.ChartPoint, chart_routes)):
+            for route in routes:
+                with pytest.raises(ValueError, match=words):
+                    route(cls(np.zeros(shape), signature))
+
+
+def test_samplers_and_the_origin_plane_refuse_bad_shapes_by_the_shape_rule():
+    builds = (lambda n, m: mf.haar_random_chart(n, m, seed=1),
+              lambda n, m: mf.haar_random_plane(n, m, seed=1), mf.base_plane)
+    for n, m in ((0, 3), (2, 0), (2, -1)):
+        for build in builds:
+            with pytest.raises(ValueError, match=f"need n >= 1 and m >= 1, got n={n}, m={m}"):
+                build(n, m)
+    for build in builds:
+        with pytest.raises(ValueError, match="n must be an integer, got 2.5"):
+            build(2.5, 3)
+    # numpy integers are integers
+    assert np.array_equal(mf.base_plane(np.int64(2), np.int32(3)).basis, np.eye(2, 5))
+    assert np.array_equal(mf.haar_random_chart(np.int64(2), 3, seed=4).z,
+                          mf.haar_random_chart(2, 3, seed=4).z)
+
+
+def test_scalar_time_routes_refuse_an_array_of_times():
+    tc = mf.TangentCoord(np.array([[0.4, 0.1j, 0.0], [0.2, 0.3, 0.1]]))
+    routes = (mf.geodesic_chart, mf.geodesic_group, mf.geodesic_residual,
+              loci.conjugate_test_jacobian, loci.classify_conjugate)
+    for route in routes:
+        for t in (np.array([1.0, 2.0]), np.ones((1, 1))):
+            with pytest.raises(ValueError, match="t must be a single time"):
+                route(tc, t)
+    # a zero-dimensional time is one time, read as the float it holds
+    for t in (np.float64(0.7), np.array(0.7), 0.7):
+        assert mf.geodesic_chart(tc, t).z.tobytes() == mf.geodesic_chart(tc, 0.7).z.tobytes()
+        got, want = loci.classify_conjugate(tc, t), loci.classify_conjugate(tc, 0.7)
+        assert (got.label, got.jacobian_ratio) == (want.label, want.jacobian_ratio)
+        assert got.angles.angles.tobytes() == want.angles.angles.tobytes()
+    # the stacked route still takes an array, one row per time
+    assert loci.jacobian_spectrum(tc, np.array([1.0, 2.0])).shape == (2, 12)
+
+
+def test_seeds_are_none_a_generator_or_a_non_negative_integer():
+    symbol = loci.SchubertSymbol(w=(1, 2), m=2)
+    for seed in (1.5, "1", 2.0, np.float64(3.0), [1, 2]):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            mf.haar_random_plane(2, 3, seed=seed)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            loci.schubert_generic_sample(symbol, seed=seed)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            mf.haar_random_chart(2, 3, seed=seed)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        mf.haar_random_plane(2, 3, seed=-1)
+    # an int, a numpy int and a Generator keep numpy's stream
+    want = mf.haar_random_plane(2, 3, seed=5).basis
+    for seed in (5, np.int64(5), np.uint8(5), np.random.default_rng(5)):
+        assert np.array_equal(mf.haar_random_plane(2, 3, seed=seed).basis, want)
+    assert mf.haar_random_plane(2, 3, seed=None).basis.shape == (2, 5)
 
 
 def test_origin_plane_keeps_its_rows_as_lapacks_frame():

@@ -54,6 +54,30 @@ def test_no_comparison_reads_a_signature_string():
     assert found == []
 
 
+def _scopes_calling(tree, name):
+    """The dotted scope (classes and functions) around each call of name."""
+    found = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and name in _mentions(child.func):
+                found.append(".".join(scope))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            walk(child, scope + (child.name,) if named else scope)
+
+    walk(tree, ())
+    return found
+
+
+def test_signature_tags_are_checked_only_where_they_enter():
+    # a chart point or tangent checks its tag when it is built and keeps the
+    # signature record every route reads; the scan alone takes a bare tag
+    sites = [f"{path.stem}:{scope}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for scope in _scopes_calling(ast.parse(path.read_text()), "_check_signature")]
+    assert sites == ["manifold:_Factored.__init__", "verify:scan_conjugate"]
+
+
 def test_loc_tool_counts_every_module(tmp_path):
     done = subprocess.run([sys.executable, str(TOOL)], capture_output=True, text=True,
                           timeout=60)
