@@ -1,9 +1,21 @@
 """Dense complex linear-algebra primitives used by the geometry layers.
 
-Factorizations are delegated to LAPACK through numpy.linalg; this module
-adds the conventions the rest of the package relies on (descending order,
-tolerance-based rank, spectral matrix functions of rectangular matrices,
-real central-difference Jacobians of complex maps).
+This module adds the conventions the rest of the package relies on
+(descending order, tolerance-based rank, spectral matrix functions of
+rectangular matrices, real central-difference Jacobians of complex maps),
+and it is the package's one LAPACK layer: every factorization of the
+package runs here, on the gufuncs of numpy.linalg._umath_linalg that
+numpy.linalg's own svd, det, solve, qr and eigh call, bound once at import
+(numpy>=2.0 names them so).  The layer keeps what those wrappers guarantee:
+the floating-point state around each call, under which LAPACK's invalid
+flag raises (NumericalFailure for an SVD or eigendecomposition that did
+not converge, LinAlgError for a singular solve or a failed QR), and det
+bare, as numpy's is.  It drops what they add per call and the package
+does not need: array conversion, the type promotion (inputs are already
+complex128, or float64 for the Jacobian, so the gufunc picks its loop
+from the dtype), the result casts and the result namedtuple.  The same
+LAPACK routines run on the same arrays, so the results are numpy.linalg's
+bit for bit.
 
 numerical_rank is the package's one numerical-rank rule and RANK_TOL its
 one tolerance; it reads full rank from the smallest singular value alone,
@@ -32,8 +44,36 @@ import numpy as np
 
 from .errors import NumericalFailure
 
+try:
+    from numpy.linalg._umath_linalg import (
+        det as _lapack_det, eigh_lo as _lapack_eigh_lo, qr_r_raw as _lapack_qr_r_raw,
+        qr_reduced as _lapack_qr_reduced, solve as _lapack_solve, svd as _lapack_svd,
+        svd_s as _lapack_svd_s)
+except ImportError as exc:
+    raise ImportError(f"grassgeo needs numpy>=2.0, whose numpy.linalg._umath_linalg has the "
+                      f"LAPACK gufuncs kernel binds; numpy {np.__version__}: {exc}") from None
+
 HERMITIAN_RTOL = 1e-10
 RANK_TOL = 1e-9
+
+
+def _lapack_state(error: type, message: str) -> np.errstate:
+    """numpy.linalg's floating-point state around a LAPACK gufunc, as a
+    decorator: the gufunc flags a failed factorization as an invalid value,
+    which raises error(message); overflow, division and underflow pass."""
+    def fault(err: str, flag: int) -> None:
+        raise error(message)
+    return np.errstate(call=fault, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")
+
+
+_svd_state = _lapack_state(NumericalFailure,
+                           "SVD did not converge: LAPACK flagged an invalid value")
+_eigh_state = _lapack_state(NumericalFailure,
+                            "eigendecomposition did not converge: LAPACK flagged an invalid value")
+_solve_state = _lapack_state(np.linalg.LinAlgError, "Singular matrix")
+_qr_state = _lapack_state(np.linalg.LinAlgError,
+                          "Incorrect argument found while performing QR factorization")
 
 
 class _Record:
@@ -120,13 +160,33 @@ def svd(a) -> SvdResult:
     return _svd(as_complex_matrix(a, stacked=True))
 
 
+@_svd_state
 def _svd(arr: np.ndarray) -> SvdResult:
     """svd of an array that as_complex_matrix has already checked."""
-    try:
-        u, s, vh = np.linalg.svd(arr, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
+    u, s, vh = _lapack_svd_s(arr)
     return SvdResult(u=u, s=s, v=vh.conj().swapaxes(-1, -2))
+
+
+@_svd_state
+def _svdvals(arr: np.ndarray) -> np.ndarray:
+    """Singular values, descending, of a complex128 or float64 matrix, or of
+    each matrix of a stack."""
+    return _lapack_svd(arr)
+
+
+@_solve_state
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b for complex128 matrices a (square) and b, or stacks of them;
+    LinAlgError where a is singular."""
+    return _lapack_solve(a, b)
+
+
+@_qr_state
+def _qr_q(a: np.ndarray) -> np.ndarray:
+    """The orthonormal factor Q of the thin QR of a complex128 matrix: the
+    raw QR overwrites its argument, so it runs on a copy."""
+    raw = a.copy()
+    return _lapack_qr_reduced(raw, _lapack_qr_r_raw(raw))
 
 
 def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
@@ -143,11 +203,15 @@ def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
     defect = np.linalg.norm(unit - unit.conj().T)
     if defect > HERMITIAN_RTOL * np.linalg.norm(unit):
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-    try:
-        vals, vecs = np.linalg.eigh(arr)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
+    vals, vecs = _eigh(arr)
     return vals[::-1].copy(), vecs[:, ::-1].copy()
+
+
+@_eigh_state
+def _eigh(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of a Hermitian matrix, from
+    its lower triangle."""
+    return _lapack_eigh_lo(arr)
 
 
 def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x, step: float = 1e-4) -> np.ndarray:
@@ -185,7 +249,7 @@ def rank_tol(a) -> int:
 
 def _rank(arr: np.ndarray) -> int:
     """rank_tol of an array that as_complex_matrix has already checked."""
-    return numerical_rank(np.linalg.svd(arr, compute_uv=False)) if arr.size else 0
+    return numerical_rank(_svdvals(arr)) if arr.size else 0
 
 
 def realvec(z) -> np.ndarray:

@@ -430,7 +430,7 @@ def _fd_spectrum(tangent: TangentCoord, t: float) -> np.ndarray:
         return z.reshape(len(x), -1).view(np.float64)
 
     jac = kernel.fd_jacobian(chart_map, kernel.realvec(bt), step=step)
-    return np.linalg.svd(jac, compute_uv=False)
+    return kernel._svdvals(jac)
 
 
 def conjugate_test_jacobian(tangent: TangentCoord, t: float) -> JacobianProbe:

@@ -33,6 +33,10 @@ haar_random_plane and base_plane build orthonormal rows from a checked
 shape, which are their own frame: those planes run no SVD and no rank
 test.  Plane(basis) always validates, an n x N basis with 1 <= n < N, and
 chart_to_plane keeps its own SVD, independent of the chart point's.
+
+Every factorization (SVD, det, solve, QR) runs in kernel's LAPACK layer,
+on numpy's gufuncs: it keeps numpy.linalg's errors and results bit for
+bit and drops the per-call conversions of its Python wrappers.
 """
 
 import itertools
@@ -312,7 +316,7 @@ def _chart_solve(rows: np.ndarray) -> np.ndarray:
     lead = rows[:, :n]
     if kernel._rank(lead) != n:
         raise NotInChartError("leading block is singular; plane lies outside the chart")
-    return np.linalg.solve(lead, rows[:, n:])
+    return kernel._solve(lead, rows[:, n:])
 
 
 def _check_pair(zp: ChartPoint, z: ChartPoint) -> None:
@@ -336,7 +340,7 @@ def overlap(zp: ChartPoint, z: ChartPoint) -> complex:
     _check_pair(zp, z)
     eps = z._sig.eps
     with _fp_guard("the chart products"):
-        return complex(np.linalg.det(np.eye(z.shape[0]) + eps * (z.z @ zp.z.conj().T)))
+        return complex(kernel._lapack_det(np.eye(z.shape[0]) + eps * (z.z @ zp.z.conj().T)))
 
 
 def cos_cayley(zp: ChartPoint, z: ChartPoint) -> float:
@@ -399,7 +403,7 @@ def stationary_angles_svd(p: Plane, q: Plane) -> AngleSpectrum:
 def _cosines_of(cross: np.ndarray, big_n: int) -> np.ndarray:
     """Cosines of the stationary angles, descending: the singular values of
     the n x n product V1* V2 of orthonormal frames of two n-planes in C^N."""
-    cos = np.minimum(np.linalg.svd(cross, compute_uv=False), 1.0)
+    cos = np.minimum(kernel._svdvals(cross), 1.0)
     # two n-planes in C^N meet in at least 2n - N dimensions
     cos[:max(0, 2 * cos.size - big_n)] = 1.0
     return cos
@@ -414,7 +418,7 @@ def _pairing_of(cross: np.ndarray) -> float:
     """|det V1* V2| of orthonormal frames, the cosine product, clipped to 1;
     0 where numpy's det turns a subnormal LU pivot (|det| < 2^(n^2) 2.2e-308) into a nan."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        det = float(abs(np.linalg.det(cross)))
+        det = float(abs(kernel._lapack_det(cross)))
     return min(det, 1.0) if det == det else 0.0
 
 
@@ -502,9 +506,11 @@ def geodesic_group(tangent: TangentCoord, t: float) -> Plane:
 def geodesic_residual(tangent: TangentCoord, t: float, step: float = 1e-3) -> float:
     """Frobenius norm of the second-order geodesic equation residual
     Zdd - 2 eps Zd Z* (1 + eps Z Z*)^-1 Zd at time t, with derivatives by
-    central differences of half-width step."""
+    central differences of half-width step.  It takes one time, through
+    tangent._at, as geodesic_chart does."""
     if not 0.0 < step < np.inf:  # a nan fails too
         raise ValueError("step must be positive and finite")
+    _, t = tangent._at(t)
     zm = geodesic_chart(tangent, t - step).z
     z0 = geodesic_chart(tangent, t).z
     zp = geodesic_chart(tangent, t + step).z
@@ -512,7 +518,7 @@ def geodesic_residual(tangent: TangentCoord, t: float, step: float = 1e-3) -> fl
     zd = (zp - zm) / (2.0 * step)
     eps = tangent._sig.eps
     n = z0.shape[0]
-    core = np.linalg.solve(np.eye(n) + eps * (z0 @ z0.conj().T), zd)
+    core = kernel._solve(np.eye(n) + eps * (z0 @ z0.conj().T), zd)
     return float(np.linalg.norm(zdd - 2.0 * eps * (zd @ z0.conj().T) @ core))
 
 
@@ -531,7 +537,7 @@ def plucker(plane: Plane) -> PluckerVector:
     cols = np.asarray(indices, dtype=int)
     # det(A[:, c]) = det(A.T[c]) and the stacked form evaluates all minors at once
     with _fp_guard("the Pluecker minors"):
-        dets = np.linalg.det(plane.basis.T[cols])
+        dets = kernel._lapack_det(plane.basis.T[cols])
     return PluckerVector(n=n, big_n=big_n, indices=indices, coords=dets)
 
 
@@ -564,7 +570,7 @@ def haar_random_plane(n: int, m: int, seed=None) -> Plane:
     no SVD."""
     n, m = _shape(n, m)
     g = _complex_gaussian(_rng(seed), n, n + m)
-    q, _ = np.linalg.qr(g.T / np.sqrt(2.0))
+    q = kernel._qr_q(g.T / np.sqrt(2.0))
     return Plane._orthonormal(q.T.copy())
 
 

@@ -44,17 +44,18 @@ def _property(name: str, tol: float, cap: int | None = None):
 
 class SuiteConfig(kernel._Record):
     """Seed, trials per property and shape of a suite run; ValueError unless
-    each is an integer, 0 <= seed < 2**128, and trials, n and m are positive."""
+    each is an integer, 0 <= seed < 2**128, trials is positive, and the
+    shape passes manifold._shape."""
 
     __slots__ = _fields = ("seed", "trials", "n", "m")
 
     def __init__(self, seed: int = 0, trials: int = 20, n: int = 2, m: int = 2):
-        for name, value in zip(self._fields, (seed, trials, n, m)):
-            setattr(self, name, kernel.as_index(value, name))
+        self.seed, self.trials = kernel.as_index(seed, "seed"), kernel.as_index(trials, "trials")
+        self.n, self.m = manifold._shape(n, m)
         if not 0 <= self.seed < 2**128:
             raise ValueError(f"seed must be in 0 <= seed < 2**128, got {self.seed}")
-        if self.trials < 1 or self.n < 1 or self.m < 1:
-            raise ValueError("trials, n, and m must all be positive")
+        if self.trials < 1:
+            raise ValueError(f"trials must be positive, got {self.trials}")
 
 
 class PropertyResult(kernel._Record):
@@ -246,7 +247,7 @@ _roundtrip_property("exp-log-roundtrip", 1e-9, 0.05, np.pi / 2 - 0.11, 2, "compa
 @_property("angles-match-singular-values", 1e-9)
 def _prop_angles_match_sv(rng, cfg, tol):
     tc = _tangent(rng, cfg.n, cfg.m, rng.uniform(0.05, 1.45), 2, "compact")
-    svals = np.sort(np.linalg.svd(tc.b, compute_uv=False))[::-1]
+    svals = kernel._svdvals(tc.b)
     got = manifold.stationary_angles_svd(
         manifold.chart_to_plane(manifold.exp0(tc)),
         manifold.base_plane(cfg.n, cfg.m)).angles

@@ -103,14 +103,14 @@ def test_plucker_uses_one_based_tuples(capsys):
 
 
 def test_plucker_and_verify_refuse_a_minor_stack_over_the_cap(capsys, monkeypatch):
-    det = np.linalg.det
+    det = kernel._lapack_det
 
     def guarded(a):
         # the chart and angle routes take determinants of stacks of one
         assert np.ndim(a) < 3 or np.shape(a)[0] < 1000, "the minor stack was built"
         return det(a)
 
-    monkeypatch.setattr(np.linalg, "det", guarded)
+    monkeypatch.setattr(kernel, "_lapack_det", guarded)
     code, out, err = _run(capsys, "plucker", _mat(np.zeros((12, 14))))
     assert (code, out) == (2, "") and "C(26, 12) = 9657700 minors" in err
     code, out, err = _run(capsys, "verify", "--seed", "1", "--trials", "1", "--n", "12",
@@ -482,10 +482,15 @@ def test_extreme_magnitudes_get_a_verdict_or_a_refusal(tmp_path, capsys):
 
 
 def test_numerical_failure_is_exit_3(monkeypatch, capsys):
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+    svd = kernel._lapack_svd_s
 
-    monkeypatch.setattr(np.linalg, "svd", fail)
+    def nonconverged(a):
+        # as LAPACK's gufunc reports it: nan factors, and the floating-point
+        # invalid flag raised (by 0/0 here)
+        nan = np.divide(0.0, np.zeros(1))
+        return tuple(r * nan for r in svd(a))
+
+    monkeypatch.setattr(kernel, "_lapack_svd_s", nonconverged)
     code, out, err = _run(capsys, "log", _mat([[0.5]]))
     assert (code, out) == (3, "")
     assert err.startswith("error: SVD did not converge")

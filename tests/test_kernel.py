@@ -53,13 +53,73 @@ def test_herm_eig_takes_entries_whose_squares_overflow():
         kernel.herm_eig(1e300 * np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex))
 
 
-def test_svd_nonconvergence_is_a_numerical_failure(monkeypatch):
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+def _flags_invalid(gufunc):
+    """A stand-in that fails as numpy's LAPACK gufuncs report a failure: it
+    returns nan in place of each result and raises the floating-point
+    invalid flag, which the layer's state turns into an exception."""
+    def failed(*args):
+        out = gufunc(*args)
+        nan = np.divide(0.0, np.zeros(1))  # 0/0 raises the invalid flag
+        return tuple(r * nan for r in out) if isinstance(out, tuple) else out * nan
+    return failed
 
-    monkeypatch.setattr(np.linalg, "svd", fail)
+
+def test_svd_nonconvergence_is_a_numerical_failure(monkeypatch):
+    monkeypatch.setattr(kernel, "_lapack_svd_s", _flags_invalid(kernel._lapack_svd_s))
+    monkeypatch.setattr(kernel, "_lapack_svd", _flags_invalid(kernel._lapack_svd))
     with pytest.raises(NumericalFailure, match="SVD did not converge"):
         kernel.svd(np.eye(2))
+    with pytest.raises(NumericalFailure, match="SVD did not converge"):
+        kernel.rank_tol(np.eye(2))
+
+
+def test_failed_solve_qr_and_eigh_raise_as_numpy_linalg_does(monkeypatch):
+    # a singular solve is LAPACK's own failure, not a stand-in's
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        kernel._solve(np.zeros((2, 2), dtype=complex), np.eye(2, dtype=complex))
+    monkeypatch.setattr(kernel, "_lapack_qr_reduced", _flags_invalid(kernel._lapack_qr_reduced))
+    with pytest.raises(np.linalg.LinAlgError, match="while performing QR factorization"):
+        kernel._qr_q(np.eye(3, 2, dtype=complex))
+    monkeypatch.setattr(kernel, "_lapack_eigh_lo", _flags_invalid(kernel._lapack_eigh_lo))
+    with pytest.raises(NumericalFailure, match="eigendecomposition did not converge"):
+        kernel.herm_eig(np.eye(2))
+
+
+_SHAPES = [(1, 1), (1, 3), (2, 2), (3, 1), (3, 5), (5, 3), (4, 4), (7, 16), (8, 10), (10, 8)]
+
+
+def _inputs(rng, shape, stack):
+    """A complex and a real matrix of the shape, or stacks of 3 of them."""
+    full = (3, *shape) if stack else shape
+    real = rng.standard_normal(full)
+    return real + 1j * rng.standard_normal(full), real
+
+
+def _same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("stack", [False, True])
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_lapack_layer_matches_numpy_linalg_bit_for_bit(shape, stack):
+    rng = np.random.default_rng(sum(shape) + 100 * stack)
+    n, m = shape
+    for a in _inputs(rng, shape, stack):
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
+        if a.dtype == complex:
+            res = kernel._svd(a)
+            for got, want in ((res.u, u), (res.s, s), (res.v, vh.conj().swapaxes(-1, -2))):
+                _same_bits(got, want)
+        _same_bits(kernel._svdvals(a), np.linalg.svd(a, compute_uv=False))
+        square = a[..., :min(n, m), :min(n, m)]
+        _same_bits(kernel._lapack_det(square), np.linalg.det(square))
+        rhs = a[..., :min(n, m), :]
+        _same_bits(kernel._solve(square, rhs), np.linalg.solve(square, rhs))
+        if a.dtype == complex and not stack:
+            before = a.copy()
+            _same_bits(kernel._qr_q(a), np.linalg.qr(a)[0])
+            _same_bits(a, before)  # the raw QR ran on the layer's own copy
 
 
 def test_matrix_phi_identity_function_is_identity():

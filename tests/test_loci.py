@@ -212,7 +212,7 @@ def test_planes_are_factored_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(kernel, "_svd", counted("svd", kernel._svd))
-    monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+    monkeypatch.setattr(kernel, "_lapack_qr_r_raw", counted("qr", kernel._lapack_qr_r_raw))
     # the origin pairing reads the frame, not the unit-row basis
     monkeypatch.setattr(loci, "_unit_rows", counted("pairing", loci._unit_rows))
     rng = np.random.default_rng(71)
@@ -251,8 +251,9 @@ def test_cut_routes_run_three_svds_and_one_det_per_plane(n, m, monkeypatch):
 
     rng = np.random.default_rng(29 + n)
     bases = [verify._cut_plane(rng, n, m).basis, mf.haar_random_plane(n, m, rng).basis]
-    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
-    monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
+    monkeypatch.setattr(kernel, "_lapack_svd_s", counted("svd", kernel._lapack_svd_s))
+    monkeypatch.setattr(kernel, "_lapack_svd", counted("svd", kernel._lapack_svd))
+    monkeypatch.setattr(kernel, "_lapack_det", counted("det", kernel._lapack_det))
     for basis, in_locus in zip(bases, (True, False)):
         calls.update(svd=0, det=0)
         plane = mf.Plane(basis)

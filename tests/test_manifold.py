@@ -508,7 +508,7 @@ def test_plucker_refuses_a_stack_over_the_cap_before_building_it(monkeypatch):
     def unreachable(a):
         raise AssertionError("the minor stack was built")
 
-    monkeypatch.setattr(np.linalg, "det", unreachable)
+    monkeypatch.setattr(kernel, "_lapack_det", unreachable)
     # 9,657,700 blocks of 12 x 12: 22 GB
     with pytest.raises(ValueError, match=r"C\(26, 12\) = 9657700 minors need a "
                                          r"22251340800-byte stack"):
@@ -654,6 +654,17 @@ def test_scalar_time_routes_refuse_an_array_of_times():
         assert got.angles.angles.tobytes() == want.angles.angles.tobytes()
     # the stacked route still takes an array, one row per time
     assert loci.jacobian_spectrum(tc, np.array([1.0, 2.0])).shape == (2, 12)
+
+
+def test_geodesic_residual_reads_its_time_as_the_other_routes_do():
+    # the time passes tangent._at before t - step: a list time raised TypeError
+    tc = mf.TangentCoord(np.eye(2, 3))
+    for t in ([1.0], [1.0, 2.0], np.array([1.0])):
+        with pytest.raises(ValueError, match="t must be a single time"):
+            mf.geodesic_residual(tc, t)
+    with pytest.raises(ValueError, match="times must be finite"):
+        mf.geodesic_residual(tc, np.nan)
+    assert mf.geodesic_residual(tc, np.array(0.6)) == mf.geodesic_residual(tc, 0.6)
 
 
 def test_seeds_are_none_a_generator_or_a_non_negative_integer():

@@ -78,6 +78,52 @@ def test_signature_tags_are_checked_only_where_they_enter():
     assert sites == ["manifold:_Factored.__init__", "verify:scan_conjugate"]
 
 
+# numpy.linalg's factorizations; norm is not one
+FACTORIZATIONS = ("svd", "det", "slogdet", "solve", "inv", "qr", "eigh", "lstsq")
+# the gufuncs of numpy.linalg._umath_linalg that kernel binds, by name
+LAPACK_GUFUNCS = ("svd_s", "svd", "det", "solve", "qr_r_raw", "qr_reduced", "eigh_lo")
+
+
+def test_factorizations_run_only_in_the_kernel_lapack_layer():
+    # every factorization of the package runs on kernel's gufunc bindings:
+    # no module calls a numpy.linalg factorization or imports one by name,
+    # and only kernel imports numpy.linalg's gufunc module
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if (isinstance(node, ast.Attribute) and node.attr in FACTORIZATIONS
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+                found.append(f"{where} linalg.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""):
+                if path.name != "kernel.py" or node.module != "numpy.linalg._umath_linalg":
+                    found.append(f"{where} from {node.module}")
+            elif isinstance(node, ast.Import):
+                found += [f"{where} import {alias.name}" for alias in node.names
+                          if "linalg" in alias.name]
+    assert found == []
+
+
+def test_kernel_binds_each_lapack_gufunc():
+    from numpy.linalg import _umath_linalg
+
+    from grassgeo import kernel
+    for name in LAPACK_GUFUNCS:
+        assert getattr(kernel, f"_lapack_{name}") is getattr(_umath_linalg, name), name
+
+
+def test_kernel_import_names_the_numpy_floor_when_a_gufunc_is_missing():
+    # numpy 1.x names its gufuncs otherwise (svd_n_s, qr_r_raw_m, ...)
+    code = ("import sys; import numpy.linalg._umath_linalg as g; del g.qr_r_raw; "
+            f"sys.path.insert(0, {str(ROOT / 'src')!r}); import grassgeo.kernel")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode != 0
+    last = done.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError: grassgeo needs numpy>=2.0"), last
+    assert "qr_r_raw" in last
+
+
 def test_loc_tool_counts_every_module(tmp_path):
     done = subprocess.run([sys.executable, str(TOOL)], capture_output=True, text=True,
                           timeout=60)

@@ -28,8 +28,11 @@ def _small_config(**kw):
 def test_suite_config_validation():
     assert verify.SuiteConfig() == verify.SuiteConfig(seed=0, trials=20, n=2, m=2)
     assert verify.SuiteConfig(np.uint64(7), np.int32(3)).trials == 3
-    for kw in ({"trials": 0}, {"n": 0}, {"m": -1}):
-        with pytest.raises(ValueError, match="must all be positive"):
+    with pytest.raises(ValueError, match="trials must be positive, got 0"):
+        verify.SuiteConfig(trials=0)
+    # the shape passes manifold._shape, the package's one shape rule
+    for kw, got in (({"n": 0}, "n=0, m=2"), ({"m": -1}, "n=2, m=-1")):
+        with pytest.raises(ValueError, match=f"need n >= 1 and m >= 1, got {got}"):
             verify.SuiteConfig(**kw)
     # refused at construction: run_suite died of a TypeError on a float trials,
     # n or m, and ran on a float seed
@@ -525,7 +528,7 @@ def test_benchmark_output_checks_pass_on_real_output(tmp_path, monkeypatch):
 def test_chart_calls_sample_runs_twelve_svds_and_three_plane_validations(tmp_path, monkeypatch):
     # records built from kept factors inherit them, and the group and Haar
     # planes are built from orthonormal rows: a chart-calls sample runs 12
-    # numpy SVDs (16 before) and validates 3 planes (5 before); a probe runs
+    # LAPACK SVDs (16 before) and validates 3 planes (5 before); a probe runs
     # one SVD, of its Jacobian
     workload = _benchmark_workloads(monkeypatch).WORKLOADS["chart-calls"](grassgeo, str(tmp_path))
     calls = {"svd": 0, "plane": 0}
@@ -536,7 +539,8 @@ def test_chart_calls_sample_runs_twelve_svds_and_three_plane_validations(tmp_pat
             return func(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(kernel, "_lapack_svd_s", counted("svd", kernel._lapack_svd_s))
+    monkeypatch.setattr(kernel, "_lapack_svd", counted("svd", kernel._lapack_svd))
     monkeypatch.setattr(grassgeo.manifold.Plane, "__post_init__",
                         counted("plane", grassgeo.manifold.Plane.__post_init__))
     samples = probes = 0
