@@ -7,7 +7,8 @@ and it is the package's one LAPACK layer: every factorization of the
 package runs here, on the gufuncs of numpy.linalg._umath_linalg that
 numpy.linalg's own svd, det, solve, qr and eigh call, bound once at import
 (numpy>=2.0 names them so).  The layer keeps what those wrappers guarantee:
-the floating-point state around each call, under which LAPACK's invalid
+the floating-point state around each call, built once at import and
+applied as a decorator, under which LAPACK's invalid
 flag raises (NumericalFailure for an SVD or eigendecomposition that did
 not converge, LinAlgError for a singular solve or a failed QR), and det
 bare, as numpy's is.  It drops what they add per call and the package
@@ -23,14 +24,17 @@ with no array operation, and counts only below full rank.  Each array is
 checked once: svd and rank_tol check their input with as_complex_matrix,
 and the records, checked when built, factor what they own through the
 unchecked cores _svd and _rank, or map the SVD of the record they were
-computed from (SvdResult._mapped); Plane validation applies
-numerical_rank to the SVD it keeps.  herm_eig has no
-caller in the package; it stays public for outside callers and the
-benchmark's tracer.
+computed from (SvdResult._mapped), which keeps the source's factors
+where the values already descend with no sign bit set; Plane validation
+applies numerical_rank to the SVD it keeps.  herm_eig has no caller in the
+package; it stays public for outside callers and the benchmark's tracer.
 
 _Record is the base of the package's records: plain classes with __slots__
 and an explicit __init__, which cost microseconds to create at import where
-generated classes cost about a millisecond each.  For the same reason
+generated classes cost about a millisecond each.  A frozen record sets
+each slot, in its constructor or once from first use, through one setter,
+_FrozenRecord._set: object.__setattr__ bound to the record, with no
+keyword dict per record.  For the same reason
 kernel and manifold, the modules a first exp0 imports, evaluate their
 annotations: `from __future__ import annotations` would import __future__,
 about 0.3 ms.  manifold's annotations naming np.random are strings, as
@@ -78,10 +82,10 @@ _qr_state = _lapack_state(np.linalg.LinAlgError,
 
 class _Record:
     """A record's repr, Name(field=value, ...), and == by its fields, between
-    records of one class; each record class lists its fields in _fields."""
+    records of one class; each record class lists its fields, a tuple of
+    names, in _fields."""
 
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
+    __slots__ = _fields = ()
 
     def __repr__(self) -> str:
         body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -96,19 +100,17 @@ class _Record:
 
 class _FrozenRecord(_Record):
     """A record that refuses to set or delete any attribute: its constructors,
-    and a field kept from first use, set fields through _set."""
+    and a field kept from first use, set a field by self._set(name, value),
+    object.__setattr__ bound to the record, past the refusal."""
 
     __slots__ = ()
+    _set = object.__setattr__
 
     def __setattr__(self, name, value=None):
         from dataclasses import FrozenInstanceError  # only when raised
         raise FrozenInstanceError(f"cannot set or delete field {name!r} of a frozen record")
 
     __delattr__ = __setattr__
-
-    def _set(self, **fields) -> None:
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
 
 
 def as_index(value, name: str) -> int:
@@ -125,8 +127,10 @@ class SvdResult(_FrozenRecord):
 
     __slots__ = _fields = ("u", "s", "v")
 
-    def __init__(self, u: np.ndarray, s: np.ndarray, v: np.ndarray):
-        self._set(u=u, s=s, v=v)
+    def __init__(self, u, s, v):
+        self._set("u", u)
+        self._set("s", s)
+        self._set("v", v)
 
     def apply(self, vals: np.ndarray) -> np.ndarray:
         """u @ diag(vals) @ v* over the stack axes: the spectral extension of a
@@ -136,7 +140,15 @@ class SvdResult(_FrozenRecord):
     def _mapped(self, vals: np.ndarray) -> "SvdResult":
         """The SVD of apply(vals), for one matrix, with no new factorization:
         (u sign(vals), |vals|, v), the columns in the stable order of
-        descending |vals|."""
+        descending |vals|.  Where the values descend and none has its sign
+        bit set, that is (u, vals, v), kept as it is: a positive last value
+        clears the others, else signbit reads each.  On LAPACK's factors the
+        two are the same bits; the general path's complex product with +1
+        would read as +0.0 a signed zero that an earlier flip of a column's
+        sign left in u, and the kept u keeps it."""
+        x = vals.tolist()
+        if all(map(operator.ge, x, x[1:])) and (x[-1] > 0 or not np.signbit(vals).any()):
+            return SvdResult(self.u, vals, self.v)
         mag = abs(vals)
         order = (-mag).argsort(kind="stable")
         return SvdResult(self.u.take(order, 1) * np.copysign(1.0, vals.take(order)),
@@ -164,7 +176,7 @@ def svd(a) -> SvdResult:
 def _svd(arr: np.ndarray) -> SvdResult:
     """svd of an array that as_complex_matrix has already checked."""
     u, s, vh = _lapack_svd_s(arr)
-    return SvdResult(u=u, s=s, v=vh.conj().swapaxes(-1, -2))
+    return SvdResult(u, s, vh.conj().swapaxes(-1, -2))
 
 
 @_svd_state

@@ -68,7 +68,8 @@ class SchubertSymbol(kernel._FrozenRecord):
             raise ValueError(f"symbol entries must be nondecreasing, got {w}")
         if w[0] < 0 or w[-1] > m:
             raise ValueError(f"symbol entries must lie in 0..{m}, got {w}")
-        self._set(w=w, m=m)
+        self._set("w", w)
+        self._set("m", m)
 
     @property
     def n(self) -> int:

@@ -22,13 +22,20 @@ tangent's matrix, and a plane's cosines and pairing against O.
 
 Each input is checked once, where it enters: a shape (n, m) by _shape, a
 record's signature tag when it is built (routes read the _Signature record
-it keeps), and a route's one time along a geodesic by _Factored._at.
+it keeps), and a route's one time along a geodesic by _Factored._at.  Only
+the public constructors ChartPoint, TangentCoord and Plane run entry
+checks.  A record the package builds from values it has checked is made
+with _Factored._own or _inherit (or Plane._orthonormal), with no second
+check and no copy: haar_random_chart's point is the solve of a checked
+Gaussian draw, whose leading block passed the rank rule.
 
 Records built from kept factors inherit them.  exp at B = U S V* is
 U ta(S) V* (Edelman, Arias & Smith 1998), so the SVD of the point exp0
 returns is (U sign ta(S), |ta(S)|, V), re-sorted descending, which
 SvdResult._mapped builds from the tangent's on first use; log0 and
-geodesic_chart's t B do the same with ata and t.  geodesic_group,
+geodesic_chart's t B do the same with ata and t.  Where the values
+already descend with no sign bit set (log0, t B at t > 0, compact exp0
+below the first pole) the record keeps its source's factors.  geodesic_group,
 haar_random_plane and base_plane build orthonormal rows from a checked
 shape, which are their own frame: those planes run no SVD and no rank
 test.  Plane(basis) always validates, an n x N basis with 1 <= n < N, and
@@ -36,13 +43,17 @@ chart_to_plane keeps its own SVD, independent of the chart point's.
 
 Every factorization (SVD, det, solve, QR) runs in kernel's LAPACK layer,
 on numpy's gufuncs: it keeps numpy.linalg's errors and results bit for
-bit and drops the per-call conversions of its Python wrappers.
+bit and drops the per-call conversions of its Python wrappers.  The
+floating-point states of the chart routes, plucker and _pairing_of are
+np.errstate decorators built once at import, and the identity blocks the
+chart routes add are read-only and built once per n (_eye).
 """
 
+import functools
 import itertools
 import math
 import operator
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -68,18 +79,16 @@ class _Signature:
     """A signature's name and what it selects (Helgason, Ch. V): eps in
     1 + eps Z Z*, the chart function ta and its inverse ata, the Jacobian's
     sn/cs pair, geodesic_group's (co, si), the fold of t s to its angle, the
-    tan pole distance, and whether ta saturates to the boundary: a plain
-    slotted class, built in microseconds, read twice as fast as a tuple."""
+    tan pole distance, and whether ta saturates to the boundary, given in
+    the order of __slots__: a plain slotted class, built in microseconds,
+    read twice as fast as a tuple."""
 
     __slots__ = ("name", "compact", "eps", "ta", "ata", "sn", "cs", "group", "fold",
                  "pole_distance", "saturates")
 
-    def __init__(self, name: str, compact: bool, eps: float, ta: Callable, ata: Callable,
-                 sn: Callable, cs: Callable, group: Callable, fold: Callable,
-                 pole_distance: Callable, saturates: Callable):
-        self.name, self.compact, self.eps, self.ta, self.ata = name, compact, eps, ta, ata
-        self.sn, self.cs, self.group, self.fold = sn, cs, group, fold
-        self.pole_distance, self.saturates = pole_distance, saturates
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            setattr(self, name, value)
 
 
 _SIGNATURES = {
@@ -133,24 +142,29 @@ class _Factored(kernel._FrozenRecord):
     def shape(self) -> tuple[int, int]:
         return self._matrix.shape
 
-    def _own(self, matrix, sig, source) -> None:
-        """Set the fields once: the matrix read-only, the signature record,
-        and the (function, argument) that builds the SVD on first use, or
-        None to factor the matrix."""
+    def _own(self, matrix, sig, source):
+        """Set the fields once and return the record: the matrix read-only,
+        the signature record, and the (function, argument) that builds the
+        SVD on first use, or None to factor the matrix.  cls.__new__(cls)._own
+        makes a record of a matrix the package computed from checked values,
+        with no entry check and no copy."""
         matrix.flags.writeable = False
-        self._set(_matrix=matrix, _sig=sig, _factors=None, _source=source)
+        self._set("_matrix", matrix)
+        self._set("_sig", sig)
+        self._set("_factors", None)
+        self._set("_source", source)
+        return self
 
     @classmethod
     def _inherit(cls, res, vals, sig):
         """The record of res.apply(vals), a spectral function of res's matrix."""
-        record = cls.__new__(cls)
-        record._own(res.apply(vals), sig, (res._mapped, vals))
-        return record
+        return cls.__new__(cls)._own(res.apply(vals), sig, (res._mapped, vals))
 
     def _svd(self) -> kernel.SvdResult:
         if self._factors is None:
             build, arg = self._source or (kernel._svd, self._matrix)
-            self._set(_factors=build(arg), _source=None)
+            self._set("_factors", build(arg))
+            self._set("_source", None)
         return self._factors
 
     def _at(self, t) -> tuple[kernel.SvdResult, np.ndarray]:
@@ -175,9 +189,9 @@ class ChartPoint(_Factored):
 
     def __init__(self, z: np.ndarray, signature: Signature = "compact"):
         _Factored.__init__(self, z, signature)
-        if not self._sig.compact and self._svd().s[0] >= 1.0:
+        if not self._sig.compact and (top := float(self._svd().s[0])) >= 1.0:
             raise DomainError("noncompact chart requires all singular values below 1, "
-                              f"got {self._svd().s[0]:.6f}")
+                              f"got {top!r}")
 
 
 class TangentCoord(_Factored):
@@ -219,7 +233,9 @@ class Plane(kernel._FrozenRecord):
 
     def _keep(self, basis, frame) -> None:
         basis.flags.writeable = frame.flags.writeable = False
-        self._set(basis=basis, frame=frame, _origin_block=None)
+        self._set("basis", basis)
+        self._set("frame", frame)
+        self._set("_origin_block", None)
 
     @classmethod
     def _orthonormal(cls, rows):
@@ -237,7 +253,7 @@ class Plane(kernel._FrozenRecord):
             block = self.frame[:self.n].conj().T
             cos = _cosines_of(block, self.big_n)
             cos.flags.writeable = False
-            self._set(_origin_block=(cos, _pairing_of(block)))
+            self._set("_origin_block", (cos, _pairing_of(block)))
         return self._origin_block
 
     @property
@@ -296,7 +312,7 @@ def base_plane(n: int, m: int) -> Plane:
 
 def hat_basis(point: ChartPoint) -> np.ndarray:
     """Row basis (1_n | Z) of the plane with chart coordinate Z."""
-    return np.concatenate([np.eye(point.z.shape[0], dtype=complex), point.z], axis=1)
+    return np.concatenate([_eye(point.z.shape[0]), point.z], axis=1)
 
 
 def chart_to_plane(point: ChartPoint) -> Plane:
@@ -327,20 +343,28 @@ def _check_pair(zp: ChartPoint, z: ChartPoint) -> None:
 
 
 def _fp_guard(where: str) -> np.errstate:
-    """np.errstate raising DomainError on an overflow, nan or division by zero in `where`."""
+    """np.errstate raising DomainError on an overflow, nan or division by zero
+    in `where`, built once at import and applied as a decorator."""
     def fault(err: str, flag: int) -> None:
         raise DomainError(f"floating-point {err} in {where}: entries out of this route's range")
     return np.errstate(call=fault, over="call", invalid="call", divide="call")
 
 
+@functools.cache
+def _eye(n: int) -> np.ndarray:
+    """The complex n x n identity, read-only, one per n."""
+    eye = np.eye(n, dtype=complex)
+    eye.flags.writeable = False
+    return eye
+
+
+@_fp_guard("the chart products")
 def overlap(zp: ChartPoint, z: ChartPoint) -> complex:
     """Unnormalized pairing of two chart points, the first conjugated:
     det(1 + eps Z Zp*), the Gram determinant det((zp_i, z_j)) of their hat
     bases.  DomainError where the product or its determinant overflows."""
     _check_pair(zp, z)
-    eps = z._sig.eps
-    with _fp_guard("the chart products"):
-        return complex(kernel._lapack_det(np.eye(z.shape[0]) + eps * (z.z @ zp.z.conj().T)))
+    return complex(kernel._lapack_det(_eye(z.shape[0]) + z._sig.eps * (z.z @ zp.z.conj().T)))
 
 
 def cos_cayley(zp: ChartPoint, z: ChartPoint) -> float:
@@ -367,6 +391,7 @@ def cos_cayley_planes(p: Plane, q: Plane) -> float:
     return _pairing_of(p.frame.conj().T @ q.frame)
 
 
+@_fp_guard("the chart products")
 def stationary_angles_w(zp: ChartPoint, z: ChartPoint) -> AngleSpectrum:
     """Stationary angles from the eigenvalues of the chart product matrix
     W = (1+ZZ*)^-1 (1+ZZp*) (1+ZpZp*)^-1 (1+ZpZ*), whose spectrum is cos^2
@@ -382,13 +407,12 @@ def stationary_angles_w(zp: ChartPoint, z: ChartPoint) -> AngleSpectrum:
     _check_pair(zp, z)
     n, m = z.shape
     res, resp = z._svd(), zp._svd()
-    with _fp_guard("the chart products"):
-        if n <= m:
-            g = res.u.conj().T @ (np.eye(n) + z.z @ zp.z.conj().T) @ resp.u
-        else:
-            g = res.v.conj().T @ (np.eye(m) + z.z.conj().T @ zp.z) @ resp.v
-        g = g / np.hypot(1.0, res.s)[:, None] / np.hypot(1.0, resp.s)
-        return AngleSpectrum(np.concatenate([_angles_of(g, n + m), np.zeros(n - res.s.size)]))
+    if n <= m:
+        g = res.u.conj().T @ (_eye(n) + z.z @ zp.z.conj().T) @ resp.u
+    else:
+        g = res.v.conj().T @ (_eye(m) + z.z.conj().T @ zp.z) @ resp.v
+    g = g / np.hypot(1.0, res.s)[:, None] / np.hypot(1.0, resp.s)
+    return AngleSpectrum(np.concatenate([_angles_of(g, n + m), np.zeros(n - res.s.size)]))
 
 
 def stationary_angles_svd(p: Plane, q: Plane) -> AngleSpectrum:
@@ -414,11 +438,11 @@ def _angles_of(cross: np.ndarray, big_n: int) -> np.ndarray:
     return np.arccos(_cosines_of(cross, big_n))
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _pairing_of(cross: np.ndarray) -> float:
     """|det V1* V2| of orthonormal frames, the cosine product, clipped to 1;
     0 where numpy's det turns a subnormal LU pivot (|det| < 2^(n^2) 2.2e-308) into a nan."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        det = float(abs(kernel._lapack_det(cross)))
+    det = float(abs(kernel._lapack_det(cross)))
     return min(det, 1.0) if det == det else 0.0
 
 
@@ -499,7 +523,7 @@ def geodesic_group(tangent: TangentCoord, t: float) -> Plane:
     n = res.u.shape[0]
     # cos(t sqrt(BB*)) = 1_n + U (co - 1) U*: the orthogonal complement of the
     # column space of B carries co(0) = 1
-    left = np.eye(n, dtype=complex) + (res.u * (co - 1.0)) @ res.u.conj().T
+    left = _eye(n) + (res.u * (co - 1.0)) @ res.u.conj().T
     return Plane._orthonormal(np.concatenate([left, res.apply(si)], axis=-1))
 
 
@@ -518,10 +542,11 @@ def geodesic_residual(tangent: TangentCoord, t: float, step: float = 1e-3) -> fl
     zd = (zp - zm) / (2.0 * step)
     eps = tangent._sig.eps
     n = z0.shape[0]
-    core = kernel._solve(np.eye(n) + eps * (z0 @ z0.conj().T), zd)
+    core = kernel._solve(_eye(n) + eps * (z0 @ z0.conj().T), zd)
     return float(np.linalg.norm(zdd - 2.0 * eps * (zd @ z0.conj().T) @ core))
 
 
+@_fp_guard("the Pluecker minors")
 def plucker(plane: Plane) -> PluckerVector:
     """All n x n minors of the row basis, over lexicographic column n-tuples.
     ValueError, before anything is allocated, when the stack of the C(N, n)
@@ -536,9 +561,7 @@ def plucker(plane: Plane) -> PluckerVector:
     indices = tuple(itertools.combinations(range(big_n), n))
     cols = np.asarray(indices, dtype=int)
     # det(A[:, c]) = det(A.T[c]) and the stacked form evaluates all minors at once
-    with _fp_guard("the Pluecker minors"):
-        dets = kernel._lapack_det(plane.basis.T[cols])
-    return PluckerVector(n=n, big_n=big_n, indices=indices, coords=dets)
+    return PluckerVector(n, big_n, indices, kernel._lapack_det(plane.basis.T[cols]))
 
 
 def plucker_pairing(a: PluckerVector, b: PluckerVector) -> complex:
@@ -578,14 +601,17 @@ def haar_random_chart(n: int, m: int, seed=None) -> ChartPoint:
     """Compact chart coordinate of a random plane: Z = G_lead^-1 G_trail from
     the Gaussian rows G that haar_random_plane draws and orthonormalizes,
     with the same generator calls and plane_to_chart's solve and chart test.
-    A draw outside the chart is drawn again; NumericalFailure after 64."""
+    A draw outside the chart is drawn again; NumericalFailure after 64.  The
+    point owns the solve, unchecked: the shape and seed were checked, and Z
+    is finite, as the leading block of the draw passed the rank rule."""
     n, m = _shape(n, m)
     rng = _rng(seed)
     for _ in range(64):
         try:
-            return ChartPoint(z=_chart_solve(_complex_gaussian(rng, n, n + m)))
+            z = _chart_solve(_complex_gaussian(rng, n, n + m))
         except NotInChartError:
             continue
+        return ChartPoint.__new__(ChartPoint)._own(z, _SIGNATURES["compact"], None)
     raise NumericalFailure("no chart sample found in 64 tries")
 
 

@@ -91,6 +91,15 @@ def test_noncompact_chart_violation_is_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("top, shown", [(1e308, "1e+308"), (np.nextafter(1.0, 2.0),
+                                                           "1.0000000000000002")])
+def test_noncompact_chart_refusal_names_the_value_in_full(capsys, top, shown):
+    code, out, err = _run(capsys, "dist", _mat([[top, 0.0]]), "--signature", "noncompact")
+    assert (code, out) == (3, "")
+    assert err.splitlines()[-1] == ("error: noncompact chart requires all singular values "
+                                    f"below 1, got {shown}")
+
+
 def test_plucker_uses_one_based_tuples(capsys):
     a = 0.7 + 0.2j
     code, out, _ = _run(capsys, "plucker", _mat([[a, 0.0], [0.0, 0.0]]))

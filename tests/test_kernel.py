@@ -274,3 +274,64 @@ def test_realvec_complexmat_roundtrip():
     v = kernel.realvec(z)
     assert v.shape == (12,)
     assert v[0] == z[0, 0].real and v[1] == z[0, 0].imag
+
+
+def _mapped_in_general(res, vals):
+    """SvdResult._mapped's general path: (u sign(vals), |vals|, v), the
+    columns in the stable order of descending |vals|."""
+    mag = abs(vals)
+    order = (-mag).argsort(kind="stable")
+    return kernel.SvdResult(res.u.take(order, 1) * np.copysign(1.0, vals.take(order)),
+                            mag.take(order), res.v.take(order, 1))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("label, vals, kept", [
+    ("random", np.sort(np.random.default_rng(3).uniform(0.1, 2.0, 3))[::-1], True),
+    ("tied", np.array([1.5, 1.5, 0.2]), True),
+    ("exactly 0", np.array([0.7, 0.0, 0.0]), True),
+    ("-0.0", np.array([0.7, 0.0, -0.0]), False),
+    ("ascending", np.array([0.2, 0.5, 0.9]), False),
+    ("negative", np.array([0.9, -0.5, 0.1]), False),
+])
+def test_mapped_keeps_the_factors_where_the_general_path_would_not_move_them(label, vals,
+                                                                              kept):
+    # values that descend with no sign bit set leave the factors where they
+    # are: _mapped keeps them, and they are the general path's bit for bit;
+    # a -0.0, an ascending pair or a negative value takes the general path
+    rng = np.random.default_rng(17)
+    for shape in ((3, 4), (4, 3), (3, 3)):
+        res = kernel.svd(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        got, want = res._mapped(vals), _mapped_in_general(res, vals)
+        assert (got.u is res.u and got.v is res.v and got.s is vals) == kept, (label, shape)
+        for name in ("u", "s", "v"):
+            assert _same_bits(getattr(got, name), getattr(want, name)), (label, shape, name)
+
+
+def test_records_built_on_kept_factors_match_the_general_path():
+    # log0, geodesic_chart at t > 0 and compact exp0 below the first pole map
+    # values that descend with no sign bit set: their records keep the
+    # source's factors, which are the general path's bit for bit
+    rng = np.random.default_rng(23)
+    for n, m in ((1, 1), (2, 3), (3, 2), (3, 5)):
+        k = min(n, m)
+        for s in (rng.uniform(0.1, 1.5, k), np.r_[1.2, np.zeros(k - 1)]):
+            u = np.linalg.qr(mf._complex_gaussian(rng, n, k))[0]
+            v = np.linalg.qr(mf._complex_gaussian(rng, m, k))[0]
+            tc = mf.TangentCoord((u * s) @ v.conj().T)
+            res = tc._svd()
+            scaled = _mapped_in_general(res, 0.7 * res.s)
+            point = mf.ChartPoint(mf.exp0(tc).z)
+            for label, record, source, want in (
+                    ("exp0", mf.exp0(tc), res, _mapped_in_general(res, np.tan(res.s))),
+                    ("geodesic_chart", mf.geodesic_chart(tc, 0.7), res,
+                     _mapped_in_general(scaled, np.tan(scaled.s))),
+                    ("log0", mf.log0(point), point._svd(),
+                     _mapped_in_general(point._svd(), np.arctan(point._svd().s)))):
+                got = record._svd()
+                assert got.u is source.u and got.v is source.v, (label, n, m)
+                for name in ("u", "s", "v"):
+                    assert _same_bits(getattr(got, name), getattr(want, name)), (label, n, m, name)

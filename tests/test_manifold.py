@@ -754,6 +754,16 @@ def test_noncompact_chart_point_must_stay_in_ball():
         mf.ChartPoint(np.array([[1.5 + 0j]]), signature="noncompact")
 
 
+@pytest.mark.parametrize("top", [1e308, np.nextafter(1.0, 2.0)])
+def test_noncompact_refusal_prints_the_singular_value_in_full(top):
+    # the refusal names the value as repr reads it: six decimals printed 1e308
+    # as a 309-digit number and the double above 1 as 1.000000
+    with pytest.raises(DomainError) as info:
+        mf.ChartPoint(np.array([[top + 0j]]), signature="noncompact")
+    assert str(info.value) == ("noncompact chart requires all singular values below 1, "
+                               f"got {float(top)!r}")
+
+
 def test_chart_point_rejects_bad_signature():
     with pytest.raises(ValueError):
         mf.ChartPoint(np.zeros((1, 1), dtype=complex), signature="spherical")

@@ -529,7 +529,8 @@ def test_chart_calls_sample_runs_twelve_svds_and_three_plane_validations(tmp_pat
     # records built from kept factors inherit them, and the group and Haar
     # planes are built from orthonormal rows: a chart-calls sample runs 12
     # LAPACK SVDs (16 before) and validates 3 planes (5 before); a probe runs
-    # one SVD, of its Jacobian
+    # one SVD, of its diagonal tangent, as classify_conjugate reads the
+    # closed-form spectrum
     workload = _benchmark_workloads(monkeypatch).WORKLOADS["chart-calls"](grassgeo, str(tmp_path))
     calls = {"svd": 0, "plane": 0}
 
@@ -551,6 +552,29 @@ def test_chart_calls_sample_runs_twelve_svds_and_three_plane_validations(tmp_pat
             probes += len(op.params["probes"])
     assert (samples, probes) == (30, 10)
     assert calls == {"svd": 12 * samples + probes, "plane": 3 * samples}
+
+
+def test_chart_calls_sample_checks_four_inputs_and_a_probe_one(tmp_path, monkeypatch):
+    # each input is checked once, where it enters: a chart-calls sample checks
+    # its noncompact tangent, the two hat bases chart_to_plane validates and
+    # the built cut plane (6 before: haar_random_chart's points are built from
+    # the solve of a checked draw, with no second check), and a probe checks
+    # the tangent cartan_to_tangent builds.  Ops hold 6, 5 and 4 samples with
+    # 2, 2 and 1 probes, so the per-op counts pin both figures.
+    workload = _benchmark_workloads(monkeypatch).WORKLOADS["chart-calls"](grassgeo, str(tmp_path))
+    checked = [0]
+    check = kernel.as_complex_matrix
+
+    def counted(*args, **kwargs):
+        checked[0] += 1
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "as_complex_matrix", counted)
+    for k in range(2):
+        for op in workload.cycle(21, k):
+            checked[0] = 0
+            workload.call(op)
+            assert checked[0] == 4 * op.params["samples"] + len(op.params["probes"]), (k, op.n)
 
 
 def _traced_table():
